@@ -38,7 +38,7 @@ from .traceio import (
     read_trace,
     stream_csv,
 )
-from .trilean import FALSE, TRUE, UNKNOWN, Trilean, to_flags
+from .trilean import FALSE, TRUE, UNKNOWN, Trilean
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -57,6 +57,16 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
 
 
 def _signals_arg(value: str) -> tuple[str, ...]:
@@ -128,13 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     selfcheck.add_argument(
         "--max-b",
-        type=int,
+        type=_positive_int,
         default=3,
         help="largest window upper bound for the exhaustive checks (default: 3)",
     )
     selfcheck.add_argument(
         "--cases",
-        type=int,
+        type=_positive_int,
         default=200,
         help="number of randomized property cases (default: 200)",
     )
@@ -258,7 +268,7 @@ def _cmd_oracle(args) -> int:
     last: Trilean | None = None
     for tick in range(len(trace)):
         verdict = three_valued_eval(f, trace, tick)
-        writer.write(VerdictRecord(tick, to_flags(verdict), verdict))
+        writer.write(VerdictRecord(tick, verdict))
         last = verdict
     return _verdict_exit(last)
 

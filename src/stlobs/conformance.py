@@ -33,8 +33,7 @@ from .formula import (
     signal_atom,
     signals_of,
 )
-from .kernel import PointSample
-from .monitor import Monitor, compile_formula, make_cell
+from .monitor import AlwaysCell, EventuallyCell, Monitor, UntilCell, compile_formula
 from .oracle import OPERATOR_KINDS, POLARITIES, offline_eval, three_valued_eval
 from .trace import Trace
 from .trilean import FALSE, TRUE, UNKNOWN
@@ -226,9 +225,41 @@ def differential_sweep(
     return ConformanceReport(cases, failures, time.perf_counter() - start)
 
 
-# Induction checks: the streaming cells must agree with explicitly unrolled
-# forms built from point samples, both for the smallest window and when the
-# window is extended by one tick.
+# Induction checks: each polarity of a streaming cell must agree with
+# explicitly unrolled forms built from point samples, both for the smallest
+# window and when the window is extended by one tick.
+
+_CELLS = {"eventually": EventuallyCell, "always": AlwaysCell, "until": UntilCell}
+# Index of each polarity's flag in a cell's (pos, neg) output.
+_FLAG = {"positive": 0, "negative": 1}
+
+
+class PointSample:
+    """False before tick `at`, then latches the value `prop` had at tick `at`.
+
+    The tick counter stops one past `at`, so "currently at tick `at`" remains
+    distinguishable from "already past it" with bounded state.
+    """
+
+    __slots__ = ("at", "_clk", "_value")
+
+    def __init__(self, at: int):
+        if at < 0:
+            raise ValueError(f"sample tick must be >= 0, got {at}")
+        self.at = at
+        self._clk = 0
+        self._value = False
+
+    def step(self, prop: bool) -> bool:
+        clk = self._clk
+        if clk <= self.at:
+            if clk == self.at:
+                self._value = prop
+            self._clk = clk + 1
+        return self._value
+
+    def state_scalars(self) -> tuple:
+        return (self._clk, self._value)
 
 
 class _PointBank:
@@ -277,9 +308,9 @@ def _base_network(kind: str, polarity: str, lower: int):
 
 
 def _step_combination(kind: str, polarity: str, lower: int, upper: int):
-    """Monitor cell over [lower, upper] combined with a point sample at
-    upper + 1 to reproduce the cell over [lower, upper + 1]."""
-    cell = make_cell(kind, polarity, lower, upper)
+    """One flag of the cell over [lower, upper] combined with a point sample
+    at upper + 1 to reproduce that flag of the cell over [lower, upper + 1]."""
+    cell, flag = _CELLS[kind](lower, upper), _FLAG[polarity]
     if kind in ("eventually", "always"):
         extra = PointSample(upper + 1)
         widens = (kind, polarity) in (("eventually", "positive"), ("always", "negative"))
@@ -288,7 +319,7 @@ def _step_combination(kind: str, polarity: str, lower: int, upper: int):
             # Step both parts unconditionally; short-circuiting would let the
             # point sample's clock fall behind the global tick.
             sampled = extra.step(phi if polarity == "positive" else not phi)
-            base = cell.step(phi)
+            base = cell.step(phi)[flag]
             return (base or sampled) if widens else (base and sampled)
 
         return step
@@ -298,7 +329,7 @@ def _step_combination(kind: str, polarity: str, lower: int, upper: int):
     failed_bank = _PointBank(lower)
 
     def step_until(phi1: bool, phi2: bool) -> bool:
-        base = cell.step(phi1, phi2)
+        base = cell.step(phi1, phi2)[flag]
         lefts = left_bank.step(phi1)
         early_fails = failed_bank.step(not phi1)
         new_term = right_extra.step(phi2) and all(lefts)
@@ -310,15 +341,17 @@ def _step_combination(kind: str, polarity: str, lower: int, upper: int):
 
 
 def check_induction_base(kind: str, lower: int, polarity: str) -> bool:
-    """The cell over [lower, lower+1] equals the two-term unrolled form at
-    every tick from lower + 1 on, over all boolean operand traces."""
+    """The polarity's flag of the cell over [lower, lower+1] equals the
+    two-term unrolled form at every tick from lower + 1 on, over all boolean
+    operand traces."""
     num_atoms = 2 if kind == "until" else 1
     length = lower + 3
+    flag = _FLAG[polarity]
     for rows in enumerate_traces(num_atoms, length):
-        cell = make_cell(kind, polarity, lower, lower + 1)
+        cell = _CELLS[kind](lower, lower + 1)
         network = _base_network(kind, polarity, lower)
         for k, row in enumerate(rows):
-            got = cell.step(*row)
+            got = cell.step(*row)[flag]
             want = network(*row)
             if k >= lower + 1 and got != want:
                 return False
@@ -326,8 +359,9 @@ def check_induction_base(kind: str, lower: int, polarity: str) -> bool:
 
 
 def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bool:
-    """The cell over [lower, upper+1] equals the cell over [lower, upper]
-    combined with a point sample at upper + 1, from tick upper + 1 on.
+    """The polarity's flag of the cell over [lower, upper+1] equals that
+    flag of the cell over [lower, upper] combined with a point sample at
+    upper + 1, from tick upper + 1 on.
 
     For Until the combination is derived rather than read off, so it is also
     cross-checked against the three-valued oracle at the horizon tick.
@@ -335,12 +369,13 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bo
     num_atoms = 2 if kind == "until" else 1
     length = upper + 3
     wide_formula = operator_formula(kind, lower, upper + 1)
+    flag = _FLAG[polarity]
     for rows in enumerate_traces(num_atoms, length):
-        wide_cell = make_cell(kind, polarity, lower, upper + 1)
+        wide_cell = _CELLS[kind](lower, upper + 1)
         combination = _step_combination(kind, polarity, lower, upper)
         trace = bool_trace(rows, num_atoms) if kind == "until" else None
         for k, row in enumerate(rows):
-            got = wide_cell.step(*row)
+            got = wide_cell.step(*row)[flag]
             want = combination(*row)
             if k >= upper + 1 and got != want:
                 return False

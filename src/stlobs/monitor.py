@@ -1,10 +1,10 @@
 """Online monitor: compiled observer network over a formula.
 
-Each temporal operator becomes one true-cell and one false-cell built from
-the kernel cells; the boolean structure above temporal operators is evaluated
-per tick with the Kleene connectives. Both flags latch, the unknown verdict
-is always the absence of both flags, and per-operator state does not grow
-with the window width.
+Each temporal operator becomes one fused cell that reports both verdict
+flags; the boolean structure above temporal operators is evaluated per tick
+with the Kleene connectives. Both flags latch, the unknown verdict is always
+the absence of both flags, and per-operator state does not grow with the
+window width.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .formula import (
     Always,
     Formula,
     Implies,
-    Interval,
     Not,
     Or,
     Until,
@@ -28,13 +27,13 @@ from .formula import (
     signals_of,
     validate,
 )
-from .kernel import IntervalGate, LatchingExists, LatchingForall, PointSample, SaturatingClock
 from .trace import Trace
 from .trilean import (
+    FALSE,
+    TRUE,
     FlagPair,
     Trilean,
     and3,
-    from_flags,
     implies3,
     not3,
     or3,
@@ -50,214 +49,104 @@ class VerdictRecord:
     """Monitor output for one tick."""
 
     tick: int
-    flags: FlagPair
     verdict: Trilean
 
-    def __post_init__(self) -> None:
-        if self.verdict is not from_flags(self.flags):
-            raise ValueError("verdict does not match its flags")
+    @property
+    def flags(self) -> FlagPair:
+        """The verdict as its (positive, negative) flag pair."""
+        return to_flags(self.verdict)
 
 
-# Operator cells. Every cell owns its own clocks and gates, mirroring the
-# structure of the emitted observer nodes; the two polarities of an operator
-# never share state.
+# Operator cells. Each cell advances one tick per `step`, returns the pair
+# (pos, neg) of latched verdict flags, and stores one clock plus one or two
+# latched booleans. The clock counts ticks and stops at `upper + 1`, so
+# "inside the window" (clk <= upper) stays distinguishable from "past it"
+# whatever the window width; nothing is updated past the window.
 
 
-class EventuallyTrueCell:
-    """Latches once the operand holds somewhere in the window seen so far."""
-
-    KIND, POLARITY = "eventually", "positive"
-    __slots__ = ("lower", "upper", "_gate", "_witness")
-
-    def __init__(self, lower: int, upper: int):
-        self.lower, self.upper = lower, upper
-        self._gate = IntervalGate(lower, upper)
-        self._witness = LatchingExists()
-
-    def step(self, phi: bool) -> bool:
-        return self._witness.step(self._gate.step(), phi)
-
-    def state_scalars(self) -> tuple:
-        return self._gate.state_scalars() + self._witness.state_scalars()
-
-
-class EventuallyFalseCell:
-    """Latches once the window has closed with the operand never true."""
-
-    KIND, POLARITY = "eventually", "negative"
-    __slots__ = ("lower", "upper", "_gate", "_clock", "_witness", "_latched")
+class _WindowCell:
+    __slots__ = ("lower", "upper", "_clk")
 
     def __init__(self, lower: int, upper: int):
+        if not 0 <= lower < upper:
+            raise ValueError(f"window [{lower},{upper}] must satisfy 0 <= lower < upper")
         self.lower, self.upper = lower, upper
-        self._gate = IntervalGate(lower, upper)
-        self._clock = SaturatingClock(upper)
-        self._witness = LatchingExists()
-        self._latched = False
-
-    def step(self, phi: bool) -> bool:
-        gate = self._gate.step()
-        clk = self._clock.step()
-        seen = self._witness.step(gate, phi)
-        if clk == self.upper and not seen:
-            self._latched = True
-        return self._latched
-
-    def state_scalars(self) -> tuple:
-        return (
-            self._gate.state_scalars()
-            + self._clock.state_scalars()
-            + self._witness.state_scalars()
-            + (self._latched,)
-        )
+        self._clk = 0
 
 
-class AlwaysTrueCell:
-    """Latches once the window has closed with the operand always true."""
+class EventuallyCell(_WindowCell):
+    """F[lower,upper]: true once the operand holds at a tick in the window,
+    false once the window has closed without that."""
 
-    KIND, POLARITY = "always", "positive"
-    __slots__ = ("lower", "upper", "_gate", "_clock", "_held", "_latched")
+    __slots__ = ("_seen",)
 
     def __init__(self, lower: int, upper: int):
-        self.lower, self.upper = lower, upper
-        self._gate = IntervalGate(lower, upper)
-        self._clock = SaturatingClock(upper)
-        self._held = LatchingForall()
-        self._latched = False
+        super().__init__(lower, upper)
+        self._seen = False
 
-    def step(self, phi: bool) -> bool:
-        gate = self._gate.step()
-        clk = self._clock.step()
-        held = self._held.step(gate, phi)
-        if clk == self.upper and held:
-            self._latched = True
-        return self._latched
+    def step(self, phi: bool) -> tuple[bool, bool]:
+        clk = self._clk
+        if clk <= self.upper:
+            if phi and clk >= self.lower:
+                self._seen = True
+            self._clk = clk + 1
+        seen = self._seen
+        return seen, clk >= self.upper and not seen
 
     def state_scalars(self) -> tuple:
-        return (
-            self._gate.state_scalars()
-            + self._clock.state_scalars()
-            + self._held.state_scalars()
-            + (self._latched,)
-        )
+        return (self._clk, self._seen)
 
 
-class AlwaysFalseCell:
-    """Latches once the operand fails somewhere in the window seen so far."""
+class AlwaysCell(_WindowCell):
+    """G[lower,upper]: false once the operand fails at a tick in the window,
+    true once the window has closed without that."""
 
-    KIND, POLARITY = "always", "negative"
-    __slots__ = ("lower", "upper", "_gate", "_violation")
+    __slots__ = ("_ok",)
 
     def __init__(self, lower: int, upper: int):
-        self.lower, self.upper = lower, upper
-        self._gate = IntervalGate(lower, upper)
-        self._violation = LatchingExists()
+        super().__init__(lower, upper)
+        self._ok = True
 
-    def step(self, phi: bool) -> bool:
-        return self._violation.step(self._gate.step(), not phi)
-
-    def state_scalars(self) -> tuple:
-        return self._gate.state_scalars() + self._violation.state_scalars()
-
-
-class UntilTrueCell:
-    """Latches once some gated tick satisfies the right operand with the left
-    operand having held at every tick up to and including it."""
-
-    KIND, POLARITY = "until", "positive"
-    __slots__ = ("lower", "upper", "_gate", "_prefix_gate", "_prefix", "_witness")
-
-    def __init__(self, lower: int, upper: int):
-        self.lower, self.upper = lower, upper
-        self._gate = IntervalGate(lower, upper)
-        self._prefix_gate = IntervalGate(0, upper)
-        self._prefix = LatchingForall()
-        self._witness = LatchingExists()
-
-    def step(self, phi1: bool, phi2: bool) -> bool:
-        gate = self._gate.step()
-        prefix_ok = self._prefix.step(self._prefix_gate.step(), phi1)
-        return self._witness.step(gate, phi2 and prefix_ok)
+    def step(self, phi: bool) -> tuple[bool, bool]:
+        clk = self._clk
+        if clk <= self.upper:
+            if not phi and clk >= self.lower:
+                self._ok = False
+            self._clk = clk + 1
+        ok = self._ok
+        return clk >= self.upper and ok, not ok
 
     def state_scalars(self) -> tuple:
-        return (
-            self._gate.state_scalars()
-            + self._prefix_gate.state_scalars()
-            + self._prefix.state_scalars()
-            + self._witness.state_scalars()
-        )
+        return (self._clk, self._ok)
 
 
-class UntilFalseCell:
-    """Latches when the property can no longer be satisfied.
+class UntilCell(_WindowCell):
+    """phi1 U[lower,upper] phi2: true once phi2 holds at a tick in the window
+    with phi1 holding at every tick from 0 up to and including it.
 
-    Three ways to conclude that: the left operand fails at or before the
-    window opens; it fails inside the window with no satisfying tick seen yet
-    (no later tick can be satisfying either, since the left operand must hold
-    all the way up to it); or the window closes without a satisfying tick.
+    False once no tick can still be such a witness: phi1 has failed (every
+    later witness would need it to hold there), or the window has closed.
     """
 
-    KIND, POLARITY = "until", "negative"
-    __slots__ = (
-        "lower",
-        "upper",
-        "_gate",
-        "_prefix_gate",
-        "_clock",
-        "_prefix",
-        "_witness",
-        "_failed_inside",
-        "_latched",
-    )
+    __slots__ = ("_prefix_ok", "_witness")
 
     def __init__(self, lower: int, upper: int):
-        self.lower, self.upper = lower, upper
-        self._gate = IntervalGate(lower, upper)
-        self._prefix_gate = IntervalGate(0, upper)
-        self._clock = SaturatingClock(upper)
-        self._prefix = LatchingForall()
-        self._witness = LatchingExists()
-        self._failed_inside = LatchingExists()
-        self._latched = False
+        super().__init__(lower, upper)
+        self._prefix_ok = True
+        self._witness = False
 
-    def step(self, phi1: bool, phi2: bool) -> bool:
-        gate = self._gate.step()
-        clk = self._clock.step()
-        prefix_ok = self._prefix.step(self._prefix_gate.step(), phi1)
-        witnessed = self._witness.step(gate, phi2 and prefix_ok)
-        failed_inside = self._failed_inside.step(gate, not phi1)
-        if (
-            (clk <= self.lower and not phi1)
-            or (clk > self.lower and failed_inside and not witnessed)
-            or (clk == self.upper and not witnessed)
-        ):
-            self._latched = True
-        return self._latched
+    def step(self, phi1: bool, phi2: bool) -> tuple[bool, bool]:
+        clk = self._clk
+        if clk <= self.upper:
+            prefix_ok = self._prefix_ok = self._prefix_ok and phi1
+            if prefix_ok and phi2 and clk >= self.lower:
+                self._witness = True
+            self._clk = clk + 1
+        witness = self._witness
+        return witness, not witness and (clk >= self.upper or not self._prefix_ok)
 
     def state_scalars(self) -> tuple:
-        return (
-            self._gate.state_scalars()
-            + self._prefix_gate.state_scalars()
-            + self._clock.state_scalars()
-            + self._prefix.state_scalars()
-            + self._witness.state_scalars()
-            + self._failed_inside.state_scalars()
-            + (self._latched,)
-        )
-
-
-TEMPORAL_CELLS = {
-    ("eventually", "positive"): EventuallyTrueCell,
-    ("eventually", "negative"): EventuallyFalseCell,
-    ("always", "positive"): AlwaysTrueCell,
-    ("always", "negative"): AlwaysFalseCell,
-    ("until", "positive"): UntilTrueCell,
-    ("until", "negative"): UntilFalseCell,
-}
-
-
-def make_cell(kind: str, polarity: str, lower: int, upper: int):
-    """Instantiate a single operator cell by kind and polarity."""
-    return TEMPORAL_CELLS[(kind, polarity)](lower, upper)
+        return (self._clk, self._prefix_ok, self._witness)
 
 
 def compile_predicate(f: Formula) -> Predicate:
@@ -286,19 +175,20 @@ def compile_predicate(f: Formula) -> Predicate:
 class _AtomNode:
     """Anchored atom: the verdict is fixed by the sample at tick 0."""
 
-    __slots__ = ("_pred", "_pos", "_neg")
+    __slots__ = ("_pred", "_verdict")
 
     def __init__(self, pred: Predicate):
         self._pred = pred
-        self._pos = PointSample(0)
-        self._neg = PointSample(0)
+        self._verdict: Trilean | None = None
 
     def step(self, sample: Mapping[str, float]) -> Trilean:
-        value = self._pred(sample)
-        return verdict_from_bools(self._pos.step(value), self._neg.step(not value))
+        verdict = self._verdict
+        if verdict is None:
+            verdict = self._verdict = TRUE if self._pred(sample) else FALSE
+        return verdict
 
     def state_scalars(self) -> tuple:
-        return self._pos.state_scalars() + self._neg.state_scalars()
+        return (self._verdict,)
 
 
 class _NotNode:
@@ -330,24 +220,21 @@ class _BinNode:
 
 
 class _TemporalNode:
-    __slots__ = ("_true_cell", "_false_cell", "_operands")
+    __slots__ = ("_cell", "_operands")
 
-    def __init__(self, true_cell, false_cell, operands: tuple[Predicate, ...]):
-        self._true_cell = true_cell
-        self._false_cell = false_cell
+    def __init__(self, cell, operands: tuple[Predicate, ...]):
+        self._cell = cell
         self._operands = operands
 
     def step(self, sample: Mapping[str, float]) -> Trilean:
-        values = [op(sample) for op in self._operands]
-        pos = self._true_cell.step(*values)
-        neg = self._false_cell.step(*values)
-        return verdict_from_bools(pos, neg)
+        return verdict_from_bools(*self._cell.step(*[op(sample) for op in self._operands]))
 
     def state_scalars(self) -> tuple:
-        return self._true_cell.state_scalars() + self._false_cell.state_scalars()
+        return self._cell.state_scalars()
 
 
 _BIN_OPS = {And: and3, Or: or3, Implies: implies3}
+_CELLS = {Eventually: EventuallyCell, Always: AlwaysCell, Until: UntilCell}
 
 
 class Monitor:
@@ -368,7 +255,7 @@ class Monitor:
 
     @property
     def temporal_cells(self) -> tuple:
-        """All operator cells, both polarities, in formula order."""
+        """All operator cells, one per temporal operator, in formula order."""
         return self._cells
 
     def step(self, sample: Mapping[str, float]) -> VerdictRecord:
@@ -376,7 +263,7 @@ class Monitor:
         if missing:
             raise MissingSignalError(missing, f"at tick {self._tick}")
         verdict = self._root.step(sample)
-        record = VerdictRecord(self._tick, to_flags(verdict), verdict)
+        record = VerdictRecord(self._tick, verdict)
         self._tick += 1
         return record
 
@@ -417,20 +304,10 @@ def _build(f: Formula, cells: list):
         return _NotNode(_build(f.child, cells))
     if isinstance(f, (And, Or, Implies)):
         return _BinNode(_BIN_OPS[type(f)], _build(f.left, cells), _build(f.right, cells))
-    window: Interval = f.window
-    if isinstance(f, Eventually):
-        true_cell = EventuallyTrueCell(window.lower, window.upper)
-        false_cell = EventuallyFalseCell(window.lower, window.upper)
-        operands = (compile_predicate(f.child),)
-    elif isinstance(f, Always):
-        true_cell = AlwaysTrueCell(window.lower, window.upper)
-        false_cell = AlwaysFalseCell(window.lower, window.upper)
-        operands = (compile_predicate(f.child),)
-    elif isinstance(f, Until):
-        true_cell = UntilTrueCell(window.lower, window.upper)
-        false_cell = UntilFalseCell(window.lower, window.upper)
-        operands = (compile_predicate(f.left), compile_predicate(f.right))
-    else:
+    cell_type = _CELLS.get(type(f))
+    if cell_type is None:
         raise TypeError(f"not a formula node: {f!r}")
-    cells.extend((true_cell, false_cell))
-    return _TemporalNode(true_cell, false_cell, operands)
+    cell = cell_type(f.window.lower, f.window.upper)
+    operands = (f.left, f.right) if isinstance(f, Until) else (f.child,)
+    cells.append(cell)
+    return _TemporalNode(cell, tuple(compile_predicate(op) for op in operands))

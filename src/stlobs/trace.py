@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import TraceFormatError
 
@@ -43,10 +43,6 @@ class Trace:
     def sample(self, tick: int) -> dict[str, float]:
         """The sample at `tick` as a mapping, for feeding a monitor."""
         return dict(zip(self.signals, self.samples[tick]))
-
-    def rows(self) -> Iterable[Mapping[str, float]]:
-        for k in range(len(self.samples)):
-            yield self.sample(k)
 
 
 def trace_from_rows(signals: Iterable[str], rows: Iterable[Iterable[float]]) -> Trace:

@@ -20,7 +20,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from .errors import MissingSignalError, TraceFormatError
 from .monitor import VerdictRecord
 from .trace import Trace
-from .trilean import FlagPair, from_flags
+from .trilean import FALSE, TRUE, Trilean
 
 logger = logging.getLogger(__name__)
 
@@ -128,6 +128,8 @@ def read_jsonl_stream(
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer literal longer than int() accepts
+            raise TraceFormatError(f"line {lineno}: {exc}") from exc
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: expected a JSON object")
         if declared is None:
@@ -144,7 +146,12 @@ def read_jsonl_stream(
                 raise TraceFormatError(
                     f"line {lineno}: signal {name!r} is not a number"
                 )
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise TraceFormatError(
+                    f"line {lineno}: signal {name!r} is too large for a float"
+                ) from None
             if not math.isfinite(value):
                 raise TraceFormatError(
                     f"line {lineno}: signal {name!r} is non-finite"
@@ -212,20 +219,15 @@ class VerdictWriter:
             self._stream.flush()
 
     def write(self, record: VerdictRecord) -> None:
-        pos = int(record.flags.positive)
-        neg = int(record.flags.negative)
+        verdict = record.verdict
+        pos, neg = verdict is TRUE, verdict is FALSE
         if self._fmt == "text":
-            line = f"tick={record.tick} verdict={record.verdict} pos={pos} neg={neg}"
+            line = f"tick={record.tick} verdict={verdict} pos={int(pos)} neg={int(neg)}"
         elif self._fmt == "csv":
-            line = f"{record.tick},{record.verdict},{pos},{neg}"
+            line = f"{record.tick},{verdict},{int(pos)},{int(neg)}"
         else:
             line = json.dumps(
-                {
-                    "tick": record.tick,
-                    "verdict": str(record.verdict),
-                    "pos": record.flags.positive,
-                    "neg": record.flags.negative,
-                }
+                {"tick": record.tick, "verdict": str(verdict), "pos": pos, "neg": neg}
             )
         self._stream.write(line + "\n")
         self._stream.flush()
@@ -240,10 +242,13 @@ def write_verdicts(
 
 
 _TEXT_LINE = re.compile(r"tick=(\d+) verdict=([TFU]) pos=([01]) neg=([01])$")
+_VERDICTS = {str(v): v for v in Trilean}
 
 
 def read_verdicts(lines: Iterable[str], fmt: str = "text") -> list[VerdictRecord]:
-    """Parse verdict output back into records (for round-trips and tools)."""
+    """Parse verdict output back into records (for round-trips and tools).
+
+    The verdict letter must agree with the pos/neg flags on its line."""
     if fmt not in VERDICT_FORMATS:
         raise ValueError(f"unknown verdict format {fmt!r}")
     records: list[VerdictRecord] = []
@@ -255,17 +260,23 @@ def read_verdicts(lines: Iterable[str], fmt: str = "text") -> list[VerdictRecord
             match = _TEXT_LINE.match(line)
             if not match:
                 raise TraceFormatError(f"line {lineno}: malformed verdict line")
-            tick, _, pos, neg = match.groups()
+            tick, letter, pos, neg = match.groups()
         elif fmt == "csv":
             if lineno == 1 and line == "tick,verdict,pos,neg":
                 continue
             parts = line.split(",")
             if len(parts) != 4:
                 raise TraceFormatError(f"line {lineno}: malformed verdict row")
-            tick, _, pos, neg = parts
+            tick, letter, pos, neg = parts
         else:
             obj = json.loads(line)
-            tick, pos, neg = obj["tick"], obj["pos"], obj["neg"]
-        flags = FlagPair(bool(int(pos)), bool(int(neg)))
-        records.append(VerdictRecord(int(tick), flags, from_flags(flags)))
+            tick, letter, pos, neg = obj["tick"], obj["verdict"], obj["pos"], obj["neg"]
+        verdict = _VERDICTS.get(letter)
+        if verdict is None:
+            raise TraceFormatError(f"line {lineno}: unknown verdict {letter!r}")
+        if (verdict is TRUE, verdict is FALSE) != (bool(int(pos)), bool(int(neg))):
+            raise TraceFormatError(
+                f"line {lineno}: verdict {letter} does not match pos={pos} neg={neg}"
+            )
+        records.append(VerdictRecord(int(tick), verdict))
     return records

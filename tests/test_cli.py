@@ -127,6 +127,13 @@ class TestErrorExits:
         assert code == cli.EXIT_DATA
         assert "line 2" in capsys.readouterr().err
 
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        path = tmp_path / "huge.jsonl"
+        path.write_text('{"x": 1' + "0" * 400 + "}\n")
+        code = cli.main(["check", "-f", "x > 0", "--trace", str(path)])
+        assert code == cli.EXIT_DATA
+        assert "too large" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         code = cli.main(
             ["check", "-f", "x > 0", "--trace", str(tmp_path / "nope.csv")]
@@ -177,6 +184,16 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert code == cli.EXIT_TRUE
         assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--max-b", "0"), ("--max-b", "-3"), ("--cases", "0"), ("--cases", "-5")],
+    )
+    def test_non_positive_sizes_are_usage_errors(self, option, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["selfcheck", option, value])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert "at least 1" in capsys.readouterr().err
 
     def test_json_output(self, capsys):
         code = cli.main(["selfcheck", "--max-b", "1", "--cases", "10", "--json"])

@@ -10,6 +10,7 @@ import pytest
 from stlobs.conformance import (
     ConformanceReport,
     Failure,
+    PointSample,
     bool_trace,
     check_induction_base,
     check_induction_step,
@@ -35,6 +36,20 @@ from stlobs.monitor import VerdictRecord, compile_formula
 from stlobs.parser import parse
 from stlobs.trace import Trace
 from stlobs.trilean import UNKNOWN, FlagPair
+
+
+class TestPointSample:
+    def test_latches_value_at_tick(self):
+        values = [False, True, False, True, False]
+        for at in range(4):
+            cell = PointSample(at)
+            for k, value in enumerate(values):
+                got = cell.step(value)
+                assert got == (values[at] if k >= at else False), (at, k)
+
+    def test_rejects_negative_tick(self):
+        with pytest.raises(ValueError):
+            PointSample(-1)
 
 
 class TestEnumerateTraces:
@@ -146,7 +161,7 @@ class TestPropertySuite:
 
             def step(self, sample):
                 record = self._inner.step(sample)
-                return VerdictRecord(record.tick, FlagPair(False, False), UNKNOWN)
+                return VerdictRecord(record.tick, UNKNOWN)
 
             def state_scalar_count(self):
                 return self._inner.state_scalar_count()

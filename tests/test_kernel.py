@@ -1,145 +1,134 @@
-"""Constant-state streaming cells."""
+"""Constant-state streaming cells: the window gate, latches and clock inside
+the fused operator cells, and their state footprint."""
 
-import itertools
 import random
 
 import pytest
 
-from stlobs.kernel import (
-    DelayCell,
-    IntervalGate,
-    LatchingExists,
-    LatchingForall,
-    PointSample,
-    SaturatingClock,
-)
+from stlobs.conformance import PointSample
+from stlobs.monitor import AlwaysCell, EventuallyCell, UntilCell
+
+CELLS = (EventuallyCell, AlwaysCell, UntilCell)
 
 
-def test_delay_cell():
-    cell = DelayCell(False)
-    assert [cell.step(v) for v in (True, True, False)] == [False, True, True]
+def run(cell, values):
+    """Step a unary cell through `values`, returning its (pos, neg) outputs."""
+    return [cell.step(value) for value in values]
 
 
-def test_delay_cell_initial_value():
-    cell = DelayCell(True)
-    assert cell.step(False) is True
-    assert cell.step(True) is False
-
-
-def test_saturating_clock():
-    clock = SaturatingClock(3)
-    assert [clock.step() for _ in range(6)] == [0, 1, 2, 3, 3, 3]
-
-
-def test_saturating_clock_requires_positive_bound():
-    with pytest.raises(ValueError):
-        SaturatingClock(0)
+def gate_opens_at(cell_type, lower, upper, k, length):
+    """Whether a single decisive operand value at tick `k` reaches the
+    cell's latch: true for F (and for U's right operand, with the left
+    operand always true), false for G."""
+    cell = cell_type(lower, upper)
+    for tick in range(length):
+        hit = tick == k
+        if cell_type is UntilCell:
+            pos, neg = cell.step(True, hit)
+        elif cell_type is EventuallyCell:
+            pos, neg = cell.step(hit)
+        else:
+            pos, neg = cell.step(not hit)
+    return pos if cell_type is not AlwaysCell else neg
 
 
 def test_interval_gate_window():
-    gate = IntervalGate(1, 2)
-    assert [gate.step() for _ in range(5)] == [False, True, True, False, False]
+    assert [gate_opens_at(EventuallyCell, 1, 2, k, 5) for k in range(5)] == [
+        False, True, True, False, False,
+    ]
 
 
 def test_interval_gate_from_zero():
-    gate = IntervalGate(0, 1)
-    assert [gate.step() for _ in range(4)] == [True, True, False, False]
+    assert [gate_opens_at(EventuallyCell, 0, 1, k, 4) for k in range(4)] == [
+        True, True, False, False,
+    ]
 
 
 def test_interval_gate_matches_membership():
-    for lower in range(0, 4):
-        for upper in range(lower + 1, 5):
-            gate = IntervalGate(lower, upper)
-            for k in range(upper + 3):
-                assert gate.step() == (lower <= k <= upper), (lower, upper, k)
+    for cell_type in CELLS:
+        for lower in range(0, 4):
+            for upper in range(lower + 1, 5):
+                for k in range(upper + 3):
+                    got = gate_opens_at(cell_type, lower, upper, k, upper + 3)
+                    assert got == (lower <= k <= upper), (cell_type, lower, upper, k)
 
 
-@pytest.mark.parametrize("lower,upper", [(2, 2), (3, 1), (-1, 2)])
+@pytest.mark.parametrize("lower,upper", [(2, 2), (3, 1), (-1, 2), (0, 0)])
 def test_interval_gate_rejects_bad_bounds(lower, upper):
-    with pytest.raises(ValueError):
-        IntervalGate(lower, upper)
+    for cell_type in CELLS:
+        with pytest.raises(ValueError):
+            cell_type(lower, upper)
+
+
+def test_interval_gate_closed_forever_after_window():
+    outputs = run(AlwaysCell(0, 2), [True, True, True] + [False] * 7)
+    assert outputs[2:] == [(True, False)] * 8
+    outputs = run(EventuallyCell(0, 2), [False, False, False] + [True] * 7)
+    assert outputs[2:] == [(False, True)] * 8
 
 
 def test_latching_exists_matches_fold():
     rng = random.Random(7)
     for _ in range(200):
-        cell = LatchingExists()
+        lower = rng.randrange(0, 5)
+        upper = rng.randrange(lower + 1, 8)
+        cell = EventuallyCell(lower, upper)
         seen = False
-        for _ in range(20):
-            gate, prop = rng.random() < 0.5, rng.random() < 0.5
-            seen = seen or (gate and prop)
-            assert cell.step(gate, prop) == seen
+        for k in range(12):
+            prop = rng.random() < 0.3
+            seen = seen or (lower <= k <= upper and prop)
+            assert cell.step(prop) == (seen, k >= upper and not seen)
 
 
 def test_latching_forall_matches_fold():
     rng = random.Random(8)
     for _ in range(200):
-        cell = LatchingForall()
+        lower = rng.randrange(0, 5)
+        upper = rng.randrange(lower + 1, 8)
+        cell = AlwaysCell(lower, upper)
         ok = True
-        for _ in range(20):
-            gate, prop = rng.random() < 0.5, rng.random() < 0.7
-            ok = ok and (not gate or prop)
-            assert cell.step(gate, prop) == ok
+        for k in range(12):
+            prop = rng.random() < 0.8
+            ok = ok and (not lower <= k <= upper or prop)
+            assert cell.step(prop) == (k >= upper and ok, not ok)
 
 
 def test_latching_forall_vacuously_true():
-    cell = LatchingForall()
-    assert cell.step(False, False) is True
-    assert cell.step(False, False) is True
+    cell = AlwaysCell(2, 3)
+    assert run(cell, [False, False]) == [(False, False), (False, False)]
+    assert run(cell, [True, True]) == [(False, False), (True, False)]
 
 
-def test_point_sample_latches_value_at_tick():
-    values = [False, True, False, True, False]
-    for at in range(4):
-        cell = PointSample(at)
-        for k, value in enumerate(values):
-            got = cell.step(value)
-            assert got == (values[at] if k >= at else False), (at, k)
-
-
-def test_point_sample_rejects_negative_tick():
-    with pytest.raises(ValueError):
-        PointSample(-1)
+def test_saturating_clock():
+    cell = EventuallyCell(1, 3)
+    clocks = []
+    for _ in range(7):
+        cell.step(False)
+        clocks.append(cell.state_scalars()[0])
+    assert clocks == [1, 2, 3, 4, 4, 4, 4]
 
 
 def test_state_scalar_counts_do_not_depend_on_bounds():
-    assert len(SaturatingClock(2).state_scalars()) == len(
-        SaturatingClock(1000).state_scalars()
-    )
-    assert len(IntervalGate(0, 2).state_scalars()) == len(
-        IntervalGate(17, 1000).state_scalars()
-    )
+    for cell_type in CELLS:
+        assert len(cell_type(0, 2).state_scalars()) == len(
+            cell_type(17, 1000).state_scalars()
+        )
     assert len(PointSample(1).state_scalars()) == len(PointSample(999).state_scalars())
 
 
 def test_state_scalar_counts_constant_over_time():
-    cells = [
-        DelayCell(False),
-        SaturatingClock(5),
-        IntervalGate(1, 4),
-        LatchingExists(),
-        LatchingForall(),
-        PointSample(3),
-    ]
+    cells = [EventuallyCell(1, 4), AlwaysCell(1, 4), UntilCell(1, 4), PointSample(3)]
     sizes = [len(cell.state_scalars()) for cell in cells]
     for _ in range(12):
         cells[0].step(True)
-        cells[1].step()
-        cells[2].step()
-        cells[3].step(True, False)
-        cells[4].step(True, True)
-        cells[5].step(True)
+        cells[1].step(True)
+        cells[2].step(True, False)
+        cells[3].step(True)
         assert [len(cell.state_scalars()) for cell in cells] == sizes
 
 
 def test_state_scalars_are_plain_values():
-    gate = IntervalGate(0, 3)
-    gate.step()
-    assert all(isinstance(v, (bool, int)) for v in gate.state_scalars())
-
-
-def test_interval_gate_closed_forever_after_window():
-    gate = IntervalGate(0, 2)
-    outputs = [gate.step() for _ in range(10)]
-    assert outputs[:3] == [True, True, True]
-    assert not any(outputs[3:])
+    for cell_type in CELLS:
+        cell = cell_type(0, 3)
+        cell.step(*(True,) * (2 if cell_type is UntilCell else 1))
+        assert all(isinstance(v, (bool, int)) for v in cell.state_scalars())

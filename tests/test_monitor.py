@@ -8,21 +8,17 @@ from stlobs.conformance import random_formula
 from stlobs.errors import InvalidFormulaError, MissingSignalError
 from stlobs.formula import Eventually, Interval, signal_atom
 from stlobs.monitor import (
-    AlwaysFalseCell,
-    AlwaysTrueCell,
-    EventuallyFalseCell,
-    EventuallyTrueCell,
+    AlwaysCell,
+    EventuallyCell,
     Monitor,
-    UntilFalseCell,
-    UntilTrueCell,
+    UntilCell,
     VerdictRecord,
     compile_formula,
-    make_cell,
 )
 from stlobs.oracle import three_valued_eval
 from stlobs.parser import parse
 from stlobs.trace import Trace
-from stlobs.trilean import FALSE, TRUE, UNKNOWN, FlagPair
+from stlobs.trilean import FALSE, TRUE, UNKNOWN, FlagPair, from_flags
 
 SIGNALS = ("x", "y", "p", "q")
 
@@ -128,19 +124,14 @@ class TestVerdictSequences:
 
 class TestStructure:
     def test_cells_come_in_polarity_pairs(self):
+        # One fused cell per operator reports both polarities as (pos, neg).
         m = monitor_for("G[0,2](x>0) -> (p>0) U[1,4] (q<1)")
         kinds = [type(c) for c in m.temporal_cells]
-        assert kinds == [AlwaysTrueCell, AlwaysFalseCell, UntilTrueCell, UntilFalseCell]
+        assert kinds == [AlwaysCell, UntilCell]
+        assert m.temporal_cells[0].step(True) == (False, False)
 
     def test_propositional_formula_has_no_cells(self):
         assert monitor_for("x > 0 & y < 1").temporal_cells == ()
-
-    def test_make_cell_registry(self):
-        assert isinstance(make_cell("eventually", "positive", 0, 2), EventuallyTrueCell)
-        assert isinstance(make_cell("eventually", "negative", 0, 2), EventuallyFalseCell)
-        assert isinstance(make_cell("until", "negative", 1, 3), UntilFalseCell)
-        with pytest.raises(KeyError):
-            make_cell("sometime", "positive", 0, 2)
 
     def test_tick_counts_consumed_samples(self):
         m = monitor_for("x > 0")
@@ -172,8 +163,12 @@ class TestStepErrors:
             compile_formula(bad)
 
     def test_verdict_record_must_be_consistent(self):
-        with pytest.raises(ValueError):
-            VerdictRecord(0, FlagPair(True, False), UNKNOWN)
+        # The record stores only the verdict; its flags are derived from it,
+        # so the two cannot disagree.
+        for verdict in (TRUE, FALSE, UNKNOWN):
+            record = VerdictRecord(0, verdict)
+            assert from_flags(record.flags) is verdict
+        assert VerdictRecord(0, TRUE).flags == FlagPair(True, False)
 
 
 class TestEarlyStop:
@@ -215,12 +210,11 @@ class TestStateBounds:
     def test_cell_scalar_budgets(self):
         # Documented per-cell budgets; a regression here means a cell grew
         # history it does not need.
-        assert len(EventuallyTrueCell(1, 4).state_scalars()) == 3
-        assert len(EventuallyFalseCell(1, 4).state_scalars()) == 5
-        assert len(AlwaysTrueCell(1, 4).state_scalars()) == 5
-        assert len(AlwaysFalseCell(1, 4).state_scalars()) == 3
-        assert len(UntilTrueCell(1, 4).state_scalars()) == 6
-        assert len(UntilFalseCell(1, 4).state_scalars()) == 9
+        assert len(EventuallyCell(1, 4).state_scalars()) == 2
+        assert len(AlwaysCell(1, 4).state_scalars()) == 2
+        assert len(UntilCell(1, 4).state_scalars()) == 3
+        three_ops = "G[0,9] (x > 0) & F[0,9] (y > 0) & ((x >= 0) U[0,9] (y > 0))"
+        assert monitor_for(three_ops).state_scalar_count() == 2 + 2 + 3
 
 
 class TestAgainstOracle:

@@ -22,7 +22,7 @@ from stlobs.traceio import (
     write_csv,
     write_verdicts,
 )
-from stlobs.trilean import FALSE, TRUE, UNKNOWN, FlagPair
+from stlobs.trilean import FALSE, TRUE, UNKNOWN
 
 
 class TestReadCsv:
@@ -118,6 +118,11 @@ class TestReadJsonl:
         with pytest.raises(TraceFormatError, match="non-finite"):
             list(read_jsonl_stream(['{"x": 1e999}']))
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_integer_too_large_rejected(self, digits):
+        with pytest.raises(TraceFormatError, match="line 2"):
+            list(read_jsonl_stream(['{"x": 1}', '{"x": 1' + "0" * digits + "}"]))
+
     def test_non_object_rejected(self):
         with pytest.raises(TraceFormatError, match="line 1: expected a JSON object"):
             list(read_jsonl_stream(["[1, 2]"]))
@@ -171,9 +176,9 @@ class TestSniffAndRead:
 
 
 RECORDS = [
-    VerdictRecord(0, FlagPair(False, False), UNKNOWN),
-    VerdictRecord(1, FlagPair(True, False), TRUE),
-    VerdictRecord(2, FlagPair(True, False), TRUE),
+    VerdictRecord(0, UNKNOWN),
+    VerdictRecord(1, TRUE),
+    VerdictRecord(2, TRUE),
 ]
 
 
@@ -186,9 +191,7 @@ class TestVerdictIO:
 
     def test_text_format_is_stable(self):
         out = io.StringIO()
-        VerdictWriter(out, "text").write(
-            VerdictRecord(3, FlagPair(False, True), FALSE)
-        )
+        VerdictWriter(out, "text").write(VerdictRecord(3, FALSE))
         assert out.getvalue() == "tick=3 verdict=F pos=0 neg=1\n"
 
     def test_csv_header_written_up_front(self):
@@ -205,6 +208,21 @@ class TestVerdictIO:
     def test_malformed_text_line(self):
         with pytest.raises(TraceFormatError, match="line 1"):
             read_verdicts(["tick=0 verdict=Q pos=0 neg=0"], "text")
+
+    @pytest.mark.parametrize(
+        "fmt,lines",
+        [
+            ("text", ["tick=0 verdict=T pos=0 neg=1"]),
+            ("text", ["tick=0 verdict=U pos=1 neg=0"]),
+            ("csv", ["tick,verdict,pos,neg", "0,F,0,0"]),
+            ("csv", ["tick,verdict,pos,neg", "0,Q,0,0"]),
+            ("jsonl", ['{"tick": 0, "verdict": "T", "pos": false, "neg": true}']),
+            ("jsonl", ['{"tick": 0, "verdict": "F", "pos": true, "neg": true}']),
+        ],
+    )
+    def test_verdict_letter_must_match_flags(self, fmt, lines):
+        with pytest.raises(TraceFormatError, match=f"line {len(lines)}"):
+            read_verdicts(lines, fmt)
 
     def test_malformed_csv_row(self):
         with pytest.raises(TraceFormatError, match="line 2"):
