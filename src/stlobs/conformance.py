@@ -534,19 +534,21 @@ def _check_invariants(
 
     monitor = compile_fn(f)
     bound = horizon(f)
-    prev_pos = prev_neg = False
+    previous = UNKNOWN
     decided = None
     for k in range(len(trace)):
         try:
             record = monitor.step(trace.sample(k))
         except FlagConflictError:
             return fail("flag-conflict", k, "conflict", "at most one flag")
-        flags, verdict = record.flags, record.verdict
+        verdict = record.verdict
         if verdict not in (TRUE, FALSE, UNKNOWN):
             return fail("completeness", k, repr(verdict), "T, F, or U")
-        if (flags.positive and prev_neg) or (flags.negative and prev_pos):
-            return fail("immutability", k, str(verdict), "previous decided verdict")
-        if prev_pos and not flags.positive or prev_neg and not flags.negative:
+        # A set flag must stay set: a decided verdict may not flip to the
+        # other one, nor fall back to unknown.
+        if previous is not UNKNOWN and verdict is not previous:
+            if verdict is not UNKNOWN:
+                return fail("immutability", k, str(verdict), "previous decided verdict")
             return fail("immutability", k, str(verdict), "flags must stay latched")
         if k >= bound and verdict is UNKNOWN:
             return fail("determination", k, "U", f"decided by tick {bound}")
@@ -554,7 +556,7 @@ def _check_invariants(
             return fail("verdict-shape", k, str(verdict), str(decided))
         if decided is None and verdict is not UNKNOWN:
             decided = verdict
-        prev_pos, prev_neg = flags.positive, flags.negative
+        previous = verdict
     counts = {
         width: compile_fn(_with_window_width(f, width)).state_scalar_count()
         for width in (2, 50, 1000)

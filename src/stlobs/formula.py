@@ -7,13 +7,21 @@ boolean combinations of linear predicates over signals. Boolean combinations
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Union
 
 COMPARATORS = (">", ">=", "<", "<=", "=", "!=")
 
 Rational = Union[int, Fraction, str]
+
+# Sums and products of finite decimals never round at the largest precision
+# and exponent range; Inexact is trapped so that a rounding could not pass
+# unnoticed. A context of its own leaves the caller's decimal context alone.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 @dataclass(frozen=True)
@@ -30,6 +38,10 @@ class AtomicPredicate:
 
     `terms` is kept in the order given; use `linear_atom` to build the
     canonical (name-sorted) form that the parser produces.
+
+    A sample value v stands for the shortest decimal that round-trips to it,
+    `Fraction(repr(v))`: the text of the trace whenever that text has at
+    most 15 significant digits. The comparison is exact on that reading.
     """
 
     terms: tuple[tuple[str, Fraction], ...]
@@ -40,12 +52,28 @@ class AtomicPredicate:
     def signals(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[tuple[str, int], ...], int]:
+        """(terms, constant) scaled by the least common denominator of all
+        coefficients: integers whose sum has the sign of the rational one."""
+        scale = math.lcm(self.constant.denominator, *(c.denominator for _, c in self.terms))
+        return (
+            tuple((name, c.numerator * (scale // c.denominator)) for name, c in self.terms),
+            self.constant.numerator * (scale // self.constant.denominator),
+        )
+
     def evaluate(self, sample: Mapping[str, float]) -> bool:
-        total = self.constant + sum(coef * sample[name] for name, coef in self.terms)
-        return _compare(total, self.comparator)
+        """Exact truth on `sample`; the definition every fast path of the
+        monitor is checked against, and the oracle's only atom semantics."""
+        terms, constant = self.integer_form
+        total = Decimal(constant)
+        for name, coef in terms:
+            total = _EXACT.add(total, _EXACT.multiply(coef, Decimal(repr(sample[name]))))
+        return compare_with_zero(total, self.comparator)
 
 
-def _compare(total, comparator: str) -> bool:
+def compare_with_zero(total, comparator: str) -> bool:
+    """`total <comparator> 0`."""
     if comparator == ">":
         return total > 0
     if comparator == ">=":

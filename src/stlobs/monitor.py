@@ -4,7 +4,8 @@ Each temporal operator becomes one fused cell that reports both verdict
 flags; the boolean structure above temporal operators is evaluated per tick
 with the Kleene connectives. Both flags latch, the unknown verdict is always
 the absence of both flags, and per-operator state does not grow with the
-window width.
+window width. Each atom is compiled once to a float closure that agrees
+exactly with its rational definition.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import InvalidFormulaError, MissingSignalError
 from .formula import (
     And,
     Atom,
+    AtomicPredicate,
     Eventually,
     Always,
     Formula,
@@ -23,6 +25,7 @@ from .formula import (
     Not,
     Or,
     Until,
+    compare_with_zero,
     horizon,
     signals_of,
     validate,
@@ -31,6 +34,7 @@ from .trace import Trace
 from .trilean import (
     FALSE,
     TRUE,
+    UNKNOWN,
     FlagPair,
     Trilean,
     and3,
@@ -149,11 +153,119 @@ class UntilCell(_WindowCell):
         return (self._clk, self._prefix_ok, self._witness)
 
 
+# Compiled atoms. Each closure agrees exactly with `AtomicPredicate.evaluate`
+# (samples read as their shortest round-trip decimals) but does float
+# arithmetic on every sample it can decide that way.
+
+_FLIPPED = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "=": "=", "!=": "!="}
+
+_FLOAT_TESTS = {
+    ">": lambda name, d: lambda s: s[name] > d,
+    ">=": lambda name, d: lambda s: s[name] >= d,
+    "<": lambda name, d: lambda s: s[name] < d,
+    "<=": lambda name, d: lambda s: s[name] <= d,
+    "=": lambda name, d: lambda s: s[name] == d,
+    "!=": lambda name, d: lambda s: s[name] != d,
+}
+
+_UNIT_ROUNDOFF = 2.0**-53
+_MIN_SUBNORMAL = 2.0**-1074
+
+
+def _constant(holds: bool) -> Predicate:
+    return lambda s: holds
+
+
+def compile_atom(pred: AtomicPredicate) -> Predicate:
+    """Compile a linear atom to a sample -> bool closure that agrees exactly
+    with `pred.evaluate`. Works on the atom's integer form, which has the
+    same truth on every sample."""
+    terms, constant = pred.integer_form
+    terms = tuple((name, coef) for name, coef in terms if coef)
+    if not terms:
+        return _constant(compare_with_zero(constant, pred.comparator))
+    if len(terms) == 1:
+        ((name, coef),) = terms
+        return _threshold_atom(pred, name, coef, constant)
+    return _filtered_atom(pred, terms, constant)
+
+
+def _threshold_atom(pred: AtomicPredicate, name: str, coef: int, constant: int) -> Predicate:
+    """`coef * value + constant <cmp> 0` as one float comparison of the
+    value with d, the float nearest to the threshold -constant / coef.
+
+    The shortest decimal of a float is strictly increasing in the float and
+    the threshold rounds to d, so a sample other than d lies on the same side
+    of the threshold as of d. At d itself the exact answer is taken once,
+    here. A threshold beyond the float range lies beyond every sample, where
+    the sum has the sign of the constant.
+    """
+    cmp = pred.comparator
+    try:
+        d = -constant / coef  # int division, correctly rounded
+    except OverflowError:
+        return _constant(compare_with_zero(constant, cmp))
+    sample = dict.fromkeys(pred.signals, 0.0)
+    sample[name] = d
+    at_d = pred.evaluate(sample)
+    if coef < 0:
+        cmp = _FLIPPED[cmp]
+    if cmp in (">", ">="):
+        cmp = ">=" if at_d else ">"
+    elif cmp in ("<", "<="):
+        cmp = "<=" if at_d else "<"
+    elif cmp == "=" and not at_d:
+        return _constant(False)
+    elif cmp == "!=" and at_d:
+        return _constant(True)
+    return _FLOAT_TESTS[cmp](name, d)
+
+
+def _filtered_atom(pred: AtomicPredicate, terms: tuple, constant: int) -> Predicate:
+    """Multi-signal atom: the float sum decides whenever it is finite and
+    farther from 0 than its error bound, the exact sum otherwise.
+
+    The bound covers the rounding of the coefficients and of the constant to
+    floats, of each sample's decimal to its float, of the products and of the
+    sums: (m + 3) unit roundoffs of the sum of magnitudes for m terms, plus
+    underflow, with one more roundoff and a doubled underflow term as room
+    for the rounding of the bound itself (Shewchuk, "Adaptive Precision
+    Floating-Point Arithmetic and Fast Robust Geometric Predicates", 1997).
+    Integer coefficients are never subnormal; one beyond the float range
+    leaves the atom exact only.
+    """
+    try:
+        coefs = tuple((name, float(coef)) for name, coef in terms)
+        constant = float(constant)
+    except OverflowError:
+        return pred.evaluate
+    relative = (len(coefs) + 4) * _UNIT_ROUNDOFF
+    absolute = 2 * (sum(abs(c) for _, c in coefs) + 2 * len(coefs) + 1) * _MIN_SUBNORMAL
+    cmp = pred.comparator
+    above, below = compare_with_zero(1, cmp), compare_with_zero(-1, cmp)
+    exact = pred.evaluate
+
+    def atom(sample: Mapping[str, float]) -> bool:
+        total = constant
+        size = abs(constant)
+        for name, coef in coefs:
+            product = coef * sample[name]
+            total += product
+            size += abs(product)
+        bound = relative * size + absolute
+        if total > bound:
+            return above
+        if total < -bound:
+            return below
+        return exact(sample)
+
+    return atom
+
+
 def compile_predicate(f: Formula) -> Predicate:
     """Compile a propositional formula to a sample -> bool closure."""
     if isinstance(f, Atom):
-        pred = f.predicate
-        return pred.evaluate
+        return compile_atom(f.predicate)
     if isinstance(f, Not):
         child = compile_predicate(f.child)
         return lambda s: not child(s)
@@ -220,14 +332,19 @@ class _BinNode:
 
 
 class _TemporalNode:
-    __slots__ = ("_cell", "_operands")
+    __slots__ = ("_cell", "_advance")
 
     def __init__(self, cell, operands: tuple[Predicate, ...]):
         self._cell = cell
-        self._operands = operands
+        if len(operands) == 1:
+            (phi,) = operands
+            self._advance = lambda s: cell.step(phi(s))
+        else:
+            phi1, phi2 = operands
+            self._advance = lambda s: cell.step(phi1(s), phi2(s))
 
     def step(self, sample: Mapping[str, float]) -> Trilean:
-        return verdict_from_bools(*self._cell.step(*[op(sample) for op in self._operands]))
+        return verdict_from_bools(*self._advance(sample))
 
     def state_scalars(self) -> tuple:
         return self._cell.state_scalars()
@@ -244,9 +361,11 @@ class Monitor:
         self.formula = formula
         self.signals = signals_of(formula)
         self.horizon = horizon(formula)
+        self._signal_set = frozenset(self.signals)
         self._root = root
         self._cells = cells
         self._tick = 0
+        self._decided: Trilean | None = None
 
     @property
     def tick(self) -> int:
@@ -259,10 +378,15 @@ class Monitor:
         return self._cells
 
     def step(self, sample: Mapping[str, float]) -> VerdictRecord:
-        missing = [name for name in self.signals if name not in sample]
-        if missing:
+        if not sample.keys() >= self._signal_set:
+            missing = [name for name in self.signals if name not in sample]
             raise MissingSignalError(missing, f"at tick {self._tick}")
-        verdict = self._root.step(sample)
+        # Verdicts latch, so once the root has decided no cell is stepped.
+        verdict = self._decided
+        if verdict is None:
+            verdict = self._root.step(sample)
+            if verdict is not UNKNOWN:
+                self._decided = verdict
         record = VerdictRecord(self._tick, verdict)
         self._tick += 1
         return record

@@ -34,22 +34,7 @@ POLARITIES = ("positive", "negative")
 def _prop_truth(f: Formula, trace: Trace, t: int) -> bool:
     """Two-valued truth of a propositional formula at tick t."""
     if isinstance(f, Atom):
-        pred = f.predicate
-        total = pred.constant
-        for name, coef in pred.terms:
-            total += coef * trace.value(name, t)
-        cmp = pred.comparator
-        if cmp == ">":
-            return total > 0
-        if cmp == ">=":
-            return total >= 0
-        if cmp == "<":
-            return total < 0
-        if cmp == "<=":
-            return total <= 0
-        if cmp == "=":
-            return total == 0
-        return total != 0
+        return f.predicate.evaluate(trace.sample(t))
     if isinstance(f, Not):
         return not _prop_truth(f.child, trace, t)
     if isinstance(f, And):

@@ -20,7 +20,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from .errors import MissingSignalError, TraceFormatError
 from .monitor import VerdictRecord
 from .trace import Trace
-from .trilean import FALSE, TRUE, Trilean
+from .trilean import FALSE, TRUE, UNKNOWN, Trilean
 
 logger = logging.getLogger(__name__)
 
@@ -207,30 +207,40 @@ def write_csv(trace: Trace, stream: IO[str]) -> None:
 
 class VerdictWriter:
     """Writes verdict records one at a time, flushing after each so a
-    downstream consumer sees every verdict before the next sample is read."""
+    downstream consumer sees every verdict before the next sample is read.
+
+    Each line is the tick between a per-format head and a per-verdict tail;
+    jsonl lines are byte-identical to `json.dumps` of the same object."""
 
     def __init__(self, stream: IO[str], fmt: str = "text"):
         if fmt not in VERDICT_FORMATS:
             raise ValueError(f"unknown verdict format {fmt!r}")
         self._stream = stream
-        self._fmt = fmt
+        self._head = _LINE_HEADS[fmt]
+        self._tails = _LINE_TAILS[fmt]
         if fmt == "csv":
             self._stream.write("tick,verdict,pos,neg\n")
             self._stream.flush()
 
     def write(self, record: VerdictRecord) -> None:
-        verdict = record.verdict
-        pos, neg = verdict is TRUE, verdict is FALSE
-        if self._fmt == "text":
-            line = f"tick={record.tick} verdict={verdict} pos={int(pos)} neg={int(neg)}"
-        elif self._fmt == "csv":
-            line = f"{record.tick},{verdict},{int(pos)},{int(neg)}"
-        else:
-            line = json.dumps(
-                {"tick": record.tick, "verdict": str(verdict), "pos": pos, "neg": neg}
-            )
-        self._stream.write(line + "\n")
+        self._stream.write(f"{self._head}{record.tick}{self._tails[record.verdict]}")
         self._stream.flush()
+
+
+_LINE_HEADS = {"text": "tick=", "csv": "", "jsonl": '{"tick": '}
+_LINE_TAILS = {
+    "text": {
+        TRUE: " verdict=T pos=1 neg=0\n",
+        FALSE: " verdict=F pos=0 neg=1\n",
+        UNKNOWN: " verdict=U pos=0 neg=0\n",
+    },
+    "csv": {TRUE: ",T,1,0\n", FALSE: ",F,0,1\n", UNKNOWN: ",U,0,0\n"},
+    "jsonl": {
+        TRUE: ', "verdict": "T", "pos": true, "neg": false}\n',
+        FALSE: ', "verdict": "F", "pos": false, "neg": true}\n',
+        UNKNOWN: ', "verdict": "U", "pos": false, "neg": false}\n',
+    },
+}
 
 
 def write_verdicts(
@@ -248,7 +258,8 @@ _VERDICTS = {str(v): v for v in Trilean}
 def read_verdicts(lines: Iterable[str], fmt: str = "text") -> list[VerdictRecord]:
     """Parse verdict output back into records (for round-trips and tools).
 
-    The verdict letter must agree with the pos/neg flags on its line."""
+    The verdict letter must agree with the pos/neg flags on its line. A
+    malformed line raises TraceFormatError naming its line number."""
     if fmt not in VERDICT_FORMATS:
         raise ValueError(f"unknown verdict format {fmt!r}")
     records: list[VerdictRecord] = []
@@ -269,14 +280,49 @@ def read_verdicts(lines: Iterable[str], fmt: str = "text") -> list[VerdictRecord
                 raise TraceFormatError(f"line {lineno}: malformed verdict row")
             tick, letter, pos, neg = parts
         else:
-            obj = json.loads(line)
-            tick, letter, pos, neg = obj["tick"], obj["verdict"], obj["pos"], obj["neg"]
-        verdict = _VERDICTS.get(letter)
+            tick, letter, pos, neg = _jsonl_verdict_fields(line, lineno)
+        tick = _tick(tick, lineno)
+        flags = (_flag(pos, "pos", lineno), _flag(neg, "neg", lineno))
+        verdict = _VERDICTS.get(letter) if isinstance(letter, str) else None
         if verdict is None:
             raise TraceFormatError(f"line {lineno}: unknown verdict {letter!r}")
-        if (verdict is TRUE, verdict is FALSE) != (bool(int(pos)), bool(int(neg))):
+        if (verdict is TRUE, verdict is FALSE) != flags:
             raise TraceFormatError(
                 f"line {lineno}: verdict {letter} does not match pos={pos} neg={neg}"
             )
-        records.append(VerdictRecord(int(tick), verdict))
+        records.append(VerdictRecord(tick, verdict))
     return records
+
+
+def _tick(value, lineno: int) -> int:
+    """A tick: decimal digits in text and csv lines, a JSON integer in jsonl."""
+    if isinstance(value, str) and _DIGITS.fullmatch(value):
+        return int(value)
+    if type(value) is int and value >= 0:
+        return value
+    raise TraceFormatError(f"line {lineno}: tick {value!r} is not a tick number")
+
+
+def _flag(value, name: str, lineno: int) -> bool:
+    """A flag: 0 or 1 in text and csv lines, a JSON boolean in jsonl."""
+    if value is True or value is False:
+        return value
+    if isinstance(value, str) and value in ("0", "1"):
+        return value == "1"
+    raise TraceFormatError(f"line {lineno}: flag {name}={value!r} is not 0/1 or a boolean")
+
+
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _jsonl_verdict_fields(line: str, lineno: int) -> tuple:
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
+        raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise TraceFormatError(f"line {lineno}: expected a JSON object")
+    missing = [key for key in ("tick", "verdict", "pos", "neg") if key not in obj]
+    if missing:
+        raise TraceFormatError(f"line {lineno}: verdict object lacks {', '.join(missing)}")
+    return obj["tick"], obj["verdict"], obj["pos"], obj["neg"]

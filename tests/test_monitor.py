@@ -152,6 +152,21 @@ class TestStepErrors:
             m.step({"x": 1.0})
         assert "y" in str(info.value) and "tick 0" in str(info.value)
 
+    def test_missing_signals_named_in_order(self):
+        m = monitor_for("y > 0 & p > 0 & x > 0")
+        with pytest.raises(MissingSignalError) as info:
+            m.step({"p": 1.0})
+        assert info.value.names == ("x", "y")
+
+    def test_missing_signal_raises_after_decision(self):
+        m = monitor_for("F[0,3] (x > 0) & G[0,3] (y > 0)")
+        assert m.step({"x": 1.0, "y": -1.0}).verdict is FALSE
+        for tick in (1, 2):
+            with pytest.raises(MissingSignalError, match=f"tick {tick}") as info:
+                m.step({"y": 1.0} if tick == 1 else {})
+            assert info.value.names == (("x",) if tick == 1 else ("x", "y"))
+            m.step({"x": 0.0, "y": 0.0})
+
     def test_extra_signals_tolerated(self):
         m = monitor_for("x > 0")
         record = m.step({"x": 1.0, "unrelated": 5.0})
@@ -169,6 +184,25 @@ class TestStepErrors:
             record = VerdictRecord(0, verdict)
             assert from_flags(record.flags) is verdict
         assert VerdictRecord(0, TRUE).flags == FlagPair(True, False)
+
+
+class TestDecidedRoot:
+    def test_decided_steps_repeat_the_verdict(self):
+        m = monitor_for("F[0,5] (x > 0)")
+        assert m.step({"x": 1.0}).verdict is TRUE
+        records = [m.step({"x": value}) for value in (0.0, -1.0, 0.0)]
+        assert [r.verdict for r in records] == [TRUE, TRUE, TRUE]
+        assert [r.tick for r in records] == [1, 2, 3]
+        assert m.tick == 4
+
+    def test_decided_root_steps_no_cell(self):
+        m = monitor_for("G[0,5] (x > 0)")
+        assert m.step({"x": -1.0}).verdict is FALSE
+        (cell,) = m.temporal_cells
+        state = cell.state_scalars()
+        for _ in range(3):
+            assert m.step({"x": 1.0}).verdict is FALSE
+        assert cell.state_scalars() == state
 
 
 class TestEarlyStop:

@@ -1,6 +1,7 @@
 """Trace readers, format sniffing, and verdict writers."""
 
 import io
+import json
 import logging
 import math
 
@@ -228,6 +229,28 @@ class TestVerdictIO:
         with pytest.raises(TraceFormatError, match="line 2"):
             read_verdicts(["tick,verdict,pos,neg", "0,T"], "csv")
 
+    def test_csv_row_with_a_non_flag(self):
+        with pytest.raises(TraceFormatError, match="line 2"):
+            read_verdicts(["tick,verdict,pos,neg", "0,T,x,0"], "csv")
+
+    def test_jsonl_line_without_a_verdict(self):
+        with pytest.raises(TraceFormatError, match="line 1"):
+            read_verdicts(['{"tick":0}'], "jsonl")
+
+    def test_jsonl_line_that_is_not_json(self):
+        with pytest.raises(TraceFormatError, match="line 1"):
+            read_verdicts(["nope"], "jsonl")
+
+    @pytest.mark.parametrize("verdict", [TRUE, FALSE, UNKNOWN])
+    @pytest.mark.parametrize("tick", [0, 7, 2**70])
+    def test_jsonl_line_equals_json_dumps(self, verdict, tick):
+        out = io.StringIO()
+        VerdictWriter(out, "jsonl").write(VerdictRecord(tick, verdict))
+        expected = json.dumps(
+            {"tick": tick, "verdict": str(verdict), "pos": verdict is TRUE, "neg": verdict is FALSE}
+        )
+        assert out.getvalue() == expected + "\n"
+
     def test_each_write_flushes(self):
         flushes = []
 
@@ -239,6 +262,19 @@ class TestVerdictIO:
         write_verdicts(RECORDS, Spy(), "text")
         assert len(flushes) == len(RECORDS)
         assert flushes[0].count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_every_format_flushes_each_line(self, fmt):
+        flushes = []
+
+        class Spy(io.StringIO):
+            def flush(self):
+                flushes.append(self.getvalue().count("\n"))
+                super().flush()
+
+        header = 1 if fmt == "csv" else 0
+        write_verdicts(RECORDS, Spy(), fmt)
+        assert flushes == list(range(1, header + len(RECORDS) + 1))
 
 
 class TestCsvRoundTrip:
