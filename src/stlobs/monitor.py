@@ -1,19 +1,27 @@
-"""Online monitor: compiled observer network over a formula.
+"""Online monitor: one generated step function per formula.
 
 Each temporal operator becomes one fused cell that reports both verdict
-flags; the boolean structure above temporal operators is evaluated per tick
-with the Kleene connectives. Both flags latch, the unknown verdict is always
-the absence of both flags, and per-operator state does not grow with the
-window width. Each atom is compiled once to a float closure that agrees
-exactly with its rational definition.
+flags (pos, neg); both latch, unknown is the absence of both, and a cell's
+state does not grow with the window width. `compile_formula` writes the whole
+observer network as the source of one function, `network(s) -> (pos, neg)`:
+it steps every cell on its operand, inlined as one expression, and combines
+the pairs with the flag-pair algebra of the `_3v` Lustre nodes (`a & b` is
+(pa and pb, na or nb), `a | b` is (pa or pb, na and nb), `a -> b` is
+(na or pb, pa and nb), `!a` swaps the pair). Each atom is compiled once to a
+float test that agrees exactly with its rational definition; one over a
+single signal is inlined as a comparison such as `s['speed'] < 20.0`.
+
+Formula text reaches the generated source only as the `repr` of a `str` (a
+signal name) or of a finite `float` (a threshold). Each formula's network
+code is cached, so compiling it again only builds fresh cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import lru_cache
+from typing import Callable, Mapping, NamedTuple
 
-from .errors import InvalidFormulaError, MissingSignalError
+from .errors import FlagConflictError, InvalidFormulaError, MissingSignalError
 from .formula import (
     And,
     Atom,
@@ -31,25 +39,12 @@ from .formula import (
     validate,
 )
 from .trace import Trace
-from .trilean import (
-    FALSE,
-    TRUE,
-    UNKNOWN,
-    FlagPair,
-    Trilean,
-    and3,
-    implies3,
-    not3,
-    or3,
-    to_flags,
-    verdict_from_bools,
-)
+from .trilean import FALSE, TRUE, UNKNOWN, FlagPair, Trilean, to_flags
 
 Predicate = Callable[[Mapping[str, float]], bool]
 
 
-@dataclass(frozen=True)
-class VerdictRecord:
+class VerdictRecord(NamedTuple):
     """Monitor output for one tick."""
 
     tick: int
@@ -153,44 +148,59 @@ class UntilCell(_WindowCell):
         return (self._clk, self._prefix_ok, self._witness)
 
 
-# Compiled atoms. Each closure agrees exactly with `AtomicPredicate.evaluate`
+class _AnchoredAtom:
+    """An atom outside every temporal operator: its verdict is fixed by the
+    sample at tick 0."""
+
+    __slots__ = ("_pred", "_holds")
+
+    def __init__(self, pred: Predicate):
+        self._pred = pred
+        self._holds: bool | None = None
+
+    def step(self, sample: Mapping[str, float]) -> tuple[bool, bool]:
+        holds = self._holds
+        if holds is None:
+            holds = self._holds = self._pred(sample)
+        return holds, not holds
+
+    def state_scalars(self) -> tuple:
+        return (self._holds,)
+
+
+# Compiled atoms. Each test agrees exactly with `AtomicPredicate.evaluate`
 # (samples read as their shortest round-trip decimals) but does float
 # arithmetic on every sample it can decide that way.
 
 _FLIPPED = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "=": "=", "!=": "!="}
 
-_FLOAT_TESTS = {
-    ">": lambda name, d: lambda s: s[name] > d,
-    ">=": lambda name, d: lambda s: s[name] >= d,
-    "<": lambda name, d: lambda s: s[name] < d,
-    "<=": lambda name, d: lambda s: s[name] <= d,
-    "=": lambda name, d: lambda s: s[name] == d,
-    "!=": lambda name, d: lambda s: s[name] != d,
-}
-
 _UNIT_ROUNDOFF = 2.0**-53
 _MIN_SUBNORMAL = 2.0**-1074
 
 
-def _constant(holds: bool) -> Predicate:
-    return lambda s: holds
-
-
 def compile_atom(pred: AtomicPredicate) -> Predicate:
     """Compile a linear atom to a sample -> bool closure that agrees exactly
-    with `pred.evaluate`. Works on the atom's integer form, which has the
+    with `pred.evaluate`: the float test a network inlines, or the closure
+    it calls."""
+    test = _atom_test(pred)
+    return eval(f"lambda s: {test}", {}) if isinstance(test, str) else test
+
+
+def _atom_test(pred: AtomicPredicate) -> str | Predicate:
+    """The atom as the source of a test of sample `s`, or, with more than one
+    signal, as a closure. Works on the atom's integer form, which has the
     same truth on every sample."""
     terms, constant = pred.integer_form
     terms = tuple((name, coef) for name, coef in terms if coef)
     if not terms:
-        return _constant(compare_with_zero(constant, pred.comparator))
+        return repr(compare_with_zero(constant, pred.comparator))
     if len(terms) == 1:
         ((name, coef),) = terms
-        return _threshold_atom(pred, name, coef, constant)
+        return _threshold_test(pred, name, coef, constant)
     return _filtered_atom(pred, terms, constant)
 
 
-def _threshold_atom(pred: AtomicPredicate, name: str, coef: int, constant: int) -> Predicate:
+def _threshold_test(pred: AtomicPredicate, name: str, coef: int, constant: int) -> str:
     """`coef * value + constant <cmp> 0` as one float comparison of the
     value with d, the float nearest to the threshold -constant / coef.
 
@@ -204,7 +214,7 @@ def _threshold_atom(pred: AtomicPredicate, name: str, coef: int, constant: int) 
     try:
         d = -constant / coef  # int division, correctly rounded
     except OverflowError:
-        return _constant(compare_with_zero(constant, cmp))
+        return repr(compare_with_zero(constant, cmp))
     sample = dict.fromkeys(pred.signals, 0.0)
     sample[name] = d
     at_d = pred.evaluate(sample)
@@ -214,11 +224,14 @@ def _threshold_atom(pred: AtomicPredicate, name: str, coef: int, constant: int) 
         cmp = ">=" if at_d else ">"
     elif cmp in ("<", "<="):
         cmp = "<=" if at_d else "<"
-    elif cmp == "=" and not at_d:
-        return _constant(False)
-    elif cmp == "!=" and at_d:
-        return _constant(True)
-    return _FLOAT_TESTS[cmp](name, d)
+    elif cmp == "=":
+        if not at_d:
+            return "False"
+        cmp = "=="
+    elif at_d:
+        return "True"
+    # The only formula text in generated code: a str name and a finite float.
+    return f"s[{str.__repr__(name)}] {cmp} {float.__repr__(d)}"
 
 
 def _filtered_atom(pred: AtomicPredicate, terms: tuple, constant: int) -> Predicate:
@@ -262,110 +275,106 @@ def _filtered_atom(pred: AtomicPredicate, terms: tuple, constant: int) -> Predic
     return atom
 
 
-def compile_predicate(f: Formula) -> Predicate:
-    """Compile a propositional formula to a sample -> bool closure."""
-    if isinstance(f, Atom):
-        return compile_atom(f.predicate)
+# The generated network. Cell k is the parameter `ck` (its bound `step`) and
+# leaves its flags in the locals `pk`, `nk`; closures called from operands
+# are the globals `a0`, `a1`, ...
+
+_CELLS = {Atom: _AnchoredAtom, Eventually: EventuallyCell, Always: AlwaysCell, Until: UntilCell}
+_PAIRS = {
+    And: ("({lp} and {rp})", "({ln} or {rn})"),
+    Or: ("({lp} or {rp})", "({ln} and {rn})"),
+    Implies: ("({ln} or {rp})", "({lp} and {rn})"),
+}
+_OPERANDS = {And: "({l} and {r})", Or: "({l} or {r})", Implies: "(not {l} or {r})"}
+
+
+@lru_cache(maxsize=256)
+def _network_code(f: Formula) -> tuple[Callable, tuple, tuple[str, ...]]:
+    """The factory `make(c0, c1, ...) -> network` of `f`'s step function,
+    each cell's `_CELLS` key and constructor arguments, and `f`'s signals."""
+    lines: list[str] = []
+    leaves: list[tuple] = []
+    atoms: dict[str, Predicate] = {}
+    pos, neg = _pair(f, lines, leaves, atoms)
+    # Each cell's pair is checked: the algebra can hide a conflicting pair
+    # ((T, T) & (F, F) is (F, T)) but never makes one from consistent pairs.
+    temporal = [k for k, (kind, _) in enumerate(leaves) if kind is not Atom]
+    if temporal:
+        lines.append("if " + " or ".join(f"p{k} and n{k}" for k in temporal) + ":")
+        lines.append("    raise FlagConflictError('positive and negative verdict flags are both set')")
+    lines.append(f"return {pos}, {neg}")
+    params = ", ".join(f"c{k}" for k in range(len(leaves)))
+    body = "".join(f"        {line}\n" for line in lines)
+    namespace = {"FlagConflictError": FlagConflictError, **atoms}
+    exec(_compiled(f"def make({params}):\n    def network(s):\n{body}    return network\n"), namespace)
+    return namespace["make"], tuple(leaves), signals_of(f)
+
+
+@lru_cache(maxsize=256)
+def _compiled(source: str):
+    """Code object of a network's source; formulas that differ only in their
+    windows share it."""
+    return compile(source, "<stlobs network>", "exec")
+
+
+def _pair(f: Formula, lines: list, leaves: list, atoms: dict) -> tuple[str, str]:
+    """Source of the (pos, neg) flags of `f`; appends one statement per cell
+    to `lines`, in formula order."""
     if isinstance(f, Not):
-        child = compile_predicate(f.child)
-        return lambda s: not child(s)
-    if isinstance(f, And):
-        left, right = compile_predicate(f.left), compile_predicate(f.right)
-        return lambda s: left(s) and right(s)
-    if isinstance(f, Or):
-        left, right = compile_predicate(f.left), compile_predicate(f.right)
-        return lambda s: left(s) or right(s)
-    if isinstance(f, Implies):
-        left, right = compile_predicate(f.left), compile_predicate(f.right)
-        return lambda s: (not left(s)) or right(s)
-    raise TypeError(f"operand is not propositional: {f!r}")
+        pos, neg = _pair(f.child, lines, leaves, atoms)
+        return neg, pos
+    templates = _PAIRS.get(type(f))
+    if templates is not None:
+        lp, ln = _pair(f.left, lines, leaves, atoms)
+        rp, rn = _pair(f.right, lines, leaves, atoms)
+        return tuple(t.format(lp=lp, ln=ln, rp=rp, rn=rn) for t in templates)
+    k = len(leaves)
+    if isinstance(f, Atom):
+        leaves.append((Atom, (compile_atom(f.predicate),)))
+        args = "s"
+    elif type(f) in _CELLS:
+        operands = (f.left, f.right) if isinstance(f, Until) else (f.child,)
+        leaves.append((type(f), (f.window.lower, f.window.upper)))
+        args = ", ".join(_operand(op, atoms) for op in operands)
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    lines.append(f"p{k}, n{k} = c{k}({args})")
+    return f"p{k}", f"n{k}"
 
 
-# Verdict network nodes.
-
-
-class _AtomNode:
-    """Anchored atom: the verdict is fixed by the sample at tick 0."""
-
-    __slots__ = ("_pred", "_verdict")
-
-    def __init__(self, pred: Predicate):
-        self._pred = pred
-        self._verdict: Trilean | None = None
-
-    def step(self, sample: Mapping[str, float]) -> Trilean:
-        verdict = self._verdict
-        if verdict is None:
-            verdict = self._verdict = TRUE if self._pred(sample) else FALSE
-        return verdict
-
-    def state_scalars(self) -> tuple:
-        return (self._verdict,)
-
-
-class _NotNode:
-    __slots__ = ("_child",)
-
-    def __init__(self, child):
-        self._child = child
-
-    def step(self, sample: Mapping[str, float]) -> Trilean:
-        return not3(self._child.step(sample))
-
-    def state_scalars(self) -> tuple:
-        return self._child.state_scalars()
-
-
-class _BinNode:
-    __slots__ = ("_op", "_left", "_right")
-
-    def __init__(self, op, left, right):
-        self._op = op
-        self._left = left
-        self._right = right
-
-    def step(self, sample: Mapping[str, float]) -> Trilean:
-        return self._op(self._left.step(sample), self._right.step(sample))
-
-    def state_scalars(self) -> tuple:
-        return self._left.state_scalars() + self._right.state_scalars()
-
-
-class _TemporalNode:
-    __slots__ = ("_cell", "_advance")
-
-    def __init__(self, cell, operands: tuple[Predicate, ...]):
-        self._cell = cell
-        if len(operands) == 1:
-            (phi,) = operands
-            self._advance = lambda s: cell.step(phi(s))
-        else:
-            phi1, phi2 = operands
-            self._advance = lambda s: cell.step(phi1(s), phi2(s))
-
-    def step(self, sample: Mapping[str, float]) -> Trilean:
-        return verdict_from_bools(*self._advance(sample))
-
-    def state_scalars(self) -> tuple:
-        return self._cell.state_scalars()
-
-
-_BIN_OPS = {And: and3, Or: or3, Implies: implies3}
-_CELLS = {Eventually: EventuallyCell, Always: AlwaysCell, Until: UntilCell}
+def _operand(f: Formula, atoms: dict) -> str:
+    """Source of a propositional formula's truth on sample `s`."""
+    if isinstance(f, Atom):
+        test = _atom_test(f.predicate)
+        if isinstance(test, str):
+            return test
+        name = f"a{len(atoms)}"
+        atoms[name] = test
+        return f"{name}(s)"
+    if isinstance(f, Not):
+        return f"(not {_operand(f.child, atoms)})"
+    template = _OPERANDS.get(type(f))
+    if template is None:
+        raise TypeError(f"operand is not propositional: {f!r}")
+    return template.format(l=_operand(f.left, atoms), r=_operand(f.right, atoms))
 
 
 class Monitor:
     """Stepwise evaluator for one formula, anchored at tick 0."""
 
-    def __init__(self, formula: Formula, root, cells: tuple):
+    def __init__(self, formula: Formula, network: Callable, cells: tuple, signals: tuple[str, ...]):
         self.formula = formula
-        self.signals = signals_of(formula)
-        self.horizon = horizon(formula)
+        self.signals = signals
         self._signal_set = frozenset(self.signals)
-        self._root = root
+        self._network = network
         self._cells = cells
         self._tick = 0
         self._decided: Trilean | None = None
+
+    @property
+    def horizon(self) -> int:
+        """Ticks after the anchor needed to decide the verdict."""
+        return horizon(self.formula)
 
     @property
     def tick(self) -> int:
@@ -375,7 +384,7 @@ class Monitor:
     @property
     def temporal_cells(self) -> tuple:
         """All operator cells, one per temporal operator, in formula order."""
-        return self._cells
+        return tuple(cell for cell in self._cells if isinstance(cell, _WindowCell))
 
     def step(self, sample: Mapping[str, float]) -> VerdictRecord:
         if not sample.keys() >= self._signal_set:
@@ -384,9 +393,13 @@ class Monitor:
         # Verdicts latch, so once the root has decided no cell is stepped.
         verdict = self._decided
         if verdict is None:
-            verdict = self._root.step(sample)
-            if verdict is not UNKNOWN:
-                self._decided = verdict
+            pos, neg = self._network(sample)
+            if pos:
+                verdict = self._decided = TRUE
+            elif neg:
+                verdict = self._decided = FALSE
+            else:
+                verdict = UNKNOWN
         record = VerdictRecord(self._tick, verdict)
         self._tick += 1
         return record
@@ -408,7 +421,7 @@ class Monitor:
     def state_scalar_count(self) -> int:
         """Number of scalars stored across all cells; constant over time and
         independent of window widths."""
-        return len(self._root.state_scalars())
+        return sum(len(cell.state_scalars()) for cell in self._cells)
 
 
 def compile_formula(f: Formula) -> Monitor:
@@ -416,22 +429,6 @@ def compile_formula(f: Formula) -> Monitor:
     violations = validate(f)
     if violations:
         raise InvalidFormulaError(violations)
-    cells: list = []
-    root = _build(f, cells)
-    return Monitor(f, root, tuple(cells))
-
-
-def _build(f: Formula, cells: list):
-    if isinstance(f, Atom):
-        return _AtomNode(compile_predicate(f))
-    if isinstance(f, Not):
-        return _NotNode(_build(f.child, cells))
-    if isinstance(f, (And, Or, Implies)):
-        return _BinNode(_BIN_OPS[type(f)], _build(f.left, cells), _build(f.right, cells))
-    cell_type = _CELLS.get(type(f))
-    if cell_type is None:
-        raise TypeError(f"not a formula node: {f!r}")
-    cell = cell_type(f.window.lower, f.window.upper)
-    operands = (f.left, f.right) if isinstance(f, Until) else (f.child,)
-    cells.append(cell)
-    return _TemporalNode(cell, tuple(compile_predicate(op) for op in operands))
+    make, leaves, signals = _network_code(f)
+    cells = tuple(_CELLS[kind](*args) for kind, args in leaves)
+    return Monitor(f, make(*(cell.step for cell in cells)), cells, signals)

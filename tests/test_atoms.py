@@ -1,5 +1,6 @@
-"""Exact atoms: the compiled closures, the exact definition and the oracle
-agree on every sample, including samples exactly on an atom's boundary."""
+"""Exact atoms: the compiled closures, the atoms inlined in a generated
+network, the exact definition and the oracle agree on every sample,
+including samples exactly on an atom's boundary."""
 
 import math
 import sys
@@ -13,20 +14,26 @@ from stlobs import cli
 from stlobs.formula import (
     COMPARATORS,
     Always,
+    And,
     Atom,
     AtomicPredicate,
+    Eventually,
     Interval,
+    Not,
+    Or,
     linear_atom,
     render,
+    signal_atom,
 )
 from stlobs.monitor import compile_atom, compile_formula
 from stlobs.oracle import three_valued_eval
 from stlobs.parser import parse
 from stlobs.trace import Trace
-from stlobs.trilean import FALSE
+from stlobs.trilean import FALSE, TRUE, UNKNOWN
 
 SIGNALS = ("x", "y", "z")
 MAX = sys.float_info.max
+BELOW_MAX = math.nextafter(MAX, 0)
 
 
 def decimal(value: float) -> Fraction:
@@ -35,7 +42,12 @@ def decimal(value: float) -> Fraction:
 
 
 def closure_agrees(pred: AtomicPredicate, sample: dict) -> None:
-    assert compile_atom(pred)(sample) is pred.evaluate(sample), (pred, sample)
+    holds = pred.evaluate(sample)
+    assert compile_atom(pred)(sample) is holds, (pred, sample)
+    # The same atom as the operand of a generated network: F[0,1] is T at
+    # tick 0 exactly when the atom holds there, and U otherwise.
+    network = compile_formula(Eventually(Interval(0, 1), Atom(pred)))
+    assert network.step(sample).verdict is (TRUE if holds else UNKNOWN), (pred, sample)
 
 
 def verdicts(f, trace: Trace) -> tuple[list, list]:
@@ -124,6 +136,49 @@ class TestClosureOnTheBoundary:
     )
     def test_multi_signal_sums(self, comparator, coeffs, constant, sample):
         closure_agrees(linear_atom(coeffs, comparator, constant).predicate, sample)
+
+
+class TestGeneratedSource:
+    """Signal names and thresholds reach a network's source as text; any name
+    and any finite threshold must come back unchanged."""
+
+    NAMES = ("vélo", "Straße", "µ", "x'] or True or s['x", "q\\\"\n")
+    THRESHOLDS = ("-0.0", "5e-324", "1.7976931348623157e308")
+
+    @pytest.mark.parametrize("comparator", COMPARATORS)
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_names_and_extreme_thresholds(self, comparator, name, threshold):
+        pred = signal_atom(name, comparator, Fraction(threshold)).predicate
+        d = float(threshold)
+        near = (d, -d, math.nextafter(d, math.inf), math.nextafter(d, -math.inf))
+        for value in (*near, 0.0, -0.0, MAX, -MAX):
+            if math.isfinite(value):
+                closure_agrees(pred, {name: value})
+
+    @pytest.mark.parametrize(
+        "rows,expected",
+        [
+            # No witness at tick 0 (on both thresholds), one at tick 1, and
+            # mu reaches MAX at tick 2.
+            ([(-5e-324, 5e-324, BELOW_MAX), (-5e-324, 1e-323, 0.0), (-0.0, 0.0, MAX)], "UUF"),
+            ([(-5e-324, 5e-324, BELOW_MAX), (-5e-324, 1e-323, 0.0), (-0.0, 0.0, -MAX)], "UUT"),
+            # vélo = -0.0 is on its threshold, a witness at tick 0.
+            ([(-0.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (-1.0, 0.0, BELOW_MAX)], "UUT"),
+            ([(5e-324, 0.0, MAX)], "F"),
+        ],
+    )
+    def test_one_formula_over_non_ascii_names(self, rows, expected):
+        # F[0,2] (vélo >= -0.0 | Straße > 5e-324) & G[0,2] !(µ = MAX)
+        names = ("vélo", "Straße", "µ")
+        vélo, straße, µ = (
+            signal_atom(name, cmp, Fraction(t))
+            for name, cmp, t in zip(names, (">=", ">", "="), self.THRESHOLDS)
+        )
+        f = And(Eventually(Interval(0, 2), Or(vélo, straße)), Always(Interval(0, 2), Not(µ)))
+        online, offline = verdicts(f, Trace(names, tuple(rows)))
+        assert "".join(map(str, online)) == expected
+        assert online == offline
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

@@ -132,3 +132,14 @@ def test_state_scalars_are_plain_values():
         cell = cell_type(0, 3)
         cell.step(*(True,) * (2 if cell_type is UntilCell else 1))
         assert all(isinstance(v, (bool, int)) for v in cell.state_scalars())
+
+
+def test_until_refutes_when_left_operand_fails_inside_the_window():
+    # phi1 fails at tick 2, inside [1, 4] and before its upper bound, with no
+    # witness yet: no later tick can be a witness, so neg is set at once
+    # rather than when the window closes.
+    cell = UntilCell(1, 4)
+    assert cell.step(True, False) == (False, False)
+    assert cell.step(True, False) == (False, False)
+    assert cell.step(False, True) == (False, True)
+    assert cell.step(True, True) == (False, True)

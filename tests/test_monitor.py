@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from stlobs import monitor
 from stlobs.conformance import random_formula
-from stlobs.errors import InvalidFormulaError, MissingSignalError
-from stlobs.formula import Eventually, Interval, signal_atom
+from stlobs.errors import FlagConflictError, InvalidFormulaError, MissingSignalError
+from stlobs.formula import Always, Eventually, Interval, signal_atom
 from stlobs.monitor import (
     AlwaysCell,
     EventuallyCell,
@@ -184,6 +185,29 @@ class TestStepErrors:
             record = VerdictRecord(0, verdict)
             assert from_flags(record.flags) is verdict
         assert VerdictRecord(0, TRUE).flags == FlagPair(True, False)
+
+
+class ConflictingAlwaysCell(AlwaysCell):
+    """A broken G cell that reports both flags from tick 1 on."""
+
+    __slots__ = ()
+
+    def step(self, phi):
+        pair = super().step(phi)
+        return (True, True) if self._clk > 1 else pair
+
+
+class TestFlagConflicts:
+    # At tick 1 the broken G reports (T, T). Under & with F's (F, F) the root
+    # pair would be (F, T), and under | with F's (T, F) it would be (T, F):
+    # a clean verdict either way, so only a check of each cell can see it.
+    @pytest.mark.parametrize("connective,y", [("&", 0.0), ("|", 1.0)])
+    def test_conflict_raises_even_when_masked_at_the_root(self, monkeypatch, connective, y):
+        monkeypatch.setitem(monitor._CELLS, Always, ConflictingAlwaysCell)
+        m = monitor_for(f"G[0,5] (x > 0) {connective} F[0,5] (y > 0)")
+        assert m.step({"x": 1.0, "y": 0.0}).verdict is UNKNOWN
+        with pytest.raises(FlagConflictError):
+            m.step({"x": 1.0, "y": y})
 
 
 class TestDecidedRoot:
