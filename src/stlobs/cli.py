@@ -8,7 +8,9 @@ Subcommands:
 
 Exit codes follow the final verdict for check/oracle: 0 true, 1 false,
 2 still unknown. 64 flags a usage or formula error, 65 bad trace data,
-66 a missing input file, and 70 an internal failure.
+66 a missing input file, 70 an internal failure, and 74 an output closed
+by its reader (say `stlobs check ... | head -1`), after which the command
+stops without a message.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import itertools
 import json
 import logging
+import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -47,6 +50,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_NOINPUT = 66
 EXIT_INTERNAL = 70
+EXIT_IOERR = 74
 
 _VERDICT_EXITS = {TRUE: EXIT_TRUE, FALSE: EXIT_FALSE, UNKNOWN: EXIT_UNKNOWN}
 
@@ -241,14 +245,15 @@ def _cmd_check(args) -> int:
                 parse_signals = declared
 
         f = parse(formula_text, parse_signals)
-        monitor = compile_formula(f)
-        writer = VerdictWriter(sys.stdout, args.format)
+        step = compile_formula(f).step
+        write = VerdictWriter(sys.stdout, args.format).write
+        early_stop = args.early_stop
         last: Trilean | None = None
         for sample in samples:
-            record = monitor.step(sample)
-            writer.write(record)
+            record = step(sample)
+            write(record)
             last = record.verdict
-            if args.early_stop and last is not UNKNOWN:
+            if early_stop and last is not UNKNOWN:
                 break
         return _verdict_exit(last)
 
@@ -309,12 +314,27 @@ def _cmd_emit_lustre(args) -> int:
     return EXIT_TRUE
 
 
+def _discard_stdout() -> None:
+    """Point the stdout file descriptor at os.devnull, so that what is still
+    buffered for a reader that has gone away is dropped at exit instead of
+    failing again there ("Exception ignored ... BrokenPipeError")."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed output fails here, not at exit
+        return code
     except FormulaError as exc:
         print(f"formula error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -324,6 +344,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}: not found", file=sys.stderr)
         return EXIT_NOINPUT
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_IOERR
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT

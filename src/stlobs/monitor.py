@@ -3,13 +3,16 @@
 Each temporal operator becomes one fused cell that reports both verdict
 flags (pos, neg); both latch, unknown is the absence of both, and a cell's
 state does not grow with the window width. `compile_formula` writes the whole
-observer network as the source of one function, `network(s) -> (pos, neg)`:
-it steps every cell on its operand, inlined as one expression, and combines
-the pairs with the flag-pair algebra of the `_3v` Lustre nodes (`a & b` is
+observer network as the source of one function, `network(s) -> verdict`: it
+steps every cell on its operand, inlined as one expression, combines the
+pairs with the flag-pair algebra of the `_3v` Lustre nodes (`a & b` is
 (pa and pb, na or nb), `a | b` is (pa or pb, na and nb), `a -> b` is
-(na or pb, pa and nb), `!a` swaps the pair). Each atom is compiled once to a
-float test that agrees exactly with its rational definition; one over a
-single signal is inlined as a comparison such as `s['speed'] < 20.0`.
+(na or pb, pa and nb), `!a` swaps the pair) and reads T/F/U off the root
+pair. The root verdict latches: once it is decided the function returns it
+without stepping any cell. Each atom is compiled once to a float test that
+agrees exactly with its rational definition; one over a single signal is
+inlined as a comparison such as `s['speed'] < 20.0`, and one over several
+signals is a closure, called once per tick however many operands hold it.
 
 Formula text reaches the generated source only as the `repr` of a `str` (a
 signal name) or of a finite `float` (a threshold). Each formula's network
@@ -18,11 +21,13 @@ code is cached, so compiling it again only builds fresh cells.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import FlagConflictError, InvalidFormulaError, MissingSignalError
 from .formula import (
+    TEMPORAL_NODES,
     And,
     Atom,
     AtomicPredicate,
@@ -33,10 +38,12 @@ from .formula import (
     Not,
     Or,
     Until,
+    children,
     compare_with_zero,
     horizon,
     signals_of,
     validate,
+    walk,
 )
 from .trace import Trace
 from .trilean import FALSE, TRUE, UNKNOWN, FlagPair, Trilean, to_flags
@@ -54,6 +61,10 @@ class VerdictRecord(NamedTuple):
     def flags(self) -> FlagPair:
         """The verdict as its (positive, negative) flag pair."""
         return to_flags(self.verdict)
+
+
+# Builds a record without the keyword handling of `VerdictRecord.__new__`.
+_new_tuple = tuple.__new__
 
 
 # Operator cells. Each cell advances one tick per `step`, returns the pair
@@ -277,7 +288,9 @@ def _filtered_atom(pred: AtomicPredicate, terms: tuple, constant: int) -> Predic
 
 # The generated network. Cell k is the parameter `ck` (its bound `step`) and
 # leaves its flags in the locals `pk`, `nk`; closures called from operands
-# are the globals `a0`, `a1`, ...
+# are the globals `a0`, `a1`, ..., and a closure called from more than one
+# operand leaves its value in a local `vk`, computed once per tick. The
+# latched root verdict is the local `decided` of `make`.
 
 _CELLS = {Atom: _AnchoredAtom, Eventually: EventuallyCell, Always: AlwaysCell, Until: UntilCell}
 _PAIRS = {
@@ -292,22 +305,16 @@ _OPERANDS = {And: "({l} and {r})", Or: "({l} or {r})", Implies: "(not {l} or {r}
 def _network_code(f: Formula) -> tuple[Callable, tuple, tuple[str, ...]]:
     """The factory `make(c0, c1, ...) -> network` of `f`'s step function,
     each cell's `_CELLS` key and constructor arguments, and `f`'s signals."""
-    lines: list[str] = []
-    leaves: list[tuple] = []
-    atoms: dict[str, Predicate] = {}
-    pos, neg = _pair(f, lines, leaves, atoms)
-    # Each cell's pair is checked: the algebra can hide a conflicting pair
-    # ((T, T) & (F, F) is (F, T)) but never makes one from consistent pairs.
-    temporal = [k for k, (kind, _) in enumerate(leaves) if kind is not Atom]
-    if temporal:
-        lines.append("if " + " or ".join(f"p{k} and n{k}" for k in temporal) + ":")
-        lines.append("    raise FlagConflictError('positive and negative verdict flags are both set')")
-    lines.append(f"return {pos}, {neg}")
-    params = ", ".join(f"c{k}" for k in range(len(leaves)))
-    body = "".join(f"        {line}\n" for line in lines)
-    namespace = {"FlagConflictError": FlagConflictError, **atoms}
-    exec(_compiled(f"def make({params}):\n    def network(s):\n{body}    return network\n"), namespace)
-    return namespace["make"], tuple(leaves), signals_of(f)
+    source = _NetworkSource(f)
+    namespace = {
+        "FlagConflictError": FlagConflictError,
+        "TRUE": TRUE,
+        "FALSE": FALSE,
+        "UNKNOWN": UNKNOWN,
+        **source.atoms,
+    }
+    exec(_compiled(source.text), namespace)
+    return namespace["make"], tuple(source.leaves), signals_of(f)
 
 
 @lru_cache(maxsize=256)
@@ -317,46 +324,104 @@ def _compiled(source: str):
     return compile(source, "<stlobs network>", "exec")
 
 
-def _pair(f: Formula, lines: list, leaves: list, atoms: dict) -> tuple[str, str]:
-    """Source of the (pos, neg) flags of `f`; appends one statement per cell
-    to `lines`, in formula order."""
-    if isinstance(f, Not):
-        pos, neg = _pair(f.child, lines, leaves, atoms)
-        return neg, pos
-    templates = _PAIRS.get(type(f))
-    if templates is not None:
-        lp, ln = _pair(f.left, lines, leaves, atoms)
-        rp, rn = _pair(f.right, lines, leaves, atoms)
-        return tuple(t.format(lp=lp, ln=ln, rp=rp, rn=rn) for t in templates)
-    k = len(leaves)
-    if isinstance(f, Atom):
-        leaves.append((Atom, (compile_atom(f.predicate),)))
-        args = "s"
-    elif type(f) in _CELLS:
-        operands = (f.left, f.right) if isinstance(f, Until) else (f.child,)
-        leaves.append((type(f), (f.window.lower, f.window.upper)))
-        args = ", ".join(_operand(op, atoms) for op in operands)
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    lines.append(f"p{k}, n{k} = c{k}({args})")
-    return f"p{k}", f"n{k}"
+class _NetworkSource:
+    """The source of `f`'s factory `make` (`text`), the cells it is called
+    with (`leaves`: `_CELLS` key and constructor arguments, in formula order)
+    and the closures its operands call (`atoms`, by global name)."""
 
+    def __init__(self, f: Formula):
+        self.leaves: list[tuple] = []
+        self.atoms: dict[str, Predicate] = {}
+        self._lines: list[str] = []
+        self._hoisted: list[str] = []
+        self._refs: dict[AtomicPredicate, str] = {}
+        # Only an atom over two or more signals can become a closure.
+        self._uses = Counter(
+            atom.predicate
+            for node in walk(f)
+            if isinstance(node, TEMPORAL_NODES)
+            for operand in children(node)
+            for atom in walk(operand)
+            if isinstance(atom, Atom) and len(atom.predicate.terms) > 1
+        )
+        pos, neg = self._pair(f)
+        lines = self._hoisted + self._lines
+        # Each cell's pair is checked: the algebra can hide a conflicting pair
+        # ((T, T) & (F, F) is (F, T)) but never makes one from consistent pairs.
+        temporal = [k for k, (kind, _) in enumerate(self.leaves) if kind is not Atom]
+        if temporal:
+            lines.append("if " + " or ".join(f"p{k} and n{k}" for k in temporal) + ":")
+            lines.append("    raise FlagConflictError('positive and negative verdict flags are both set')")
+        # Verdicts latch: once the root has decided, no cell is stepped.
+        # (Every distinct formula pays a `compile()`; this form compiles
+        # faster than one conditional expression or two returns.)
+        lines += [f"if {pos}:", "    decided = TRUE", f"elif {neg}:", "    decided = FALSE"]
+        lines.append("return decided or UNKNOWN")
+        params = ", ".join(f"c{k}" for k in range(len(self.leaves)))
+        body = "".join(f"        {line}\n" for line in lines)
+        self.text = (
+            f"def make({params}):\n"
+            "    decided = None\n"
+            "    def network(s):\n"
+            "        nonlocal decided\n"
+            "        if decided is not None:\n"
+            "            return decided\n"
+            f"{body}"
+            "    return network\n"
+        )
 
-def _operand(f: Formula, atoms: dict) -> str:
-    """Source of a propositional formula's truth on sample `s`."""
-    if isinstance(f, Atom):
-        test = _atom_test(f.predicate)
-        if isinstance(test, str):
-            return test
-        name = f"a{len(atoms)}"
-        atoms[name] = test
-        return f"{name}(s)"
-    if isinstance(f, Not):
-        return f"(not {_operand(f.child, atoms)})"
-    template = _OPERANDS.get(type(f))
-    if template is None:
-        raise TypeError(f"operand is not propositional: {f!r}")
-    return template.format(l=_operand(f.left, atoms), r=_operand(f.right, atoms))
+    def _pair(self, f: Formula) -> tuple[str, str]:
+        """Source of the (pos, neg) flags of `f`; adds one statement per cell,
+        in formula order."""
+        if isinstance(f, Not):
+            pos, neg = self._pair(f.child)
+            return neg, pos
+        templates = _PAIRS.get(type(f))
+        if templates is not None:
+            lp, ln = self._pair(f.left)
+            rp, rn = self._pair(f.right)
+            return tuple(t.format(lp=lp, ln=ln, rp=rp, rn=rn) for t in templates)
+        k = len(self.leaves)
+        if isinstance(f, Atom):
+            self.leaves.append((Atom, (compile_atom(f.predicate),)))
+            args = "s"
+        elif type(f) in _CELLS:
+            operands = (f.left, f.right) if isinstance(f, Until) else (f.child,)
+            self.leaves.append((type(f), (f.window.lower, f.window.upper)))
+            args = ", ".join(self._operand(op) for op in operands)
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+        self._lines.append(f"p{k}, n{k} = c{k}({args})")
+        return f"p{k}", f"n{k}"
+
+    def _operand(self, f: Formula) -> str:
+        """Source of a propositional formula's truth on sample `s`."""
+        if isinstance(f, Atom):
+            return self._atom(f.predicate)
+        if isinstance(f, Not):
+            return f"(not {self._operand(f.child)})"
+        template = _OPERANDS.get(type(f))
+        if template is None:
+            raise TypeError(f"operand is not propositional: {f!r}")
+        return template.format(l=self._operand(f.left), r=self._operand(f.right))
+
+    def _atom(self, pred: AtomicPredicate) -> str:
+        """An inlined test, a call of the atom's closure, or, for a closure
+        that more than one operand calls, the local holding its value."""
+        if len(pred.terms) < 2:
+            return _atom_test(pred)
+        ref = self._refs.get(pred)
+        if ref is None:
+            ref = _atom_test(pred)
+            if not isinstance(ref, str):
+                name = f"a{len(self.atoms)}"
+                self.atoms[name], ref = ref, f"{name}(s)"
+                if self._uses[pred] > 1:
+                    local = f"v{len(self._hoisted)}"
+                    self._hoisted.append(f"{local} = {ref}")
+                    ref = local
+            self._refs[pred] = ref
+        return ref
 
 
 class Monitor:
@@ -369,7 +434,6 @@ class Monitor:
         self._network = network
         self._cells = cells
         self._tick = 0
-        self._decided: Trilean | None = None
 
     @property
     def horizon(self) -> int:
@@ -390,18 +454,9 @@ class Monitor:
         if not sample.keys() >= self._signal_set:
             missing = [name for name in self.signals if name not in sample]
             raise MissingSignalError(missing, f"at tick {self._tick}")
-        # Verdicts latch, so once the root has decided no cell is stepped.
-        verdict = self._decided
-        if verdict is None:
-            pos, neg = self._network(sample)
-            if pos:
-                verdict = self._decided = TRUE
-            elif neg:
-                verdict = self._decided = FALSE
-            else:
-                verdict = UNKNOWN
-        record = VerdictRecord(self._tick, verdict)
-        self._tick += 1
+        tick = self._tick
+        record = _new_tuple(VerdictRecord, (tick, self._network(sample)))
+        self._tick = tick + 1
         return record
 
     def run(self, trace: Trace, early_stop: bool = False) -> list[VerdictRecord]:

@@ -12,8 +12,10 @@ import csv
 import json
 import logging
 import math
+import os
 import re
 from contextlib import contextmanager
+from math import isfinite
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -83,18 +85,29 @@ def stream_csv(
     signals = _check_header(header)
 
     def rows() -> Iterator[dict[str, float]]:
+        width = len(signals)
         for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                logger.warning("skipping blank line %d", lineno)
-                continue
-            if len(raw) != len(signals):
+            if len(raw) != width:
+                if not raw:
+                    logger.warning("skipping blank line %d", lineno)
+                    continue
                 raise TraceFormatError(
-                    f"line {lineno}: expected {len(signals)} values, got {len(raw)}"
+                    f"line {lineno}: expected {width} values, got {len(raw)}"
                 )
-            yield {
-                name: _parse_value(text, lineno, column)
-                for column, (name, text) in enumerate(zip(signals, raw), start=1)
-            }
+            # The whole row in one pass. The sum of finite floats is finite
+            # unless it overflows, and a nan or an infinity makes it
+            # non-finite; so only a row that fails here is converted value
+            # by value, which finds the first bad value or accepts the row.
+            try:
+                sample = dict(zip(signals, map(float, raw)))
+            except ValueError:
+                sample = None
+            if sample is None or not isfinite(sum(sample.values())):
+                sample = {
+                    name: _parse_value(text, lineno, column)
+                    for column, (name, text) in enumerate(zip(signals, raw), start=1)
+                }
+            yield sample
 
     return signals, rows()
 
@@ -206,41 +219,77 @@ def write_csv(trace: Trace, stream: IO[str]) -> None:
 
 
 class VerdictWriter:
-    """Writes verdict records one at a time, flushing after each so a
-    downstream consumer sees every verdict before the next sample is read.
+    """Writes verdict records one at a time, each line out of the process
+    before `write` returns, so a downstream consumer sees every verdict
+    before the next sample is read.
 
-    Each line is the tick between a per-format head and a per-verdict tail;
-    jsonl lines are byte-identical to `json.dumps` of the same object."""
+    Each line is a per-format, per-verdict template with the tick filled
+    in; jsonl lines are byte-identical to `json.dumps` of the same object.
+    On a text stream over a file descriptor whose encoding writes ASCII as
+    itself (sys.stdout, a file from `open`), each line is one `os.write` of
+    its bytes, past the stream's buffers: a caller that writes to the same
+    stream between verdicts must flush it, and lines end in `\n` whatever
+    newline the stream was opened with. Any other stream gets a `write` and
+    a `flush` per line."""
 
     def __init__(self, stream: IO[str], fmt: str = "text"):
         if fmt not in VERDICT_FORMATS:
             raise ValueError(f"unknown verdict format {fmt!r}")
         self._stream = stream
-        self._head = _LINE_HEADS[fmt]
-        self._tails = _LINE_TAILS[fmt]
+        self._lines = _LINES[fmt]
+        self._fd = _ascii_fd(stream)
+        if self._fd is not None:
+            stream.flush()  # what is already buffered goes out first
+            self._lines = {v: line.encode("ascii") for v, line in self._lines.items()}
         if fmt == "csv":
-            self._stream.write("tick,verdict,pos,neg\n")
-            self._stream.flush()
+            header = "tick,verdict,pos,neg\n"
+            self._put(header if self._fd is None else header.encode("ascii"))
 
     def write(self, record: VerdictRecord) -> None:
-        self._stream.write(f"{self._head}{record.tick}{self._tails[record.verdict]}")
-        self._stream.flush()
+        self._put(self._lines[record.verdict] % record.tick)
+
+    def _put(self, line) -> None:
+        fd = self._fd
+        if fd is None:
+            self._stream.write(line)
+            self._stream.flush()
+            return
+        written = _os_write(fd, line)
+        if written < len(line):
+            # The rest through the binary buffer, which retries until every
+            # byte is out.
+            buffer = self._stream.buffer
+            buffer.write(line[written:])
+            buffer.flush()
 
 
-_LINE_HEADS = {"text": "tick=", "csv": "", "jsonl": '{"tick": '}
-_LINE_TAILS = {
+_os_write = os.write
+
+# One line per format and verdict, `%` the tick.
+_LINES = {
     "text": {
-        TRUE: " verdict=T pos=1 neg=0\n",
-        FALSE: " verdict=F pos=0 neg=1\n",
-        UNKNOWN: " verdict=U pos=0 neg=0\n",
+        TRUE: "tick=%d verdict=T pos=1 neg=0\n",
+        FALSE: "tick=%d verdict=F pos=0 neg=1\n",
+        UNKNOWN: "tick=%d verdict=U pos=0 neg=0\n",
     },
-    "csv": {TRUE: ",T,1,0\n", FALSE: ",F,0,1\n", UNKNOWN: ",U,0,0\n"},
+    "csv": {TRUE: "%d,T,1,0\n", FALSE: "%d,F,0,1\n", UNKNOWN: "%d,U,0,0\n"},
     "jsonl": {
-        TRUE: ', "verdict": "T", "pos": true, "neg": false}\n',
-        FALSE: ', "verdict": "F", "pos": false, "neg": true}\n',
-        UNKNOWN: ', "verdict": "U", "pos": false, "neg": false}\n',
+        TRUE: '{"tick": %d, "verdict": "T", "pos": true, "neg": false}\n',
+        FALSE: '{"tick": %d, "verdict": "F", "pos": false, "neg": true}\n',
+        UNKNOWN: '{"tick": %d, "verdict": "U", "pos": false, "neg": false}\n',
     },
 }
+
+
+def _ascii_fd(stream: IO[str]) -> int | None:
+    """The file descriptor under a text stream whose bytes for an ASCII line
+    are that line, or None."""
+    try:
+        fd = stream.buffer.fileno()
+        ascii_as_itself = "tick\n".encode(stream.encoding) == b"tick\n"
+    except (AttributeError, OSError, ValueError, LookupError):
+        return None  # io.UnsupportedOperation is an OSError and a ValueError
+    return fd if ascii_as_itself and os.linesep == "\n" else None
 
 
 def write_verdicts(

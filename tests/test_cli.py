@@ -2,13 +2,29 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stlobs
 from stlobs import cli
 from stlobs.traceio import read_verdicts
 
 CSV_TRACE = "x,y\n1,0\n2,0\n3,0\n"
+
+
+def spawn_cli(*args: str) -> subprocess.Popen:
+    """`python -m stlobs.cli *args` from these sources, with piped stdin,
+    stdout and stderr, and stdout block-buffered as it is by default."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stlobs.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "stlobs.cli", *args],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
 
 
 @pytest.fixture
@@ -140,6 +156,50 @@ class TestErrorExits:
         )
         assert code == cli.EXIT_NOINPUT
         assert "not found" in capsys.readouterr().err
+
+    def test_output_closed_by_its_reader(self):
+        # As `stlobs check ... | head -1`: the reader takes one verdict line
+        # and closes the pipe, so the verdict of the next row cannot be
+        # written. The command stops at once, silently, with EX_IOERR.
+        proc = spawn_cli("check", "-f", "G[0,9] (x > 0)", "--trace", "-")
+        try:
+            proc.stdin.write(b"x\n1\n")
+            proc.stdin.flush()
+            assert proc.stdout.readline() == b"tick=0 verdict=U pos=0 neg=0\n"
+            proc.stdout.close()
+            proc.stdin.write(b"2\n3\n")
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == cli.EXIT_IOERR
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+    def test_output_closed_before_a_buffered_report(self):
+        # With stdout block-buffered, the selfcheck report is still in the
+        # buffer when the command returns; its flush meets the closed pipe.
+        proc = spawn_cli("selfcheck", "--max-b", "1", "--cases", "1")
+        proc.stdin.close()
+        proc.stdout.close()
+        try:
+            assert proc.wait(timeout=60) == cli.EXIT_IOERR
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+    def test_closed_output_drops_what_is_still_buffered(self, monkeypatch):
+        # After a broken pipe, stdout's descriptor is pointed at os.devnull,
+        # so the final flush of text still in its buffer cannot fail again.
+        read_end, write_end = os.pipe()
+        stream = open(write_end, "w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stream)
+        stream.write("still buffered\n")
+        os.close(read_end)
+        cli._discard_stdout()
+        stream.close()
 
     def test_usage_error_exits_64(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

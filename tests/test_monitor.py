@@ -146,6 +146,37 @@ class TestStructure:
         assert m.signals == ("x", "y")
 
 
+class TestRepeatedAtoms:
+    # Two operands hold the multi-signal atom `x - y > 100`; its closure
+    # must run once per tick, its value shared through one local.
+    FORMULA = (
+        "(F[0,6] (x - y > 100) | ((x + y >= -100) U[2,6] (x - y > 100))) "
+        "-> G[1,8] (2*x - 3/10*y + 1/3 <= z)"
+    )
+    SIGNALS = ("x", "y", "z")
+
+    def test_each_closure_is_called_once(self):
+        source = monitor._NetworkSource(parse(self.FORMULA, self.SIGNALS))
+        assert sorted(source.atoms) == ["a0", "a1", "a2"]
+        for name in source.atoms:
+            assert source.text.count(f"{name}(") == 1, source.text
+
+    def test_verdicts_match_the_oracle(self):
+        f = parse(self.FORMULA, self.SIGNALS)
+        rng = random.Random(5)
+        for _ in range(150):
+            rows = []
+            for _ in range(rng.randrange(1, 11)):
+                y = rng.randrange(-600, 600) / 10
+                x = round(y + rng.choice((99.9, 100.0, 100.1, 0.0)), 1)
+                z = round(2 * x - 0.3 * y + rng.choice((-0.1, 0.3, 0.4)), 1)
+                rows.append((x, y, z))
+            trace = Trace(self.SIGNALS, tuple(rows))
+            m = compile_formula(f)
+            for k in range(len(rows)):
+                assert m.step(trace.sample(k)).verdict is three_valued_eval(f, trace, k)
+
+
 class TestStepErrors:
     def test_missing_signal(self):
         m = monitor_for("x > 0 & y > 0")

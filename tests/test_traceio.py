@@ -4,15 +4,21 @@ import io
 import json
 import logging
 import math
+import os
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from stlobs import traceio
 from stlobs.errors import MissingSignalError, TraceFormatError
 from stlobs.monitor import VerdictRecord
 from stlobs.trace import Trace
 from stlobs.traceio import (
     VerdictWriter,
+    _parse_value,
     read_csv,
     read_jsonl,
     read_jsonl_stream,
@@ -84,6 +90,94 @@ class TestReadCsv:
         assert next(rows) == {"x": 1.0}
         with pytest.raises(TraceFormatError, match="line 3"):
             next(rows)
+
+
+# Cells for the reader's one-pass conversion and its value-by-value
+# fallback. None holds a comma, a quote or a line break.
+_PADDING = st.sampled_from(["", " ", "  ", "\t"])
+_DECIMALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["0", "-0", "0.1", "1e-320", "+3", ".5", "5."]),
+)
+_CELLS = st.one_of(
+    _DECIMALS,
+    st.tuples(_PADDING, _DECIMALS, _PADDING).map("".join),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "-Infinity", "1e309", "-1e309", "1_0"]),
+    st.sampled_from(["", " ", "junk", "1.2.3", "0x10", "--1", "1e", "_1", "1__0"]),
+    # Finite values whose float sum overflows.
+    st.sampled_from(["1e308", "-1e308", "1.7976931348623157e308", " 9e307 "]),
+)
+
+
+def _value_by_value(lines: list[str], signals: tuple[str, ...]) -> tuple[list, str | None]:
+    """The samples of CSV data rows read one value at a time with
+    `_parse_value`, and the message of the first error (None if none)."""
+    samples = []
+    for lineno, line in enumerate(lines, start=2):
+        if line == "":  # csv.reader gives [] for it: a skipped blank line
+            continue
+        try:
+            samples.append(
+                {name: _parse_value(text, lineno, column)
+                 for column, (name, text) in enumerate(zip(signals, line.split(",")), start=1)}
+            )
+        except TraceFormatError as exc:
+            return samples, str(exc)
+    return samples, None
+
+
+def _drain(rows) -> tuple[list, str | None]:
+    samples = []
+    try:
+        for sample in rows:
+            samples.append(sample)
+    except TraceFormatError as exc:
+        return samples, str(exc)
+    return samples, None
+
+
+class TestCsvFastPath:
+    """`stream_csv` converts a row in one pass and falls back to converting
+    it value by value; either way it must read what the value-by-value
+    conversion reads, and raise its error with the same line, column and
+    text."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: st.lists(st.lists(_CELLS, min_size=width, max_size=width), min_size=1, max_size=5)
+        )
+    )
+    def test_same_samples_and_errors_as_value_by_value(self, rows):
+        signals = tuple(f"s{k}" for k in range(len(rows[0])))
+        lines = [",".join(row) for row in rows]
+        text = ",".join(signals) + "\n" + "".join(line + "\n" for line in lines)
+        expected = _value_by_value(lines, signals)
+
+        assert _drain(stream_csv(text.splitlines(keepends=True))[1]) == expected
+        stdin = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+        assert _drain(stream_csv(stdin)[1]) == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            path.write_text(text, encoding="utf-8")
+            with open(path, encoding="utf-8", newline="") as handle:
+                assert _drain(stream_csv(handle)[1]) == expected
+
+    @pytest.mark.parametrize(
+        "row,expected",
+        [
+            ("1e308,1e308", {"a": 1e308, "b": 1e308}),
+            ("-1.7976931348623157e308,-1e308", {"a": -1.7976931348623157e308, "b": -1e308}),
+            ("1e308,inf", "line 2, column 2: non-finite value 'inf'"),
+            ("inf,-inf", "line 2, column 1: non-finite value 'inf'"),
+            (" 1_0 , 2 ", {"a": 10.0, "b": 2.0}),
+            ("1,", "line 2, column 2: not a number: ''"),
+            ("1e309,x", "line 2, column 1: non-finite value '1e309'"),
+        ],
+    )
+    def test_rows_that_leave_the_fast_path(self, row, expected):
+        samples, error = _drain(stream_csv(["a,b\n", row + "\n"])[1])
+        assert (samples[0] if samples else error) == expected
 
 
 class TestReadJsonl:
@@ -275,6 +369,115 @@ class TestVerdictIO:
         header = 1 if fmt == "csv" else 0
         write_verdicts(RECORDS, Spy(), fmt)
         assert flushes == list(range(1, header + len(RECORDS) + 1))
+
+
+SINK_RECORDS = [VerdictRecord(0, UNKNOWN), VerdictRecord(1, FALSE), VerdictRecord(2**70, TRUE)]
+
+
+def expected_lines(fmt: str) -> list[bytes]:
+    """The verdict lines of SINK_RECORDS, the csv header first, written out
+    field by field."""
+    lines = ["tick,verdict,pos,neg\n"] if fmt == "csv" else []
+    for tick, verdict in SINK_RECORDS:
+        pos, neg = verdict is TRUE, verdict is FALSE
+        if fmt == "text":
+            lines.append(f"tick={tick} verdict={verdict} pos={int(pos)} neg={int(neg)}\n")
+        elif fmt == "csv":
+            lines.append(f"{tick},{verdict},{int(pos)},{int(neg)}\n")
+        else:
+            lines.append(json.dumps({"tick": tick, "verdict": str(verdict), "pos": pos, "neg": neg}) + "\n")
+    return [line.encode("ascii") for line in lines]
+
+
+def written_line_by_line(stream, fmt: str, new_output) -> list[bytes]:
+    """What `new_output()` returns after the writer is made (the csv
+    header) and after each write: each must be exactly one whole line."""
+    writer = VerdictWriter(stream, fmt)
+    seen = [new_output()] if fmt == "csv" else []
+    for record in SINK_RECORDS:
+        writer.write(record)
+        seen.append(new_output())
+    return seen
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
+class TestVerdictSinks:
+    """Every sink gets the same bytes, and every line is out of the writer
+    before the next `write` call: a pipe's reader can read it, as the live
+    stdin loop needs."""
+
+    def test_pipe(self, fmt):
+        read_end, write_end = os.pipe()
+        os.set_blocking(read_end, False)
+
+        def new_output() -> bytes:
+            try:
+                return os.read(read_end, 1 << 16)
+            except BlockingIOError:
+                return b""
+
+        try:
+            with open(write_end, "w", encoding="utf-8") as stream:
+                assert written_line_by_line(stream, fmt, new_output) == expected_lines(fmt)
+        finally:
+            os.close(read_end)
+
+    def test_regular_file(self, fmt, tmp_path):
+        path = tmp_path / "verdicts.out"
+        done = 0
+
+        def new_output() -> bytes:
+            nonlocal done
+            data = path.read_bytes()
+            new, done = data[done:], len(data)
+            return new
+
+        with open(path, "w", encoding="utf-8") as stream:
+            assert written_line_by_line(stream, fmt, new_output) == expected_lines(fmt)
+        assert path.read_bytes() == b"".join(expected_lines(fmt))
+
+    def test_string_io(self, fmt):
+        stream = io.StringIO()
+        done = 0
+
+        def new_output() -> bytes:
+            nonlocal done
+            data = stream.getvalue()
+            new, done = data[done:], len(data)
+            return new.encode("ascii")
+
+        assert written_line_by_line(stream, fmt, new_output) == expected_lines(fmt)
+
+    def test_captured_stdout(self, fmt, capsys):
+        def new_output() -> bytes:
+            return capsys.readouterr().out.encode("ascii")
+
+        assert written_line_by_line(sys.stdout, fmt, new_output) == expected_lines(fmt)
+
+    def test_short_writes_are_finished(self, fmt, tmp_path, monkeypatch):
+        # The descriptor takes at most 5 bytes a call; the stream's buffer
+        # must write the rest before `write` returns.
+        monkeypatch.setattr(traceio, "_os_write", lambda fd, data: os.write(fd, data[:5]))
+        path = tmp_path / "verdicts.out"
+        done = 0
+
+        def new_output() -> bytes:
+            nonlocal done
+            data = path.read_bytes()
+            new, done = data[done:], len(data)
+            return new
+
+        with open(path, "w", encoding="utf-8") as stream:
+            assert written_line_by_line(stream, fmt, new_output) == expected_lines(fmt)
+
+    def test_text_buffered_before_the_writer_comes_first(self, fmt, tmp_path):
+        path = tmp_path / "verdicts.out"
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.write("# run 1\n")
+            writer = VerdictWriter(stream, fmt)
+            for record in SINK_RECORDS:
+                writer.write(record)
+        assert path.read_bytes() == b"# run 1\n" + b"".join(expected_lines(fmt))
 
 
 class TestCsvRoundTrip:
