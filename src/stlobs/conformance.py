@@ -2,7 +2,7 @@
 randomized property suite.
 
 Every check compares the streaming monitor against the quantifier oracle (or
-against explicitly unrolled forms) and reports divergences as replayable
+against its explicitly unrolled forms) and reports divergences as replayable
 (formula, trace, tick) failures.
 """
 
@@ -34,7 +34,7 @@ from .formula import (
     signals_of,
 )
 from .monitor import AlwaysCell, EventuallyCell, Monitor, UntilCell, compile_formula
-from .oracle import OPERATOR_KINDS, POLARITIES, offline_eval, three_valued_eval
+from .oracle import OPERATOR_KINDS, POLARITIES, explicit_eval, offline_eval, three_valued_eval
 from .trace import Trace
 from .trilean import FALSE, TRUE, UNKNOWN
 
@@ -225,134 +225,29 @@ def differential_sweep(
     return ConformanceReport(cases, failures, time.perf_counter() - start)
 
 
-# Induction checks: each polarity of a streaming cell must agree with
-# explicitly unrolled forms built from point samples, both for the smallest
-# window and when the window is extended by one tick.
+# Induction checks: each flag of a streaming cell must agree with the
+# oracle's unrolled forms (`explicit_eval`), both for the smallest window and
+# when the window is extended by one tick. Both compare from the window's
+# last tick on, where every operand value a form reads has been seen, so
+# each reference value is one constant per trace.
 
 _CELLS = {"eventually": EventuallyCell, "always": AlwaysCell, "until": UntilCell}
-# Index of each polarity's flag in a cell's (pos, neg) output.
-_FLAG = {"positive": 0, "negative": 1}
-
-
-class PointSample:
-    """False before tick `at`, then latches the value `prop` had at tick `at`.
-
-    The tick counter stops one past `at`, so "currently at tick `at`" remains
-    distinguishable from "already past it" with bounded state.
-    """
-
-    __slots__ = ("at", "_clk", "_value")
-
-    def __init__(self, at: int):
-        if at < 0:
-            raise ValueError(f"sample tick must be >= 0, got {at}")
-        self.at = at
-        self._clk = 0
-        self._value = False
-
-    def step(self, prop: bool) -> bool:
-        clk = self._clk
-        if clk <= self.at:
-            if clk == self.at:
-                self._value = prop
-            self._clk = clk + 1
-        return self._value
-
-    def state_scalars(self) -> tuple:
-        return (self._clk, self._value)
-
-
-class _PointBank:
-    """Point samples of one operand at each tick in [0, last]."""
-
-    def __init__(self, last: int):
-        self._cells = [PointSample(i) for i in range(last + 1)]
-
-    def step(self, value: bool) -> list[bool]:
-        return [cell.step(value) for cell in self._cells]
-
-
-def _base_network(kind: str, polarity: str, lower: int):
-    """Two-term unrolled form for the window [lower, lower + 1]."""
-    if kind in ("eventually", "always"):
-        at_lo = PointSample(lower)
-        at_hi = PointSample(lower + 1)
-        positive_op = any if kind == "eventually" else all
-
-        def step(phi: bool) -> bool:
-            if polarity == "negative":
-                phi = not phi
-            values = (at_lo.step(phi), at_hi.step(phi))
-            return positive_op(values) if polarity == "positive" else (
-                any(values) if kind == "always" else all(values)
-            )
-
-        return step
-
-    left_bank = _PointBank(lower + 1)
-    right_lo = PointSample(lower)
-    right_hi = PointSample(lower + 1)
-    failed_bank = _PointBank(lower)
-
-    def step_until(phi1: bool, phi2: bool) -> bool:
-        lefts = left_bank.step(phi1)
-        early_fails = failed_bank.step(not phi1)
-        term_lo = right_lo.step(phi2) and all(lefts[: lower + 1])
-        term_hi = right_hi.step(phi2) and all(lefts)
-        witness = term_lo or term_hi
-        if polarity == "positive":
-            return witness
-        return any(early_fails) or not witness
-
-    return step_until
-
-
-def _step_combination(kind: str, polarity: str, lower: int, upper: int):
-    """One flag of the cell over [lower, upper] combined with a point sample
-    at upper + 1 to reproduce that flag of the cell over [lower, upper + 1]."""
-    cell, flag = _CELLS[kind](lower, upper), _FLAG[polarity]
-    if kind in ("eventually", "always"):
-        extra = PointSample(upper + 1)
-        widens = (kind, polarity) in (("eventually", "positive"), ("always", "negative"))
-
-        def step(phi: bool) -> bool:
-            # Step both parts unconditionally; short-circuiting would let the
-            # point sample's clock fall behind the global tick.
-            sampled = extra.step(phi if polarity == "positive" else not phi)
-            base = cell.step(phi)[flag]
-            return (base or sampled) if widens else (base and sampled)
-
-        return step
-
-    left_bank = _PointBank(upper + 1)
-    right_extra = PointSample(upper + 1)
-    failed_bank = _PointBank(lower)
-
-    def step_until(phi1: bool, phi2: bool) -> bool:
-        base = cell.step(phi1, phi2)[flag]
-        lefts = left_bank.step(phi1)
-        early_fails = failed_bank.step(not phi1)
-        new_term = right_extra.step(phi2) and all(lefts)
-        if polarity == "positive":
-            return base or new_term
-        return base and (any(early_fails) or not new_term)
-
-    return step_until
+# The flags a wider window can only set; the step joins them with the new
+# tick's form by `or`, and the others by `and`.
+_WIDENING = {("eventually", "positive"), ("always", "negative"), ("until", "positive")}
 
 
 def check_induction_base(kind: str, lower: int, polarity: str) -> bool:
     """The polarity's flag of the cell over [lower, lower+1] equals the
-    two-term unrolled form at every tick from lower + 1 on, over all boolean
-    operand traces."""
+    unrolled form over that window at every tick from lower + 1 on, over all
+    boolean operand traces."""
     num_atoms = 2 if kind == "until" else 1
-    length = lower + 3
-    flag = _FLAG[polarity]
-    for rows in enumerate_traces(num_atoms, length):
+    flag = POLARITIES.index(polarity)
+    for rows in enumerate_traces(num_atoms, lower + 3):
+        want = explicit_eval(kind, lower, lower + 1, list(zip(*rows)), polarity)
         cell = _CELLS[kind](lower, lower + 1)
-        network = _base_network(kind, polarity, lower)
         for k, row in enumerate(rows):
             got = cell.step(*row)[flag]
-            want = network(*row)
             if k >= lower + 1 and got != want:
                 return False
     return True
@@ -360,29 +255,30 @@ def check_induction_base(kind: str, lower: int, polarity: str) -> bool:
 
 def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bool:
     """The polarity's flag of the cell over [lower, upper+1] equals that
-    flag of the cell over [lower, upper] combined with a point sample at
-    upper + 1, from tick upper + 1 on.
+    flag of the cell over [lower, upper] joined with the unrolled form over
+    the new tick upper + 1 alone, from tick upper + 1 on.
 
-    For Until the combination is derived rather than read off, so it is also
-    cross-checked against the three-valued oracle at the horizon tick.
+    For Until the wide flag is also cross-checked against the three-valued
+    oracle at tick upper + 1.
     """
     num_atoms = 2 if kind == "until" else 1
-    length = upper + 3
     wide_formula = operator_formula(kind, lower, upper + 1)
-    flag = _FLAG[polarity]
-    for rows in enumerate_traces(num_atoms, length):
+    flag = POLARITIES.index(polarity)
+    widens = (kind, polarity) in _WIDENING
+    for rows in enumerate_traces(num_atoms, upper + 3):
+        new_tick = explicit_eval(kind, upper + 1, upper + 1, list(zip(*rows)), polarity)
         wide_cell = _CELLS[kind](lower, upper + 1)
-        combination = _step_combination(kind, polarity, lower, upper)
-        trace = bool_trace(rows, num_atoms) if kind == "until" else None
+        narrow_cell = _CELLS[kind](lower, upper)
         for k, row in enumerate(rows):
             got = wide_cell.step(*row)[flag]
-            want = combination(*row)
-            if k >= upper + 1 and got != want:
+            narrow = narrow_cell.step(*row)[flag]
+            if k < upper + 1:
+                continue
+            if got != ((narrow or new_tick) if widens else (narrow and new_tick)):
                 return False
             if kind == "until" and k == upper + 1:
-                verdict = three_valued_eval(wide_formula, trace, k)
-                expected = verdict is TRUE if polarity == "positive" else verdict is FALSE
-                if got != expected:
+                verdict = three_valued_eval(wide_formula, bool_trace(rows, num_atoms), k)
+                if got != (verdict is (TRUE if polarity == "positive" else FALSE)):
                     return False
     return True
 

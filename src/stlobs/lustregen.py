@@ -138,10 +138,24 @@ _OPERATOR_NODES = {
     ),
 }
 
-_COMBINED_NODES = {
-    "eventually": textwrap.dedent(
-        """\
-        node eventually_3v(const a : int; const b : int; phi : bool)
+# Each operator's operands, as node arguments.
+_OPERANDS = {"eventually": ("phi",), "always": ("phi",), "until": ("phi1", "phi2")}
+
+
+def _params(kind: str) -> str:
+    """The node parameters of an operator's window and operands."""
+    return "const a : int; const b : int; " + "; ".join(
+        f"{name} : bool" for name in _OPERANDS[kind]
+    )
+
+
+def _combined_node(kind: str) -> str:
+    """The node pairing an operator's two flags, with the contract that they
+    never conflict."""
+    args = ", ".join(("a", "b") + _OPERANDS[kind])
+    return textwrap.dedent(
+        f"""\
+        node {kind}_3v({_params(kind)})
         returns (out_true : bool; out_false : bool);
         (*@contract
           assume a >= 0;
@@ -149,207 +163,135 @@ _COMBINED_NODES = {
           guarantee not (out_true and out_false);
         *)
         let
-          out_true = eventually_true(a, b, phi);
-          out_false = eventually_false(a, b, phi);
+          out_true = {kind}_true({args});
+          out_false = {kind}_false({args});
         tel
         """
-    ),
-    "always": textwrap.dedent(
-        """\
-        node always_3v(const a : int; const b : int; phi : bool)
-        returns (out_true : bool; out_false : bool);
+    )
+
+
+def _proof_node(kind: str, name: str, body: str) -> tuple[str, str]:
+    """A proof node's name and source: the shared header and contract, then
+    `body` (its locals and equations)."""
+    header = textwrap.dedent(
+        f"""\
+        node {name}({_params(kind)})
+        returns (base_case : bool; ind_case : bool);
         (*@contract
           assume a >= 0;
           assume a < b;
-          guarantee not (out_true and out_false);
+          guarantee "base_case" base_case;
+          guarantee "ind_case" ind_case;
         *)
-        let
-          out_true = always_true(a, b, phi);
-          out_false = always_false(a, b, phi);
-        tel
         """
-    ),
-    "until": textwrap.dedent(
-        """\
-        node until_3v(const a : int; const b : int; phi1 : bool; phi2 : bool)
-        returns (out_true : bool; out_false : bool);
-        (*@contract
-          assume a >= 0;
-          assume a < b;
-          guarantee not (out_true and out_false);
-        *)
-        let
-          out_true = until_true(a, b, phi1, phi2);
-          out_false = until_false(a, b, phi1, phi2);
-        tel
-        """
-    ),
-}
+    )
+    return name, header + textwrap.dedent(body)
+
 
 _PROOF_NODES = {
-    ("eventually", "positive"): (
+    ("eventually", "positive"): _proof_node(
+        "eventually",
         "proof_eventually_true",
-        "eventually_true",
-        textwrap.dedent(
-            """\
-            node proof_eventually_true(const a : int; const b : int; phi : bool)
-            returns (base_case : bool; ind_case : bool);
-            (*@contract
-              assume a >= 0;
-              assume a < b;
-              guarantee "base_case" base_case;
-              guarantee "ind_case" ind_case;
-            *)
-            var narrow : bool;
-            var wide : bool;
-            let
-              narrow = eventually_true(a, b, phi);
-              wide = eventually_true(a, b + 1, phi);
-              base_case = (b = a + 1) => (narrow = (sample_at(a, phi) or sample_at(a + 1, phi)));
-              ind_case = (wide = (narrow or sample_at(b + 1, phi)));
-            tel
-            """
-        ),
+        """\
+        var narrow : bool;
+        var wide : bool;
+        let
+          narrow = eventually_true(a, b, phi);
+          wide = eventually_true(a, b + 1, phi);
+          base_case = (b = a + 1) => (narrow = (sample_at(a, phi) or sample_at(a + 1, phi)));
+          ind_case = (wide = (narrow or sample_at(b + 1, phi)));
+        tel
+        """,
     ),
-    ("eventually", "negative"): (
+    ("eventually", "negative"): _proof_node(
+        "eventually",
         "proof_eventually_false",
-        "eventually_false",
-        textwrap.dedent(
-            """\
-            node proof_eventually_false(const a : int; const b : int; phi : bool)
-            returns (base_case : bool; ind_case : bool);
-            (*@contract
-              assume a >= 0;
-              assume a < b;
-              guarantee "base_case" base_case;
-              guarantee "ind_case" ind_case;
-            *)
-            var clk : int;
-            var narrow : bool;
-            var wide : bool;
-            let
-              clk = min_int(0 -> pre clk + 1, a + 1);
-              narrow = eventually_false(a, b, phi);
-              wide = eventually_false(a, b + 1, phi);
-              base_case = (b = a + 1) => (narrow = ((clk >= a + 1) and not sample_at(a, phi) and not sample_at(a + 1, phi)));
-              ind_case = (wide = (narrow and sample_at(b + 1, not phi)));
-            tel
-            """
-        ),
+        """\
+        var clk : int;
+        var narrow : bool;
+        var wide : bool;
+        let
+          clk = min_int(0 -> pre clk + 1, a + 1);
+          narrow = eventually_false(a, b, phi);
+          wide = eventually_false(a, b + 1, phi);
+          base_case = (b = a + 1) => (narrow = ((clk >= a + 1) and not sample_at(a, phi) and not sample_at(a + 1, phi)));
+          ind_case = (wide = (narrow and sample_at(b + 1, not phi)));
+        tel
+        """,
     ),
-    ("always", "positive"): (
+    ("always", "positive"): _proof_node(
+        "always",
         "proof_always_true",
-        "always_true",
-        textwrap.dedent(
-            """\
-            node proof_always_true(const a : int; const b : int; phi : bool)
-            returns (base_case : bool; ind_case : bool);
-            (*@contract
-              assume a >= 0;
-              assume a < b;
-              guarantee "base_case" base_case;
-              guarantee "ind_case" ind_case;
-            *)
-            var clk : int;
-            var narrow : bool;
-            var wide : bool;
-            let
-              clk = min_int(0 -> pre clk + 1, a + 1);
-              narrow = always_true(a, b, phi);
-              wide = always_true(a, b + 1, phi);
-              base_case = (b = a + 1) => (narrow = ((clk >= a + 1) and sample_at(a, phi) and sample_at(a + 1, phi)));
-              ind_case = (wide = (narrow and sample_at(b + 1, phi)));
-            tel
-            """
-        ),
+        """\
+        var clk : int;
+        var narrow : bool;
+        var wide : bool;
+        let
+          clk = min_int(0 -> pre clk + 1, a + 1);
+          narrow = always_true(a, b, phi);
+          wide = always_true(a, b + 1, phi);
+          base_case = (b = a + 1) => (narrow = ((clk >= a + 1) and sample_at(a, phi) and sample_at(a + 1, phi)));
+          ind_case = (wide = (narrow and sample_at(b + 1, phi)));
+        tel
+        """,
     ),
-    ("always", "negative"): (
+    ("always", "negative"): _proof_node(
+        "always",
         "proof_always_false",
-        "always_false",
-        textwrap.dedent(
-            """\
-            node proof_always_false(const a : int; const b : int; phi : bool)
-            returns (base_case : bool; ind_case : bool);
-            (*@contract
-              assume a >= 0;
-              assume a < b;
-              guarantee "base_case" base_case;
-              guarantee "ind_case" ind_case;
-            *)
-            var narrow : bool;
-            var wide : bool;
-            let
-              narrow = always_false(a, b, phi);
-              wide = always_false(a, b + 1, phi);
-              base_case = (b = a + 1) => (narrow = (sample_at(a, not phi) or sample_at(a + 1, not phi)));
-              ind_case = (wide = (narrow or sample_at(b + 1, not phi)));
-            tel
-            """
-        ),
+        """\
+        var narrow : bool;
+        var wide : bool;
+        let
+          narrow = always_false(a, b, phi);
+          wide = always_false(a, b + 1, phi);
+          base_case = (b = a + 1) => (narrow = (sample_at(a, not phi) or sample_at(a + 1, not phi)));
+          ind_case = (wide = (narrow or sample_at(b + 1, not phi)));
+        tel
+        """,
     ),
-    ("until", "positive"): (
+    ("until", "positive"): _proof_node(
+        "until",
         "proof_until_true",
-        "until_true",
-        textwrap.dedent(
-            """\
-            node proof_until_true(const a : int; const b : int; phi1 : bool; phi2 : bool)
-            returns (base_case : bool; ind_case : bool);
-            (*@contract
-              assume a >= 0;
-              assume a < b;
-              guarantee "base_case" base_case;
-              guarantee "ind_case" ind_case;
-            *)
-            var narrow : bool;
-            var wide : bool;
-            var wit_lo : bool;
-            var wit_hi : bool;
-            var new_witness : bool;
-            let
-              narrow = until_true(a, b, phi1, phi2);
-              wide = until_true(a, b + 1, phi1, phi2);
-              wit_lo = sample_at(a, phi2) and forall_a(timeab(0, a), phi1);
-              wit_hi = sample_at(a + 1, phi2) and forall_a(timeab(0, a + 1), phi1);
-              new_witness = sample_at(b + 1, phi2) and forall_a(timeab(0, b + 1), phi1);
-              base_case = (b = a + 1) => (narrow = (wit_lo or wit_hi));
-              ind_case = (wide = (narrow or new_witness));
-            tel
-            """
-        ),
+        """\
+        var narrow : bool;
+        var wide : bool;
+        var wit_lo : bool;
+        var wit_hi : bool;
+        var new_witness : bool;
+        let
+          narrow = until_true(a, b, phi1, phi2);
+          wide = until_true(a, b + 1, phi1, phi2);
+          wit_lo = sample_at(a, phi2) and forall_a(timeab(0, a), phi1);
+          wit_hi = sample_at(a + 1, phi2) and forall_a(timeab(0, a + 1), phi1);
+          new_witness = sample_at(b + 1, phi2) and forall_a(timeab(0, b + 1), phi1);
+          base_case = (b = a + 1) => (narrow = (wit_lo or wit_hi));
+          ind_case = (wide = (narrow or new_witness));
+        tel
+        """,
     ),
-    ("until", "negative"): (
+    ("until", "negative"): _proof_node(
+        "until",
         "proof_until_false",
-        "until_false",
-        textwrap.dedent(
-            """\
-            node proof_until_false(const a : int; const b : int; phi1 : bool; phi2 : bool)
-            returns (base_case : bool; ind_case : bool);
-            (*@contract
-              assume a >= 0;
-              assume a < b;
-              guarantee "base_case" base_case;
-              guarantee "ind_case" ind_case;
-            *)
-            var clk : int;
-            var narrow : bool;
-            var wide : bool;
-            var early_fail : bool;
-            var wit_lo : bool;
-            var wit_hi : bool;
-            var new_witness : bool;
-            let
-              clk = min_int(0 -> pre clk + 1, b + 1);
-              narrow = until_false(a, b, phi1, phi2);
-              wide = until_false(a, b + 1, phi1, phi2);
-              early_fail = exist(timeab(0, a), not phi1);
-              wit_lo = sample_at(a, phi2) and forall_a(timeab(0, a), phi1);
-              wit_hi = sample_at(a + 1, phi2) and forall_a(timeab(0, a + 1), phi1);
-              new_witness = sample_at(b + 1, phi2) and forall_a(timeab(0, b + 1), phi1);
-              base_case = (b = a + 1) => ((clk >= b) => (narrow = (early_fail or not (wit_lo or wit_hi))));
-              ind_case = (clk >= b + 1) => (wide = (narrow and (early_fail or not new_witness)));
-            tel
-            """
-        ),
+        """\
+        var clk : int;
+        var narrow : bool;
+        var wide : bool;
+        var early_fail : bool;
+        var wit_lo : bool;
+        var wit_hi : bool;
+        var new_witness : bool;
+        let
+          clk = min_int(0 -> pre clk + 1, b + 1);
+          narrow = until_false(a, b, phi1, phi2);
+          wide = until_false(a, b + 1, phi1, phi2);
+          early_fail = exist(timeab(0, a), not phi1);
+          wit_lo = sample_at(a, phi2) and forall_a(timeab(0, a), phi1);
+          wit_hi = sample_at(a + 1, phi2) and forall_a(timeab(0, a + 1), phi1);
+          new_witness = sample_at(b + 1, phi2) and forall_a(timeab(0, b + 1), phi1);
+          base_case = (b = a + 1) => ((clk >= b) => (narrow = (early_fail or not (wit_lo or wit_hi))));
+          ind_case = (clk >= b + 1) => (wide = (narrow and (early_fail or not new_witness)));
+        tel
+        """,
     ),
 }
 
@@ -371,11 +313,8 @@ def emit_operator_nodes(kind: str) -> LustreSourceUnit:
     contract."""
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    prefix = kind
-    names = BASIC_NODE_NAMES + (f"{prefix}_true", f"{prefix}_false", f"{prefix}_3v")
-    return _unit(
-        f"{kind}.lus", [_BASICS, _OPERATOR_NODES[kind], _COMBINED_NODES[kind]], names
-    )
+    names = BASIC_NODE_NAMES + (f"{kind}_true", f"{kind}_false", f"{kind}_3v")
+    return _unit(f"{kind}.lus", [_BASICS, _OPERATOR_NODES[kind], _combined_node(kind)], names)
 
 
 def emit_proof_node(kind: str, polarity: str) -> LustreSourceUnit:
@@ -383,7 +322,7 @@ def emit_proof_node(kind: str, polarity: str) -> LustreSourceUnit:
     the [a, b+1] observer equals the [a, b] observer combined with a point
     sample at b + 1, plus an explicit base case at b = a + 1."""
     try:
-        proof_name, _, proof_source = _PROOF_NODES[(kind, polarity)]
+        proof_name, proof_source = _PROOF_NODES[(kind, polarity)]
     except KeyError:
         raise ValueError(f"no proof node for kind={kind!r} polarity={polarity!r}") from None
     names = BASIC_NODE_NAMES + (f"{kind}_true", f"{kind}_false", proof_name)

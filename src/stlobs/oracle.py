@@ -187,7 +187,10 @@ def explicit_eval(
     """Enumerated (unrolled) forms of the decided verdicts at the horizon.
 
     Operands are plain boolean rows covering at least ticks 0..upper. These
-    are the expressions the emitted proof obligations are built from.
+    are the expressions the emitted proof obligations are built from, and
+    the induction checks compare each cell's flags with them. The one-tick
+    window lower == upper is accepted here (the step case's form over the
+    new tick alone); formulas still need lower < upper.
     """
     _check_kind(kind)
     if polarity not in POLARITIES:

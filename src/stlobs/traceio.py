@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import re
+import sys
 from contextlib import contextmanager
 from math import isfinite
 from pathlib import Path
@@ -225,12 +226,11 @@ class VerdictWriter:
 
     Each line is a per-format, per-verdict template with the tick filled
     in; jsonl lines are byte-identical to `json.dumps` of the same object.
-    On a text stream over a file descriptor whose encoding writes ASCII as
-    itself (sys.stdout, a file from `open`), each line is one `os.write` of
-    its bytes, past the stream's buffers: a caller that writes to the same
-    stream between verdicts must flush it, and lines end in `\n` whatever
-    newline the stream was opened with. Any other stream gets a `write` and
-    a `flush` per line."""
+    On the interpreter's own stdout, on POSIX and with an encoding that
+    writes ASCII as itself, each line is one `os.write` of its bytes, past
+    the stream's buffers: a caller that writes to the same stream between
+    verdicts must flush it. Any other stream gets a `write` and a `flush`
+    per line, so its newline translation applies."""
 
     def __init__(self, stream: IO[str], fmt: str = "text"):
         if fmt not in VERDICT_FORMATS:
@@ -283,7 +283,14 @@ _LINES = {
 
 def _ascii_fd(stream: IO[str]) -> int | None:
     """The file descriptor under a text stream whose bytes for an ASCII line
-    are that line, or None."""
+    are that line, or None.
+
+    A text stream does not expose the newline it was opened with, so only
+    `sys.__stdout__` qualifies: on POSIX Python opens it with newline "\n",
+    which translates nothing. A newline set later with `reconfigure` is not
+    seen."""
+    if stream is not sys.__stdout__:
+        return None
     try:
         fd = stream.buffer.fileno()
         ascii_as_itself = "tick\n".encode(stream.encoding) == b"tick\n"

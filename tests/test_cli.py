@@ -157,6 +157,29 @@ class TestErrorExits:
         assert code == cli.EXIT_NOINPUT
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
+    def test_stdout_gets_one_os_write_per_line(self, csv_path, fmt):
+        # In a process of its own, `check` writes to the interpreter's
+        # stdout, and each verdict line (and the csv header) is one os.write.
+        counting = (
+            "import os, sys\n"
+            "from stlobs import cli, traceio\n"
+            "def os_write(fd, data):\n"
+            "    sys.stderr.write(repr(data) + '\\n')\n"
+            "    return os.write(fd, data)\n"
+            "traceio._os_write = os_write\n"
+            "cli.main(sys.argv[1:])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(stlobs.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", counting, "check", "-f", "F[0,9] (x > 2)",
+             "--trace", csv_path, "--format", fmt],
+            capture_output=True, env=env, timeout=60,
+        )
+        lines = proc.stdout.splitlines(keepends=True)
+        assert len(lines) == (4 if fmt == "csv" else 3)
+        assert proc.stderr.decode().splitlines() == [repr(line) for line in lines]
+
     def test_output_closed_by_its_reader(self):
         # As `stlobs check ... | head -1`: the reader takes one verdict line
         # and closes the pipe, so the verdict of the next row cannot be

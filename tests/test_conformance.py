@@ -7,10 +7,10 @@ import random
 
 import pytest
 
+from stlobs import conformance, monitor
 from stlobs.conformance import (
     ConformanceReport,
     Failure,
-    PointSample,
     bool_trace,
     check_induction_base,
     check_induction_step,
@@ -32,24 +32,16 @@ from stlobs.formula import (
     validate,
     walk,
 )
-from stlobs.monitor import VerdictRecord, compile_formula
+from stlobs.monitor import (
+    AlwaysCell,
+    EventuallyCell,
+    UntilCell,
+    VerdictRecord,
+    compile_formula,
+)
 from stlobs.parser import parse
 from stlobs.trace import Trace
 from stlobs.trilean import UNKNOWN, FlagPair
-
-
-class TestPointSample:
-    def test_latches_value_at_tick(self):
-        values = [False, True, False, True, False]
-        for at in range(4):
-            cell = PointSample(at)
-            for k, value in enumerate(values):
-                got = cell.step(value)
-                assert got == (values[at] if k >= at else False), (at, k)
-
-    def test_rejects_negative_tick(self):
-        with pytest.raises(ValueError):
-            PointSample(-1)
 
 
 class TestEnumerateTraces:
@@ -141,6 +133,91 @@ class TestInduction:
         assert report.passed
         # 2 polarities x (2 base cases + 3 step cases).
         assert report.cases == 2 * (2 + 3)
+
+
+# Cell mutants for the induction canaries.
+
+
+class EventuallyLateAtLower(EventuallyCell):
+    """Ignores the operand at tick `lower`."""
+
+    __slots__ = ()
+
+    def step(self, phi):
+        return super().step(phi and self._clk != self.lower)
+
+
+class EventuallyWidthOne(EventuallyCell):
+    """Looks at ticks `lower` and `lower + 1` only, right for the base
+    window and wrong for every wider one."""
+
+    __slots__ = ()
+
+    def step(self, phi):
+        return super().step(phi and self._clk <= self.lower + 1)
+
+
+class UntilWithoutPrefix(UntilCell):
+    """Takes phi2 in the window as a witness whether or not phi1 held."""
+
+    __slots__ = ()
+
+    def step(self, phi1, phi2):
+        clk = self._clk
+        if clk <= self.upper:
+            self._prefix_ok = self._prefix_ok and phi1
+            if phi2 and clk >= self.lower:
+                self._witness = True
+            self._clk = clk + 1
+        witness = self._witness
+        return witness, not witness and (clk >= self.upper or not self._prefix_ok)
+
+
+class UntilFalseOnlyAtHorizon(UntilCell):
+    """Reports false only once the window has closed, never on an early
+    failure of phi1."""
+
+    __slots__ = ()
+
+    def step(self, phi1, phi2):
+        clk = self._clk
+        witness, _ = super().step(phi1, phi2)
+        return witness, not witness and clk >= self.upper
+
+
+class AlwaysTrueOneTickEarly(AlwaysCell):
+    """Reports true one tick before the window closes."""
+
+    __slots__ = ()
+
+    def step(self, phi):
+        clk = self._clk
+        _, neg = super().step(phi)
+        return clk >= self.upper - 1 and not neg, neg
+
+
+class TestInductionCanaries:
+    """The induction suite fails on a cell that is wrong at or after the
+    window's last tick. It compares only from that tick on, so a flag set
+    too early passes it (count 0): the differential sweep, which compares
+    every tick, catches all five mutants."""
+
+    @pytest.mark.parametrize(
+        "kind, mutant, induction_failures",
+        [
+            ("eventually", EventuallyLateAtLower, 10),
+            ("eventually", EventuallyWidthOne, 20),
+            ("until", UntilWithoutPrefix, 30),
+            ("until", UntilFalseOnlyAtHorizon, 0),
+            ("always", AlwaysTrueOneTickEarly, 0),
+        ],
+    )
+    def test_mutant_cell(self, monkeypatch, kind, mutant, induction_failures):
+        monkeypatch.setitem(conformance._CELLS, kind, mutant)
+        assert len(induction_suite(kinds=(kind,)).failures) == induction_failures
+        node = {"eventually": Eventually, "always": Always, "until": Until}[kind]
+        monkeypatch.setitem(monitor._CELLS, node, mutant)
+        assert not differential_sweep(kinds=(kind,), max_upper=3).passed
 
 
 class TestPropertySuite:

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from stlobs.conformance import PointSample
 from stlobs.monitor import AlwaysCell, EventuallyCell, UntilCell
 
 CELLS = (EventuallyCell, AlwaysCell, UntilCell)
@@ -113,17 +112,15 @@ def test_state_scalar_counts_do_not_depend_on_bounds():
         assert len(cell_type(0, 2).state_scalars()) == len(
             cell_type(17, 1000).state_scalars()
         )
-    assert len(PointSample(1).state_scalars()) == len(PointSample(999).state_scalars())
 
 
 def test_state_scalar_counts_constant_over_time():
-    cells = [EventuallyCell(1, 4), AlwaysCell(1, 4), UntilCell(1, 4), PointSample(3)]
+    cells = [EventuallyCell(1, 4), AlwaysCell(1, 4), UntilCell(1, 4)]
     sizes = [len(cell.state_scalars()) for cell in cells]
     for _ in range(12):
         cells[0].step(True)
         cells[1].step(True)
         cells[2].step(True, False)
-        cells[3].step(True)
         assert [len(cell.state_scalars()) for cell in cells] == sizes
 
 

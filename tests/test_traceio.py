@@ -400,13 +400,27 @@ def written_line_by_line(stream, fmt: str, new_output) -> list[bytes]:
     return seen
 
 
+@pytest.fixture(params=["own stream", "interpreter stdout"])
+def as_sink(request, monkeypatch):
+    """Returns its stream, made the interpreter's own stdout (where the
+    writer puts each line out with one `os.write`) or left as it is (where
+    the writer calls the stream's `write` and `flush`)."""
+
+    def make(stream):
+        if request.param == "interpreter stdout":
+            monkeypatch.setattr(sys, "__stdout__", stream)
+        return stream
+
+    return make
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
 class TestVerdictSinks:
     """Every sink gets the same bytes, and every line is out of the writer
     before the next `write` call: a pipe's reader can read it, as the live
     stdin loop needs."""
 
-    def test_pipe(self, fmt):
+    def test_pipe(self, fmt, as_sink):
         read_end, write_end = os.pipe()
         os.set_blocking(read_end, False)
 
@@ -417,12 +431,12 @@ class TestVerdictSinks:
                 return b""
 
         try:
-            with open(write_end, "w", encoding="utf-8") as stream:
+            with as_sink(open(write_end, "w", encoding="utf-8")) as stream:
                 assert written_line_by_line(stream, fmt, new_output) == expected_lines(fmt)
         finally:
             os.close(read_end)
 
-    def test_regular_file(self, fmt, tmp_path):
+    def test_regular_file(self, fmt, tmp_path, as_sink):
         path = tmp_path / "verdicts.out"
         done = 0
 
@@ -432,7 +446,7 @@ class TestVerdictSinks:
             new, done = data[done:], len(data)
             return new
 
-        with open(path, "w", encoding="utf-8") as stream:
+        with as_sink(open(path, "w", encoding="utf-8")) as stream:
             assert written_line_by_line(stream, fmt, new_output) == expected_lines(fmt)
         assert path.read_bytes() == b"".join(expected_lines(fmt))
 
@@ -468,16 +482,29 @@ class TestVerdictSinks:
             return new
 
         with open(path, "w", encoding="utf-8") as stream:
+            monkeypatch.setattr(sys, "__stdout__", stream)
             assert written_line_by_line(stream, fmt, new_output) == expected_lines(fmt)
 
-    def test_text_buffered_before_the_writer_comes_first(self, fmt, tmp_path):
+    def test_text_buffered_before_the_writer_comes_first(self, fmt, tmp_path, as_sink):
         path = tmp_path / "verdicts.out"
-        with open(path, "w", encoding="utf-8") as stream:
+        with as_sink(open(path, "w", encoding="utf-8")) as stream:
             stream.write("# run 1\n")
             writer = VerdictWriter(stream, fmt)
             for record in SINK_RECORDS:
                 writer.write(record)
         assert path.read_bytes() == b"# run 1\n" + b"".join(expected_lines(fmt))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "", None])
+    def test_stream_newline_translation_applies(self, fmt, newline, tmp_path):
+        # A file opened with any newline gets the bytes its own `write`
+        # gives for the same lines.
+        ours, theirs = tmp_path / "writer.out", tmp_path / "stream.out"
+        with open(ours, "w", encoding="utf-8", newline=newline) as stream:
+            write_verdicts(SINK_RECORDS, stream, fmt)
+        with open(theirs, "w", encoding="utf-8", newline=newline) as stream:
+            for line in expected_lines(fmt):
+                stream.write(line.decode("ascii"))
+        assert ours.read_bytes() == theirs.read_bytes()
 
 
 class TestCsvRoundTrip:
