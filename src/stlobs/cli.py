@@ -199,10 +199,15 @@ def _load_formula_text(args) -> str:
 
 
 def _peek(lines: Iterable[str]) -> tuple[str | None, Iterator[str]]:
+    """The first non-blank line (None if there is none), and all the lines
+    from the start, blank ones included, so that the readers number lines
+    as the file does."""
     iterator = iter(lines)
+    read = []
     for line in iterator:
+        read.append(line)
         if line.strip():
-            return line, itertools.chain([line], iterator)
+            return line, itertools.chain(read, iterator)
     return None, iter(())
 
 

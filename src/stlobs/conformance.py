@@ -36,7 +36,7 @@ from .formula import (
 from .monitor import AlwaysCell, EventuallyCell, Monitor, UntilCell, compile_formula
 from .oracle import OPERATOR_KINDS, POLARITIES, explicit_eval, offline_eval, three_valued_eval
 from .trace import Trace
-from .trilean import FALSE, TRUE, UNKNOWN
+from .trilean import FALSE, TRUE, UNKNOWN, Trilean
 
 CompileFn = Callable[[Formula], Monitor]
 
@@ -259,12 +259,14 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bo
     the new tick upper + 1 alone, from tick upper + 1 on.
 
     For Until the wide flag is also cross-checked against the three-valued
-    oracle at tick upper + 1.
+    oracle at tick upper + 1, which reads only the ticks up to upper + 1: it
+    is evaluated once per such prefix, and compared for every trace.
     """
     num_atoms = 2 if kind == "until" else 1
     wide_formula = operator_formula(kind, lower, upper + 1)
     flag = POLARITIES.index(polarity)
     widens = (kind, polarity) in _WIDENING
+    oracle_verdicts: dict[tuple, Trilean] = {}
     for rows in enumerate_traces(num_atoms, upper + 3):
         new_tick = explicit_eval(kind, upper + 1, upper + 1, list(zip(*rows)), polarity)
         wide_cell = _CELLS[kind](lower, upper + 1)
@@ -277,7 +279,12 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bo
             if got != ((narrow or new_tick) if widens else (narrow and new_tick)):
                 return False
             if kind == "until" and k == upper + 1:
-                verdict = three_valued_eval(wide_formula, bool_trace(rows, num_atoms), k)
+                prefix = rows[: k + 1]
+                if prefix not in oracle_verdicts:
+                    oracle_verdicts[prefix] = three_valued_eval(
+                        wide_formula, bool_trace(prefix, num_atoms), k
+                    )
+                verdict = oracle_verdicts[prefix]
                 if got != (verdict is (TRUE if polarity == "positive" else FALSE)):
                     return False
     return True

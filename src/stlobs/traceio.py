@@ -9,6 +9,7 @@ mistakes a value column for a time axis.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -44,19 +45,19 @@ def _opened(source: str | Path | IO[str]) -> Iterator[IO[str]]:
         yield source
 
 
-def _check_header(names: Sequence[str]) -> tuple[str, ...]:
+def _check_header(names: Sequence[str], lineno: int) -> tuple[str, ...]:
     cleaned = tuple(name.strip() for name in names)
     if not cleaned or any(not name for name in cleaned):
-        raise TraceFormatError("line 1: header has an empty column name")
+        raise TraceFormatError(f"line {lineno}: header has an empty column name")
     for column, name in enumerate(cleaned, start=1):
         if name.lower() in TIMESTAMP_NAMES:
             raise TraceFormatError(
-                f"line 1, column {column}: {name!r} looks like a time axis; "
+                f"line {lineno}, column {column}: {name!r} looks like a time axis; "
                 "traces are positional (row k is tick k), so every column "
                 "must be a signal"
             )
     if len(set(cleaned)) != len(cleaned):
-        raise TraceFormatError("line 1: duplicate signal name in header")
+        raise TraceFormatError(f"line {lineno}: duplicate signal name in header")
     return cleaned
 
 
@@ -77,17 +78,28 @@ def _parse_value(text: str, lineno: int, column: int) -> float:
 def stream_csv(
     stream: Iterable[str],
 ) -> tuple[tuple[str, ...], Iterator[dict[str, float]]]:
-    """Read the CSV header eagerly, then yield one sample dict per row."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TraceFormatError("empty trace: missing header row") from None
-    signals = _check_header(header)
+    """Read the CSV header eagerly, then yield one sample dict per row.
+
+    Blank lines before the header are skipped with a warning, as blank rows
+    are."""
+    lines = iter(stream)
+    header_line = 0
+    for first in lines:
+        header_line += 1
+        if first.strip():
+            break
+        logger.warning("skipping blank line %d", header_line)
+    else:
+        raise TraceFormatError("empty trace: missing header row")
+    # The header is read from its own reader, which takes from `lines` only
+    # the lines of the header record; the rows' reader reads `lines` itself.
+    header = next(csv.reader(itertools.chain((first,), lines)))
+    signals = _check_header(header, header_line)
+    reader = csv.reader(lines)
 
     def rows() -> Iterator[dict[str, float]]:
         width = len(signals)
-        for lineno, raw in enumerate(reader, start=2):
+        for lineno, raw in enumerate(reader, start=header_line + 1):
             if len(raw) != width:
                 if not raw:
                     logger.warning("skipping blank line %d", lineno)
@@ -131,12 +143,36 @@ def read_jsonl_stream(
     keys (sorted); later objects may carry extra keys but must include every
     declared signal. Blank lines are skipped with a warning so a trailing
     newline does not kill a live stream.
+
+    A line that is one object whose keys are exactly the declared signals,
+    each a finite JSON float, is decoded once and that object is the sample,
+    so its keys are in the line's order, not the declared order. Any other
+    line is read value by value with the checks below.
     """
     declared = tuple(signals) if signals is not None else None
+    keys = frozenset(declared) if declared is not None else None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             logger.warning("skipping blank line %d", lineno)
+            continue
+        # The stripped line has no whitespace to skip at either end, so a
+        # decode that ends at its end read what `json.loads` reads. The sum
+        # of finite floats is finite unless it overflows, and a nan or an
+        # infinity makes it non-finite; a line that fails any test here is
+        # read again below, which accepts it or raises the error for it.
+        try:
+            obj, end = _raw_decode(line)
+        except ValueError:
+            end = -1
+        if (
+            end == len(line)
+            and type(obj) is dict
+            and obj.keys() == keys
+            and {*map(type, obj.values())} == _FLOAT_ONLY
+            and isfinite(sum(obj.values()))
+        ):
+            yield obj
             continue
         try:
             obj = json.loads(line)
@@ -150,6 +186,7 @@ def read_jsonl_stream(
             declared = tuple(sorted(obj))
             if not declared:
                 raise TraceFormatError(f"line {lineno}: object declares no signals")
+            keys = frozenset(declared)
         missing = [name for name in declared if name not in obj]
         if missing:
             raise MissingSignalError(missing, f"line {lineno}")
@@ -172,6 +209,10 @@ def read_jsonl_stream(
                 )
             sample[name] = value
         yield sample
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+_FLOAT_ONLY = {float}
 
 
 def read_jsonl(source: str | Path | IO[str], signals: Sequence[str] | None = None) -> Trace:

@@ -125,6 +125,61 @@ class TestCheckInputModes:
         assert [str(r.verdict) for r in records] == ["U", "U", "T"]
 
 
+class TestLeadingBlankLines:
+    """Auto-detected and declared trace formats read the same file the same
+    way, and an error names the file's own line, blank lines before the
+    first record included."""
+
+    @pytest.mark.parametrize(
+        "text,fmt,ticks,error",
+        [
+            ('\n\n{"x": 1.0}\n{oops\n', "jsonl", 1, "line 4: invalid JSON"),
+            ("\nx\n1.0\nzz\n", "csv", 1, "line 4, column 1: not a number"),
+            ("\n \r\nx,time\n1,2\n", "csv", 0, "line 3, column 2: 'time' looks like a time axis"),
+            ('\n\n{"x": 2.0}\n\n{"x": -1.0}\n', "jsonl", 2, None),
+            ("\n\nx\n2.0\n\n-1.0\n", "csv", 2, None),
+        ],
+    )
+    @pytest.mark.parametrize("trace_format", ["auto", "declared"])
+    def test_same_verdicts_and_line_numbers(
+        self, tmp_path, capsys, text, fmt, ticks, error, trace_format
+    ):
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        argv = ["check", "-f", "x > 0", "--trace", str(path)]
+        if trace_format == "declared":
+            argv += ["--trace-format", fmt]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [f"tick={k} verdict=T pos=1 neg=0" for k in range(ticks)]
+        if error is None:
+            assert code == cli.EXIT_TRUE
+        else:
+            assert code == cli.EXIT_DATA
+            assert f"trace error: {error}" in captured.err
+
+
+@pytest.mark.parametrize("signals", [[], ["--signals", "x,y"]])
+def test_jsonl_with_ints_and_extra_keys_reads_as_its_csv(tmp_path, capsys, signals):
+    """JSONL lines that leave the one-decode path (ints, extra keys, keys
+    out of order) give the verdicts of the same rows written as CSV."""
+    rows = [(0.5, 1), (3, -2.25), (1.0, 2.0), (-7, 4), (2.5, 0.0)]
+    extras = ["", ', "debug": 1', "", "", ', "note": "n"']
+    jsonl = tmp_path / "trace.jsonl"
+    jsonl.write_text("".join(
+        f'{{"y": {y}, "x": {x}{extra}}}\n' for (x, y), extra in zip(rows, extras)
+    ))
+    csv = tmp_path / "trace.csv"
+    csv.write_text("x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in rows))
+    formula = "G[0,4] (x + y > -4) & F[1,3] (2*x - y >= 4)"
+    results = []
+    for path in (jsonl, csv):
+        code = cli.main(["check", "-f", formula, "--trace", str(path), "--format", "jsonl", *signals])
+        results.append((code, capsys.readouterr().out))
+    assert results[0] == results[1]
+    assert results[0][0] == cli.EXIT_TRUE
+
+
 class TestErrorExits:
     def test_bad_formula_syntax(self, csv_path, capsys):
         code = cli.main(["check", "-f", "G[2,1] (x > 0)", "--trace", csv_path])

@@ -8,9 +8,10 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stlobs import traceio
 from stlobs.errors import MissingSignalError, TraceFormatError
@@ -83,6 +84,25 @@ class TestReadCsv:
             trace = read_csv(io.StringIO("x\n1\n\n2\n"))
         assert trace.samples == ((1.0,), (2.0,))
         assert "blank line 3" in caplog.text
+
+    def test_blank_lines_before_the_header_skipped_with_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="stlobs.traceio"):
+            signals, rows = stream_csv(["\n", "  \r\n", "x,y\n", "1,2\n", "\n", "x\n"])
+            assert signals == ("x", "y")
+            assert next(rows) == {"x": 1.0, "y": 2.0}
+            with pytest.raises(TraceFormatError, match="line 6: expected 2 values, got 1"):
+                next(rows)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping blank line {n}" for n in (1, 2, 5)
+        ]
+
+    def test_header_errors_name_the_header_line(self):
+        with pytest.raises(TraceFormatError, match="line 2: duplicate signal name"):
+            read_csv(io.StringIO("\nx,x\n1,2\n"))
+
+    def test_only_blank_lines_is_an_empty_trace(self):
+        with pytest.raises(TraceFormatError, match="missing header"):
+            read_csv(io.StringIO("\n \n"))
 
     def test_stream_csv_is_lazy(self):
         signals, rows = stream_csv(iter(["x\n", "1\n", "junk\n"]))
@@ -239,6 +259,157 @@ class TestReadJsonl:
     def test_empty_stream_rejected(self):
         with pytest.raises(TraceFormatError, match="empty trace"):
             read_jsonl(io.StringIO(""))
+
+
+# Values and lines for the JSONL reader's one-decode path and its
+# value-by-value fallback.
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_JSON_VALUES = st.one_of(
+    _JSON_FLOATS,
+    _JSON_FLOATS,
+    _JSON_FLOATS,
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from([
+        "0.1", "-0.0", "5e-324", "1e-320", "1E2", "1e308", "-1e308",
+        "1.7976931348623157e308", "1" + "0" * 400, "1" + "0" * 5000,
+        "NaN", "Infinity", "-Infinity", "1e309", "-1e309",
+        "true", "false", "null", '"1.0"', "[1.0]", "{}",
+    ]),
+)
+_JSON_PADDING = st.sampled_from(["", " ", "\t", "  "])
+_JSON_DAMAGE = ["extra", "bom", "cut", "array", "blank"]
+
+
+@st.composite
+def _jsonl_line(draw) -> str:
+    """Mostly objects over x and y, a few of them damaged."""
+    keys = draw(st.one_of(
+        st.permutations(["x", "y"]),
+        st.permutations(["x", "y"]),
+        st.lists(st.sampled_from("xyz"), max_size=4),
+    ))
+    pad = draw(_JSON_PADDING)
+    members = [f'{pad}"{key}"{pad}:{pad}{draw(_JSON_VALUES)}' for key in keys]
+    line = pad + "{" + ",".join(members) + "}" + pad
+    damage = draw(st.sampled_from([None] * 6 + _JSON_DAMAGE))
+    if damage == "extra":
+        line += draw(st.sampled_from([" {}", "x", ' {"x": 1.0}', " 1"]))
+    elif damage == "bom":
+        line = "\ufeff" + line
+    elif damage == "cut":
+        line = line[: draw(st.integers(0, len(line) - 1))]
+    elif damage == "array":
+        line = "[" + line + "]"
+    elif damage == "blank":
+        line = pad
+    return line + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+def _jsonl_value_by_value(lines: list[str], signals) -> tuple[list, tuple[str, str] | None]:
+    """The samples of JSONL lines decoded with `json.loads` and checked one
+    value at a time, and the type and message of the first error (None if
+    none)."""
+    declared = tuple(signals) if signals is not None else None
+    samples = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return samples, ("TraceFormatError", f"line {lineno}: invalid JSON: {exc.msg}")
+        except ValueError as exc:
+            return samples, ("TraceFormatError", f"line {lineno}: {exc}")
+        if not isinstance(obj, dict):
+            return samples, ("TraceFormatError", f"line {lineno}: expected a JSON object")
+        if declared is None:
+            declared = tuple(sorted(obj))
+            if not declared:
+                return samples, ("TraceFormatError", f"line {lineno}: object declares no signals")
+        missing = [name for name in declared if name not in obj]
+        if missing:
+            return samples, ("MissingSignalError", str(MissingSignalError(missing, f"line {lineno}")))
+        sample = {}
+        for name in declared:
+            value = obj[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return samples, ("TraceFormatError", f"line {lineno}: signal {name!r} is not a number")
+            try:
+                value = float(value)
+            except OverflowError:
+                return samples, ("TraceFormatError", f"line {lineno}: signal {name!r} is too large for a float")
+            if not math.isfinite(value):
+                return samples, ("TraceFormatError", f"line {lineno}: signal {name!r} is non-finite")
+            sample[name] = value
+        samples.append(sample)
+    return samples, None
+
+
+def _jsonl_drain(lines: list[str], signals) -> tuple[list, tuple[str, str] | None]:
+    samples = []
+    try:
+        for sample in read_jsonl_stream(lines, signals):
+            assert all(type(value) is float for value in sample.values())
+            samples.append(sample)
+    except (TraceFormatError, MissingSignalError) as exc:
+        return samples, (type(exc).__name__, str(exc))
+    return samples, None
+
+
+def _no_bulk_decode(line):
+    raise ValueError("every line takes the value-by-value path")
+
+
+class TestJsonlFastPath:
+    """`read_jsonl_stream` takes a line's decoded object as its sample when
+    it is exactly what the value-by-value checks would build, and reads any
+    other line value by value; either way it must read what
+    `json.loads` plus the per-value rules read, and raise the same error."""
+
+    @given(
+        st.lists(_jsonl_line(), min_size=1, max_size=8),
+        st.sampled_from([None, None, ("x", "y"), ("y", "x"), ("x",), ("x", "y", "z")]),
+    )
+    @settings(max_examples=300)
+    def test_same_samples_and_errors_as_value_by_value(self, lines, signals):
+        expected = _jsonl_value_by_value(lines, signals)
+        assert _jsonl_drain(lines, signals) == expected
+        with mock.patch.object(traceio, "_raw_decode", _no_bulk_decode):
+            assert _jsonl_drain(lines, signals) == expected
+        # A stream ends at its first bad line; each line alone, read against
+        # a declared set, reaches every line.
+        declared = signals or ("x", "y")
+        for line in lines:
+            assert _jsonl_drain([line], declared) == _jsonl_value_by_value([line], declared)
+
+    @pytest.mark.parametrize(
+        "line,expected",
+        [
+            ('{"y": 2.0, "x": 1e-320}', {"x": 1e-320, "y": 2.0}),
+            ('{"x": 1e308, "y": 1e308}', {"x": 1e308, "y": 1e308}),
+            ('{"x": 1, "y": 2.5}', {"x": 1.0, "y": 2.5}),
+            ('{"x": 1.0, "y": 2.0, "debug": 9.0}', {"x": 1.0, "y": 2.0}),
+            ('{"x": 1.0, "y": NaN}', "line 1: signal 'y' is non-finite"),
+            ('{"x": 1.0, "y": 1e309}', "line 1: signal 'y' is non-finite"),
+            ('{"x": 1.0, "y": true}', "line 1: signal 'y' is not a number"),
+            ('{"x": 1.0, "y": 2.0} 3', "line 1: invalid JSON: Extra data"),
+            ('\ufeff{"x": 1.0, "y": 2.0}', "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ],
+    )
+    def test_lines_on_and_off_the_fast_path(self, line, expected):
+        samples, error = _jsonl_drain([line], ("x", "y"))
+        assert (samples[0] if samples else error[1]) == expected
+
+    def test_fast_path_sample_equals_the_value_by_value_one(self):
+        line = '{"y": -0.0, "x": 0.1}'
+        fast = next(read_jsonl_stream([line], ("x", "y")))
+        with mock.patch.object(traceio, "_raw_decode", _no_bulk_decode):
+            slow = next(read_jsonl_stream([line], ("x", "y")))
+        assert fast == slow
+        assert math.copysign(1.0, fast["y"]) == -1.0
+        assert list(fast) == ["y", "x"]  # the line's key order
+        assert list(slow) == ["x", "y"]  # the declared order
 
 
 class TestSniffAndRead:
