@@ -144,10 +144,11 @@ def read_jsonl_stream(
     declared signal. Blank lines are skipped with a warning so a trailing
     newline does not kill a live stream.
 
-    A line that is one object whose keys are exactly the declared signals,
-    each a finite JSON float, is decoded once and that object is the sample,
-    so its keys are in the line's order, not the declared order. Any other
-    line is read value by value with the checks below.
+    Each line is decoded once. An object whose keys are exactly the declared
+    signals, each a JSON float, with a finite sum, is itself the sample, so
+    its keys are in the line's order, not the declared order. Any other
+    object is checked value by value, and a line that is not one JSON value
+    gets the error `json.loads` gives for it.
     """
     declared = tuple(signals) if signals is not None else None
     keys = frozenset(declared) if declared is not None else None
@@ -159,27 +160,28 @@ def read_jsonl_stream(
         # The stripped line has no whitespace to skip at either end, so a
         # decode that ends at its end read what `json.loads` reads. The sum
         # of finite floats is finite unless it overflows, and a nan or an
-        # infinity makes it non-finite; a line that fails any test here is
-        # read again below, which accepts it or raises the error for it.
+        # infinity makes it non-finite; any other object is checked value
+        # by value below.
         try:
             obj, end = _raw_decode(line)
         except ValueError:
             end = -1
-        if (
-            end == len(line)
-            and type(obj) is dict
-            and obj.keys() == keys
-            and {*map(type, obj.values())} == _FLOAT_ONLY
-            and isfinite(sum(obj.values()))
-        ):
-            yield obj
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        except ValueError as exc:  # an integer literal longer than int() accepts
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        if end == len(line):
+            if (
+                type(obj) is dict
+                and obj.keys() == keys
+                and {*map(type, obj.values())} == _FLOAT_ONLY
+                and isfinite(sum(obj.values()))
+            ):
+                yield obj
+                continue
+        else:  # not one JSON value: `json.loads` raises the line's error
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # an integer literal longer than int() accepts
+                raise TraceFormatError(f"line {lineno}: {exc}") from exc
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: expected a JSON object")
         if declared is None:
@@ -212,7 +214,7 @@ def read_jsonl_stream(
 
 
 _raw_decode = json.JSONDecoder().raw_decode
-_FLOAT_ONLY = {float}
+_FLOAT_ONLY = frozenset({float})
 
 
 def read_jsonl(source: str | Path | IO[str], signals: Sequence[str] | None = None) -> Trace:
