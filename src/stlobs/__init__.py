@@ -58,14 +58,6 @@ from .formula import (
 from .parser import parse
 from .trace import Trace, trace_from_rows
 from .monitor import Monitor, VerdictRecord, compile_formula
-from .oracle import identity_check, offline_eval, three_valued_eval
-from .conformance import (
-    ConformanceReport,
-    differential_sweep,
-    induction_suite,
-    property_suite,
-    random_formula,
-)
 from .traceio import (
     VerdictWriter,
     read_csv,
@@ -75,16 +67,46 @@ from .traceio import (
     write_csv,
     write_verdicts,
 )
-from .lustregen import (
-    CheckerReport,
-    LustreSourceUnit,
-    emit_basic_nodes,
-    emit_operator_nodes,
-    emit_proof_node,
-    emit_units,
-    run_kind2,
-    write_units,
-)
+
+# `check` loads only the modules above. The oracle, the conformance checks
+# and the Lustre emitter, with what they import, load on first use of one
+# of their names (PEP 562).
+_LAZY = {
+    "identity_check": "oracle",
+    "offline_eval": "oracle",
+    "three_valued_eval": "oracle",
+    "ConformanceReport": "conformance",
+    "differential_sweep": "conformance",
+    "induction_suite": "conformance",
+    "property_suite": "conformance",
+    "random_formula": "conformance",
+    "CheckerReport": "lustregen",
+    "LustreSourceUnit": "lustregen",
+    "emit_basic_nodes": "lustregen",
+    "emit_operator_nodes": "lustregen",
+    "emit_proof_node": "lustregen",
+    "emit_units": "lustregen",
+    "run_kind2": "lustregen",
+    "write_units": "lustregen",
+}
+_LAZY_MODULES = frozenset(_LAZY.values())
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY_MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})
+
 
 __version__ = "0.1.0"
 

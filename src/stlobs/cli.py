@@ -26,12 +26,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .conformance import differential_sweep, induction_suite, property_suite
 from .errors import FormulaError, MissingSignalError, StlObsError, TraceError
 from .formula import signals_of
-from .lustregen import emit_units, run_kind2, write_units
 from .monitor import VerdictRecord, compile_formula
-from .oracle import three_valued_eval
 from .parser import parse
 from .traceio import (
     TRACE_FORMATS,
@@ -264,6 +261,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import three_valued_eval
+
     if args.trace == "-":
         print("oracle reads a trace file, not stdin", file=sys.stderr)
         return EXIT_USAGE
@@ -284,6 +283,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .conformance import differential_sweep, induction_suite, property_suite
+
     sweep = differential_sweep(max_upper=args.max_b)
     induction = induction_suite(max_lower=args.max_b, max_upper=args.max_b)
     properties = property_suite(args.seed, args.cases)
@@ -307,6 +308,8 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_emit_lustre(args) -> int:
+    from .lustregen import emit_units, run_kind2, write_units
+
     units = emit_units(with_proofs=args.with_proofs)
     paths = write_units(units, args.out_dir)
     for path in paths:

@@ -8,11 +8,12 @@ boolean combinations of linear predicates over signals. Boolean combinations
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Union
+
+from ._record import record
 
 COMPARATORS = (">", ">=", "<", "<=", "=", "!=")
 
@@ -24,7 +25,7 @@ Rational = Union[int, Fraction, str]
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """Discrete tick window [lower, upper]; valid when 0 <= lower < upper."""
 
@@ -32,7 +33,7 @@ class Interval:
     upper: int
 
 
-@dataclass(frozen=True)
+@record
 class AtomicPredicate:
     """Linear constraint: sum(coef * signal for terms) + constant <cmp> 0.
 
@@ -95,47 +96,47 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Atom(Formula):
     predicate: AtomicPredicate
 
 
-@dataclass(frozen=True)
+@record
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@record
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Always(Formula):
     window: Interval
     child: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Eventually(Formula):
     window: Interval
     child: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Until(Formula):
     window: Interval
     left: Formula
@@ -192,7 +193,7 @@ def operator_name(f: Formula) -> str:
     return _OP_NAME[type(f)]
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One validation finding, located by a dotted path from the root."""
 

@@ -26,10 +26,10 @@ expressions inside atoms are written without parentheses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from ._record import record
 from .errors import (
     FormulaSyntaxError,
     IntervalBoundError,
@@ -66,7 +66,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # NUMBER, IDENT, keyword text, operator text, or EOF
     text: str

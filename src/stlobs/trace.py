@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from ._record import record
 from .errors import TraceFormatError
 
 
-@dataclass(frozen=True)
+@record
 class Trace:
     """A finite prefix of synchronous samples.
 

@@ -146,9 +146,11 @@ def read_jsonl_stream(
 
     Each line is decoded once. An object whose keys are exactly the declared
     signals, each a JSON float, with a finite sum, is itself the sample, so
-    its keys are in the line's order, not the declared order. Any other
-    object is checked value by value, and a line that is not one JSON value
-    gets the error `json.loads` gives for it.
+    its keys are in the line's order, not the declared order; one whose
+    values are integers, or integers and floats, gives the same object with
+    its values made floats. Any other object is checked value by value, and
+    a line that is not one JSON value gets the error `json.loads` gives for
+    it.
     """
     declared = tuple(signals) if signals is not None else None
     keys = frozenset(declared) if declared is not None else None
@@ -175,6 +177,22 @@ def read_jsonl_stream(
             ):
                 yield obj
                 continue
+            # Integers, alone or with floats: the same object with every
+            # value made a float. An integer too large for a float, or a
+            # non-finite sum, goes to the checks below, as above.
+            if (
+                type(obj) is dict
+                and obj.keys() == keys
+                and {*map(type, obj.values())} <= _INT_OR_FLOAT
+            ):
+                try:
+                    sample = dict(zip(obj, map(float, obj.values())))
+                except OverflowError:
+                    pass
+                else:
+                    if isfinite(sum(sample.values())):
+                        yield sample
+                        continue
         else:  # not one JSON value: `json.loads` raises the line's error
             try:
                 obj = json.loads(line)
@@ -215,6 +233,7 @@ def read_jsonl_stream(
 
 _raw_decode = json.JSONDecoder().raw_decode
 _FLOAT_ONLY = frozenset({float})
+_INT_OR_FLOAT = frozenset({int, float})
 
 
 def read_jsonl(source: str | Path | IO[str], signals: Sequence[str] | None = None) -> Trace:

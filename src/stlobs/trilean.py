@@ -7,9 +7,9 @@ pair with both booleans set does not encode anything and is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .errors import FlagConflictError
 
 
@@ -27,7 +27,7 @@ FALSE = Trilean.FALSE
 UNKNOWN = Trilean.UNKNOWN
 
 
-@dataclass(frozen=True)
+@record
 class FlagPair:
     """Latched verdict flags; at most one may be set."""
 

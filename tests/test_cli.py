@@ -316,6 +316,55 @@ class TestOracle:
         assert "z" in capsys.readouterr().err
 
 
+class TestImports:
+    """`check` loads only the monitoring path; the oracle, conformance and
+    Lustre modules, and `dataclasses` with `inspect`, load on first use."""
+
+    DEFERRED = ("dataclasses", "inspect", "stlobs.conformance", "stlobs.lustregen", "stlobs.oracle")
+
+    def loaded_by(self, statement: str) -> set[str]:
+        """Modules that `statement` loads in a fresh interpreter beyond those
+        its standard-library imports load there anyway (the set varies
+        between Python versions)."""
+        code = (
+            "import sys\n"
+            "import argparse, csv, decimal, fractions, json, logging\n"
+            "before = set(sys.modules)\n"
+            f"{statement}\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(stlobs.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+        )
+        return set(proc.stdout.split())
+
+    def test_cli_import_defers_the_other_subcommands(self):
+        loaded = self.loaded_by("import stlobs.cli")
+        assert "stlobs.monitor" in loaded
+        assert loaded.isdisjoint(self.DEFERRED)
+
+    def test_first_use_of_a_lazy_name_loads_its_module(self):
+        loaded = self.loaded_by("import stlobs; stlobs.three_valued_eval")
+        assert "stlobs.oracle" in loaded
+        assert loaded.isdisjoint({"stlobs.conformance", "stlobs.lustregen"})
+
+    def test_lazy_names_resolve(self):
+        from stlobs import conformance, lustregen, oracle
+
+        assert stlobs.differential_sweep is conformance.differential_sweep
+        assert stlobs.emit_units is lustregen.emit_units
+        assert stlobs.three_valued_eval is oracle.three_valued_eval
+        with pytest.raises(AttributeError, match="no_such_name"):
+            stlobs.no_such_name
+
+    def test_star_import_binds_all_and_dir_lists_it(self):
+        namespace: dict = {}
+        exec("from stlobs import *", namespace)
+        assert set(stlobs.__all__) <= set(namespace)
+        assert set(stlobs.__all__) <= set(dir(stlobs))
+
+
 class TestSelfcheck:
     def test_small_run_passes(self, capsys):
         code = cli.main(["selfcheck", "--max-b", "1", "--cases", "20"])

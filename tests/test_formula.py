@@ -1,5 +1,7 @@
 """Formula AST, parsing, validation, horizon, and rendering."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 
 from stlobs.conformance import random_formula
 from stlobs.errors import (
+    FlagConflictError,
     FormulaSyntaxError,
     IntervalBoundError,
     NestedOperatorError,
+    TraceFormatError,
     UnknownSignalError,
 )
 from stlobs.formula import (
@@ -33,6 +37,8 @@ from stlobs.formula import (
     validate,
 )
 from stlobs.parser import parse
+from stlobs.trace import Trace
+from stlobs.trilean import FlagPair
 
 SIGNALS = ("x", "y", "p", "q")
 
@@ -277,3 +283,116 @@ class TestRender:
         text = render(f)
         assert parse(text, ("x", "y")) == f
         assert render(parse(text, ("x", "y"))) == text
+
+
+class CountedHash:
+    """A field value that counts how often it is hashed, in any copy."""
+
+    calls = 0
+
+    def __hash__(self):
+        CountedHash.calls += 1
+        return 7
+
+    def __eq__(self, other):
+        return isinstance(other, CountedHash)
+
+    def __repr__(self):
+        return "CountedHash()"
+
+
+# repr(parse(...)) of the formula below, as the dataclass nodes printed it.
+REPR_TEXT = "x > 1/2 & !(y <= 0.25) -> F[1,2] p - 2*q >= 0"
+REPR = (
+    "Implies(left=And(left=Atom(predicate=AtomicPredicate(terms=(('x', Fraction(1, 1)),), "
+    "constant=Fraction(-1, 2), comparator='>')), right=Not(child=Atom(predicate="
+    "AtomicPredicate(terms=(('y', Fraction(1, 1)),), constant=Fraction(-1, 4), "
+    "comparator='<=')))), right=Eventually(window=Interval(lower=1, upper=2), "
+    "child=Atom(predicate=AtomicPredicate(terms=(('p', Fraction(1, 1)), ('q', "
+    "Fraction(-2, 1))), constant=Fraction(0, 1), comparator='>='))))"
+)
+
+
+class TestRecord:
+    """The frozen value classes: nodes, windows, predicates, flag pairs and
+    traces keep the semantics their dataclass versions had."""
+
+    a, b = p("x > 0"), p("y < 1")
+
+    def test_equality_needs_the_same_class(self):
+        assert And(self.a, self.b) == And(self.a, self.b)
+        assert And(self.a, self.b) != Or(self.a, self.b)
+        assert Implies(self.a, self.b) not in (And(self.a, self.b), Or(self.a, self.b))
+        assert And(self.a, self.b) != (self.a, self.b)
+        assert Interval(0, 2) == Interval(lower=0, upper=2) != Interval(0, 3)
+
+    def test_hash_is_the_fields_hash_computed_once(self):
+        node = And(self.a, self.b)
+        assert hash(node) == hash((self.a, self.b))
+        assert hash(Interval(1, 4)) == hash((1, 4))
+        counted = Not(CountedHash())
+        CountedHash.calls = 0
+        assert hash(counted) == hash((CountedHash(),))
+        assert hash(counted) == hash(counted)
+        assert CountedHash.calls == 2  # one for `counted`, one for the tuple
+
+    def test_repr_is_the_dataclass_one(self):
+        assert repr(parse(REPR_TEXT, SIGNALS)) == REPR
+        assert repr(FlagPair(True, False)) == "FlagPair(positive=True, negative=False)"
+        assert repr(Trace(("x",), ((1.0,),))) == "Trace(signals=('x',), samples=((1.0,),))"
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        node = Always(Interval(0, 2), self.a)
+        for target in (node, node.window, self.a.predicate, FlagPair(False, False)):
+            with pytest.raises(AttributeError):
+                target.child = self.b
+            with pytest.raises(AttributeError):
+                del target.window
+        assert node == Always(Interval(0, 2), self.a)
+
+    def test_cached_property_still_works(self):
+        pred = p("1/2*x - 1/3*y > 1").predicate
+        assert pred.integer_form == ((("x", 3), ("y", -2)), -6)
+        assert pred.integer_form is pred.integer_form
+        trace = Trace(("x", "y"), ((1.0, 2.0),))
+        assert trace.value("y", 0) == 2.0
+
+    def test_post_init_still_validates(self):
+        with pytest.raises(FlagConflictError):
+            FlagPair(True, True)
+        with pytest.raises(FlagConflictError):
+            FlagPair(positive=True, negative=True)
+        with pytest.raises(TraceFormatError, match="duplicate"):
+            Trace(("x", "x"), ())
+        with pytest.raises(TraceFormatError, match="tick 1"):
+            Trace(signals=("x",), samples=((1.0,), (1.0, 2.0)))
+
+    def test_positional_and_keyword_construction(self):
+        assert Until(Interval(0, 1), self.a, self.b) == Until(
+            right=self.b, window=Interval(upper=1, lower=0), left=self.a
+        )
+        with pytest.raises(TypeError):
+            Interval(0)
+        with pytest.raises(TypeError):
+            Interval(0, 1, 2)
+        with pytest.raises(TypeError):
+            Interval(0, lower=1)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda node: pickle.loads(pickle.dumps(node))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal_and_hash_afresh(self, clone):
+        formula = parse(REPR_TEXT, SIGNALS)
+        hash(formula)
+        assert clone(formula) == formula and repr(clone(formula)) == REPR
+        node = Not(CountedHash())
+        hash(node)
+        restored = clone(node)
+        CountedHash.calls = 0
+        assert hash(restored) == hash(node)
+        assert CountedHash.calls == 1  # `node` kept its hash; `restored` computed its own
+        assert clone(FlagPair(False, True)) == FlagPair(False, True)
+        trace = Trace(("x",), ((1.0,), (2.0,)))
+        assert clone(trace) == trace
