@@ -169,30 +169,23 @@ def read_jsonl_stream(
         except ValueError:
             end = -1
         if end == len(line):
-            if (
-                type(obj) is dict
-                and obj.keys() == keys
-                and {*map(type, obj.values())} == _FLOAT_ONLY
-                and isfinite(sum(obj.values()))
-            ):
-                yield obj
-                continue
-            # Integers, alone or with floats: the same object with every
-            # value made a float. An integer too large for a float, or a
-            # non-finite sum, goes to the checks below, as above.
-            if (
-                type(obj) is dict
-                and obj.keys() == keys
-                and {*map(type, obj.values())} <= _INT_OR_FLOAT
-            ):
-                try:
-                    sample = dict(zip(obj, map(float, obj.values())))
-                except OverflowError:
-                    pass
-                else:
-                    if isfinite(sum(sample.values())):
-                        yield sample
-                        continue
+            if type(obj) is dict and obj.keys() == keys:
+                types = {*map(type, obj.values())}
+                if types == _FLOAT_ONLY and isfinite(sum(obj.values())):
+                    yield obj
+                    continue
+                # Integers, alone or with floats: the same object with every
+                # value made a float. An integer too large for a float, or a
+                # non-finite sum, goes to the checks below, as above.
+                if types <= _INT_OR_FLOAT:
+                    try:
+                        sample = {name: float(value) for name, value in obj.items()}
+                    except OverflowError:
+                        pass
+                    else:
+                        if isfinite(sum(sample.values())):
+                            yield sample
+                            continue
         else:  # not one JSON value: `json.loads` raises the line's error
             try:
                 obj = json.loads(line)
