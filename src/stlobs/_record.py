@@ -79,7 +79,7 @@ def _eq_3(self, other):
 _TEMPLATES = {1: (_init_1, _fields_1, _eq_1), 2: (_init_2, _fields_2, _eq_2), 3: (_init_3, _fields_3, _eq_3)}
 
 
-def _specialise(template: FunctionType, names: tuple[str, ...], qualname: str) -> FunctionType:
+def _specialise(template: FunctionType, names: tuple[str, ...]) -> FunctionType:
     """A copy of `template` with the placeholders `a`, `b`, `c` renamed to
     `names`, as parameters, attribute names and string constants alike."""
     rename = dict(zip("abc", names))
@@ -89,9 +89,7 @@ def _specialise(template: FunctionType, names: tuple[str, ...], qualname: str) -
         co_names=tuple(rename.get(n, n) for n in code.co_names),
         co_consts=tuple(rename.get(c, c) if type(c) is str else c for c in code.co_consts),
     )
-    fn = FunctionType(code, template.__globals__, qualname.rpartition(".")[2])
-    fn.__qualname__ = qualname
-    return fn
+    return FunctionType(code, template.__globals__)
 
 
 def record(cls):
@@ -100,14 +98,11 @@ def record(cls):
     templates = _TEMPLATES.get(len(names))
     if templates is None or any(name.startswith("_") for name in names):
         raise TypeError(f"{cls.__qualname__}: a record has 1 to 3 public fields, not {names}")
-    where = cls.__qualname__
-    init, fields, eq = (
-        _specialise(fn, names, f"{where}.{method}")
-        for fn, method in zip(templates, ("__init__", "_fields", "__eq__"))
-    )
+    init, fields, eq = (_specialise(template, names) for template in templates)
     post_init = cls.__dict__.get("__post_init__")
     if post_init is not None:
         set_fields = init
+        set_fields.__qualname__ = f"{cls.__qualname__}.__init__"  # for argument errors
 
         def init(self, *args, **kwargs):
             set_fields(self, *args, **kwargs)
@@ -136,7 +131,8 @@ def record(cls):
     methods = {"__init__": init, "__eq__": eq, "__hash__": __hash__, "__repr__": __repr__,
                "__setattr__": __setattr__, "__delattr__": __delattr__, "__reduce__": __reduce__}
     for name, method in methods.items():
-        method.__qualname__ = f"{where}.{name}"
+        method.__name__ = name
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
     cls.__match_args__ = names
     return cls
