@@ -17,8 +17,9 @@ paid for both before its first verdict. Here `__init__`, `__eq__` and the
 fields tuple are written out below for 1, 2 and 3 fields, over the
 placeholder fields `a`, `b` and `c`; `record` copies them with those names
 replaced by the class's own, without `exec`. `__init__` also sets the
-`_hash` slot to None, so that every instance of a class has the same
-attributes whether it has been hashed or not.
+`_hash` attribute to None, so that every instance of a class has the same
+attributes whether it has been hashed or not; attribute reads stay on the
+interpreter's fast path either way.
 """
 
 from __future__ import annotations

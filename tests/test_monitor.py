@@ -209,6 +209,16 @@ class TestStepErrors:
         with pytest.raises(InvalidFormulaError):
             compile_formula(bad)
 
+    def test_invalid_formula_equal_to_a_compiled_one_rejected(self):
+        # Interval(True, 2) == Interval(1, 2), with the same hash; the compile
+        # cache must not let the invalid bound through.
+        atom = signal_atom("x", ">")
+        compile_formula(Always(Interval(1, 2), atom))
+        bad = Always(Interval(True, 2), atom)
+        assert bad == Always(Interval(1, 2), atom) and hash(bad) == hash(Always(Interval(1, 2), atom))
+        with pytest.raises(InvalidFormulaError):
+            compile_formula(bad)
+
     def test_verdict_record_must_be_consistent(self):
         # The record stores only the verdict; its flags are derived from it,
         # so the two cannot disagree.
