@@ -146,11 +146,9 @@ def read_jsonl_stream(
 
     Each line is decoded once. An object whose keys are exactly the declared
     signals, each a JSON float, with a finite sum, is itself the sample, so
-    its keys are in the line's order, not the declared order; one whose
-    values are integers, or integers and floats, gives the same object with
-    its values made floats. Any other object is checked value by value, and
-    a line that is not one JSON value gets the error `json.loads` gives for
-    it.
+    its keys are in the line's order, not the declared order. Any other
+    object is checked value by value, and a line that is not one JSON value
+    gets the error `json.loads` gives for it.
     """
     declared = tuple(signals) if signals is not None else None
     keys = frozenset(declared) if declared is not None else None
@@ -169,23 +167,14 @@ def read_jsonl_stream(
         except ValueError:
             end = -1
         if end == len(line):
-            if type(obj) is dict and obj.keys() == keys:
-                types = {*map(type, obj.values())}
-                if types == _FLOAT_ONLY and isfinite(sum(obj.values())):
-                    yield obj
-                    continue
-                # Integers, alone or with floats: the same object with every
-                # value made a float. An integer too large for a float, or a
-                # non-finite sum, goes to the checks below, as above.
-                if types <= _INT_OR_FLOAT:
-                    try:
-                        sample = {name: float(value) for name, value in obj.items()}
-                    except OverflowError:
-                        pass
-                    else:
-                        if isfinite(sum(sample.values())):
-                            yield sample
-                            continue
+            if (
+                type(obj) is dict
+                and obj.keys() == keys
+                and {*map(type, obj.values())} == _FLOAT_ONLY
+                and isfinite(sum(obj.values()))
+            ):
+                yield obj
+                continue
         else:  # not one JSON value: `json.loads` raises the line's error
             try:
                 obj = json.loads(line)
@@ -226,7 +215,6 @@ def read_jsonl_stream(
 
 _raw_decode = json.JSONDecoder().raw_decode
 _FLOAT_ONLY = frozenset({float})
-_INT_OR_FLOAT = frozenset({int, float})
 
 
 def read_jsonl(source: str | Path | IO[str], signals: Sequence[str] | None = None) -> Trace:

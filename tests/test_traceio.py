@@ -276,17 +276,6 @@ _JSON_VALUES = st.one_of(
         "true", "false", "null", '"1.0"', "[1.0]", "{}",
     ]),
 )
-# Lines of integers, or of integers and floats, take the integer bulk path
-# unless an integer is too large for a float or the sum overflows.
-_JSON_INTS = st.one_of(
-    st.integers(-(2**64), 2**64).map(str),
-    st.sampled_from([
-        "0", "-0", "9007199254740993", "1" + "0" * 308, "-1" + "0" * 308,
-        str(int(1.7976931348623157e308)),
-        "2" + "0" * 308, "1" + "0" * 400,
-    ]),
-)
-_JSON_NUMBERS = st.one_of(_JSON_INTS, _JSON_FLOATS)
 _JSON_PADDING = st.sampled_from(["", " ", "\t", "  "])
 _JSON_DAMAGE = ["extra", "bom", "cut", "array", "blank"]
 
@@ -300,8 +289,7 @@ def _jsonl_line(draw) -> str:
         st.lists(st.sampled_from("xyz"), max_size=4),
     ))
     pad = draw(_JSON_PADDING)
-    values = draw(st.sampled_from([_JSON_VALUES, _JSON_VALUES, _JSON_INTS, _JSON_NUMBERS]))
-    members = [f'{pad}"{key}"{pad}:{pad}{draw(values)}' for key in keys]
+    members = [f'{pad}"{key}"{pad}:{pad}{draw(_JSON_VALUES)}' for key in keys]
     line = pad + "{" + ",".join(members) + "}" + pad
     damage = draw(st.sampled_from([None] * 6 + _JSON_DAMAGE))
     if damage == "extra":
@@ -401,11 +389,6 @@ class TestJsonlFastPath:
             ('{"y": 2.0, "x": 1e-320}', {"x": 1e-320, "y": 2.0}),
             ('{"x": 1e308, "y": 1e308}', {"x": 1e308, "y": 1e308}),
             ('{"x": 1, "y": 2.5}', {"x": 1.0, "y": 2.5}),
-            ('{"y": -3, "x": 9007199254740993}', {"x": 9007199254740992.0, "y": -3.0}),
-            ('{"x": 1%s, "y": 1e308}' % ("0" * 308), {"x": 1e308, "y": 1e308}),
-            ('{"x": 2%s, "y": 0}' % ("0" * 308), "line 1: signal 'x' is too large for a float"),
-            ('{"x": 1, "y": 2, "debug": 3}', {"x": 1.0, "y": 2.0}),
-            ('{"x": 1, "y": false}', "line 1: signal 'y' is not a number"),
             ('{"x": 1.0, "y": 2.0, "debug": 9.0}', {"x": 1.0, "y": 2.0}),
             ('{"x": 1.0, "y": NaN}', "line 1: signal 'y' is non-finite"),
             ('{"x": 1.0, "y": 1e309}', "line 1: signal 'y' is non-finite"),
@@ -427,12 +410,6 @@ class TestJsonlFastPath:
         assert math.copysign(1.0, fast["y"]) == -1.0
         assert list(fast) == ["y", "x"]  # the line's key order
         assert list(slow) == ["x", "y"]  # the declared order
-
-    def test_integer_line_gives_floats_in_the_line_order(self):
-        sample = next(read_jsonl_stream(['{"y": 2, "x": 1.5}'], ("x", "y")))
-        assert sample == {"x": 1.5, "y": 2.0}
-        assert [type(v) for v in sample.values()] == [float, float]
-        assert list(sample) == ["y", "x"]
 
 
 class TestSniffAndRead:
