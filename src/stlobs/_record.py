@@ -13,18 +13,20 @@ hash from another process.
 
 Importing `dataclasses` loads `inspect`, `ast` and `dis`, and each class it
 builds compiles its methods with `exec`; a monitor started for one check
-paid for both before its first verdict. The methods here are plain closures
-over the field names. Building a node this way takes about 0.5 us more than
-an `__init__` written out for its fields, which nodes pay only while a
-formula is parsed or enumerated: in 30 alternating process pairs (2-CPU
-x86-64, CPython 3.11) a cold parse of a benchmark formula took 0.67 -> 0.73
-ms, within the quartile spread, and 10 pairs of the self-check suites took
-4.68 -> 4.51 s. `__init__` sets each field, and `_hash` to None, with
-`object.__setattr__` rather than through the instance `__dict__`: reading
-`__dict__` gives every node a dict of its own, attribute reads lose the
-interpreter's fast path, and the self-check sweep took 3.27 -> 3.49 s.
-Setting `_hash` in `__init__` also gives every instance of a class the same
-attributes whether it has been hashed or not.
+paid for both before its first verdict. The methods here are closures over
+the field names, and no code is generated at run time. `__init__` sets the
+1 to 3 fields one by one, and `_hash` to None, with `object.__setattr__`;
+two alternatives measured slower. A loop over the names cost about 0.5 us
+a node and made a cold parse of a benchmark formula slower in 21 of 30
+process pairs. Writing through the instance `__dict__` gives every node a
+dict of its own, attribute reads lose the interpreter's fast path, and the
+self-check sweep took 3.27 -> 3.49 s. As written, against the dataclass
+nodes in 30 alternating process pairs (2-CPU x86-64, CPython 3.11), a cold
+parse took 0.697 -> 0.707 ms for the csv-wide formula and 0.742 -> 0.774 ms
+for the jsonl-latch one, both within the dataclass runs' quartile spread,
+and in 10 pairs the self-check suites took 5.17 -> 5.00 s. Setting `_hash`
+in `__init__` also gives every instance of a class the same attributes
+whether it has been hashed or not.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ _set = object.__setattr__
 
 
 def record(cls):
-    """Make `cls`, whose annotations name its public fields, a frozen record."""
+    """Make `cls`, whose annotations name 1 to 3 public fields, a frozen record."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    if not names or any(name.startswith("_") for name in names):
-        raise TypeError(f"{cls.__qualname__}: a record has public fields, not {names}")
     arity = len(names)
+    if not 1 <= arity <= 3 or any(name.startswith("_") for name in names):
+        raise TypeError(f"{cls.__qualname__}: a record has 1 to 3 public fields, not {names}")
+    first, second, third = names + (None,) * (3 - arity)
     post_init = cls.__dict__.get("__post_init__")
     if arity == 1:
         get = attrgetter(names[0])
@@ -53,8 +56,11 @@ def record(cls):
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != arity:
             args = _bind(cls, names, args, kwargs)
-        for name, value in zip(names, args):
-            _set(self, name, value)
+        _set(self, first, args[0])
+        if second is not None:
+            _set(self, second, args[1])
+            if third is not None:
+                _set(self, third, args[2])
         _set(self, "_hash", None)
         if post_init is not None:
             post_init(self)
@@ -95,18 +101,11 @@ def record(cls):
 
 def _bind(cls, names: tuple[str, ...], args: tuple, kwargs: dict) -> list:
     """The field values of a call with keywords or a wrong number of
-    positional arguments, or the `TypeError` Python gives for a bad call."""
-    call = f"{cls.__qualname__}.__init__()"
-    if len(args) > len(names):
+    positional arguments; a `TypeError` unless each field is given once."""
+    rest = names[len(args):]
+    if len(args) > len(names) or kwargs.keys() != set(rest):
         raise TypeError(
-            f"{call} takes {len(names) + 1} positional arguments but {len(args) + 1} were given"
+            f"{cls.__qualname__}() takes the fields {', '.join(names)}, not "
+            f"{len(args)} positional arguments and the keywords {', '.join(kwargs) or 'none'}"
         )
-    for name in kwargs:
-        if name not in names:
-            raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
-        if names.index(name) < len(args):
-            raise TypeError(f"{call} got multiple values for argument {name!r}")
-    missing = [name for name in names[len(args):] if name not in kwargs]
-    if missing:
-        raise TypeError(f"{call} missing required arguments: {', '.join(map(repr, missing))}")
-    return [*args, *(kwargs[name] for name in names[len(args):])]
+    return [*args, *(kwargs[name] for name in rest)]
