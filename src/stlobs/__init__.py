@@ -56,7 +56,7 @@ from .formula import (
     validate,
 )
 from .parser import parse
-from .trace import Trace, trace_from_rows
+from .trace import Trace
 from .monitor import Monitor, VerdictRecord, compile_formula
 from .traceio import (
     VerdictWriter,
@@ -178,7 +178,6 @@ __all__ = [
     "signals_of",
     "three_valued_eval",
     "to_flags",
-    "trace_from_rows",
     "validate",
     "verdict_from_bools",
     "write_csv",

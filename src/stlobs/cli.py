@@ -21,9 +21,8 @@ import json
 import logging
 import os
 import sys
-from contextlib import ExitStack
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .errors import FormulaError, MissingSignalError, StlObsError, TraceError
@@ -34,8 +33,10 @@ from .traceio import (
     TRACE_FORMATS,
     VERDICT_FORMATS,
     VerdictWriter,
+    opened,
     read_jsonl_stream,
     read_trace,
+    sniff_lines,
     stream_csv,
 )
 from .trilean import FALSE, TRUE, UNKNOWN, Trilean
@@ -195,17 +196,8 @@ def _load_formula_text(args) -> str:
     return Path(args.formula_file).read_text(encoding="utf-8")
 
 
-def _peek(lines: Iterable[str]) -> tuple[str | None, Iterator[str]]:
-    """The first non-blank line (None if there is none), and all the lines
-    from the start, blank ones included, so that the readers number lines
-    as the file does."""
-    iterator = iter(lines)
-    read = []
-    for line in iterator:
-        read.append(line)
-        if line.strip():
-            return line, itertools.chain(read, iterator)
-    return None, iter(())
+def _trace_source(args) -> str | Iterable[str]:
+    return sys.stdin if args.trace == "-" else args.trace
 
 
 def _verdict_exit(last: Trilean | None) -> int:
@@ -217,19 +209,10 @@ def _verdict_exit(last: Trilean | None) -> int:
 
 def _cmd_check(args) -> int:
     formula_text = _load_formula_text(args)
-    with ExitStack() as stack:
-        if args.trace == "-":
-            lines: Iterable[str] = sys.stdin
-        else:
-            lines = stack.enter_context(
-                open(args.trace, encoding="utf-8", newline="")
-            )
+    with opened(_trace_source(args)) as lines:
         fmt = args.trace_format
         if fmt == "auto":
-            first_line, lines = _peek(lines)
-            if first_line is None:
-                raise TraceError("empty trace: nothing to read")
-            fmt = "jsonl" if first_line.lstrip().startswith("{") else "csv"
+            fmt, lines = sniff_lines(lines)
 
         declared = args.signals
         if fmt == "csv":
@@ -237,14 +220,11 @@ def _cmd_check(args) -> int:
             parse_signals = declared if declared is not None else header
         else:
             samples = read_jsonl_stream(lines, declared)
+            parse_signals = declared
             if declared is None:
-                first = next(samples, None)
-                if first is None:
-                    return _verdict_exit(None)
+                first = next(samples)  # an empty trace raises here
                 parse_signals = tuple(sorted(first))
                 samples = itertools.chain([first], samples)
-            else:
-                parse_signals = declared
 
         f = parse(formula_text, parse_signals)
         step = compile_formula(f).step
@@ -263,11 +243,8 @@ def _cmd_check(args) -> int:
 def _cmd_oracle(args) -> int:
     from .oracle import three_valued_eval
 
-    if args.trace == "-":
-        print("oracle reads a trace file, not stdin", file=sys.stderr)
-        return EXIT_USAGE
     formula_text = _load_formula_text(args)
-    trace = read_trace(args.trace, args.trace_format, args.signals)
+    trace = read_trace(_trace_source(args), args.trace_format, args.signals)
     parse_signals = args.signals if args.signals is not None else trace.signals
     f = parse(formula_text, parse_signals)
     missing = [name for name in signals_of(f) if name not in trace.signals]

@@ -438,7 +438,6 @@ def _check_invariants(
     monitor = compile_fn(f)
     bound = horizon(f)
     previous = UNKNOWN
-    decided = None
     for k in range(len(trace)):
         try:
             record = monitor.step(trace.sample(k))
@@ -455,10 +454,6 @@ def _check_invariants(
             return fail("immutability", k, str(verdict), "flags must stay latched")
         if k >= bound and verdict is UNKNOWN:
             return fail("determination", k, "U", f"decided by tick {bound}")
-        if decided is not None and verdict is not decided:
-            return fail("verdict-shape", k, str(verdict), str(decided))
-        if decided is None and verdict is not UNKNOWN:
-            decided = verdict
         previous = verdict
     counts = {
         width: compile_fn(_with_window_width(f, width)).state_scalar_count()

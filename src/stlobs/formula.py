@@ -176,10 +176,6 @@ def walk(f: Formula) -> Iterator[Formula]:
         yield from walk(c)
 
 
-def is_propositional(f: Formula) -> bool:
-    return not any(isinstance(n, TEMPORAL_NODES) for n in walk(f))
-
-
 def signals_of(f: Formula) -> tuple[str, ...]:
     found: set[str] = set()
     for node in walk(f):

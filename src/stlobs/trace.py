@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
 
 from ._record import record
 from .errors import TraceFormatError
@@ -43,7 +42,3 @@ class Trace:
     def sample(self, tick: int) -> dict[str, float]:
         """The sample at `tick` as a mapping, for feeding a monitor."""
         return dict(zip(self.signals, self.samples[tick]))
-
-
-def trace_from_rows(signals: Iterable[str], rows: Iterable[Iterable[float]]) -> Trace:
-    return Trace(tuple(signals), tuple(tuple(float(v) for v in row) for row in rows))

@@ -2,8 +2,8 @@
 
 Traces are positional: tick k is row k, and the sampling period is implicit.
 CSV files carry the signal names in the header row; JSONL files carry them as
-object keys. Column names that look like timestamps are rejected so nobody
-mistakes a value column for a time axis.
+object keys. Names that look like timestamps are rejected in either, so
+nobody mistakes a value column for a time axis.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ TRACE_FORMATS = ("csv", "jsonl")
 
 
 @contextmanager
-def _opened(source: str | Path | IO[str]) -> Iterator[IO[str]]:
+def opened(source: str | Path | Iterable[str]) -> Iterator[Iterable[str]]:
+    """The lines of a file path, opened for reading, or `source` itself."""
     if isinstance(source, (str, Path)):
         handle = open(source, encoding="utf-8", newline="")
         try:
@@ -45,20 +46,39 @@ def _opened(source: str | Path | IO[str]) -> Iterator[IO[str]]:
         yield source
 
 
-def _check_header(names: Sequence[str], lineno: int) -> tuple[str, ...]:
-    cleaned = tuple(name.strip() for name in names)
-    if not cleaned or any(not name for name in cleaned):
-        raise TraceFormatError(f"line {lineno}: header has an empty column name")
-    for column, name in enumerate(cleaned, start=1):
+def _check_signals(names: tuple[str, ...], where: str) -> tuple[str, ...]:
+    """`names` if they can name a trace's signals: at least one, none empty,
+    none named like a time axis, no two alike. `where` starts an error's
+    message: the line of a CSV header or of a first JSONL object, or
+    "signal list" for declared names."""
+    if not names:
+        raise TraceFormatError(f"{where}: no signal names")
+    for name in names:
+        if not name:
+            raise TraceFormatError(f"{where}: empty signal name")
         if name.lower() in TIMESTAMP_NAMES:
             raise TraceFormatError(
-                f"line {lineno}, column {column}: {name!r} looks like a time axis; "
-                "traces are positional (row k is tick k), so every column "
-                "must be a signal"
+                f"{where}: {name!r} looks like a time axis; traces are "
+                "positional (row k is tick k), so every name must be a signal"
             )
-    if len(set(cleaned)) != len(cleaned):
-        raise TraceFormatError(f"line {lineno}: duplicate signal name in header")
-    return cleaned
+    if len(set(names)) != len(names):
+        raise TraceFormatError(f"{where}: duplicate signal name")
+    return names
+
+
+def sniff_lines(lines: Iterable[str]) -> tuple[str, Iterator[str]]:
+    """The format of a trace's text, "jsonl" if its first non-blank line
+    opens with `{` and "csv" otherwise, and all its lines from the start,
+    blank ones included, so that the readers number lines as the text does.
+    Text with no non-blank line is an empty trace."""
+    iterator = iter(lines)
+    read = []
+    for line in iterator:
+        read.append(line)
+        if line.strip():
+            fmt = "jsonl" if line.lstrip().startswith("{") else "csv"
+            return fmt, itertools.chain(read, iterator)
+    raise TraceFormatError("empty trace: nothing to read")
 
 
 def _parse_value(text: str, lineno: int, column: int) -> float:
@@ -94,7 +114,7 @@ def stream_csv(
     # The header is read from its own reader, which takes from `lines` only
     # the lines of the header record; the rows' reader reads `lines` itself.
     header = next(csv.reader(itertools.chain((first,), lines)))
-    signals = _check_header(header, header_line)
+    signals = _check_signals(tuple(name.strip() for name in header), f"line {header_line}")
     reader = csv.reader(lines)
 
     def rows() -> Iterator[dict[str, float]]:
@@ -125,10 +145,10 @@ def stream_csv(
     return signals, rows()
 
 
-def read_csv(source: str | Path | IO[str]) -> Trace:
+def read_csv(source: str | Path | Iterable[str]) -> Trace:
     """Load a CSV trace. The header row names the signals; each following
     row is one tick, in order."""
-    with _opened(source) as stream:
+    with opened(source) as stream:
         signals, samples = stream_csv(stream)
         rows = tuple(tuple(sample[name] for name in signals) for sample in samples)
     return Trace(signals, rows)
@@ -140,9 +160,11 @@ def read_jsonl_stream(
     """Yield one sample per JSONL line, validating as it goes.
 
     When `signals` is None the declared set is taken from the first object's
-    keys (sorted); later objects may carry extra keys but must include every
-    declared signal. Blank lines are skipped with a warning so a trailing
-    newline does not kill a live stream.
+    keys (sorted), and a stream with no object is an empty trace; later
+    objects may carry extra keys but must include every declared signal.
+    The declared names obey the CSV header's rules, checked once. Blank
+    lines are skipped with a warning so a trailing newline does not kill a
+    live stream.
 
     Each line is decoded once. An object whose keys are exactly the declared
     signals, each a JSON float, with a finite sum, is itself the sample, so
@@ -150,7 +172,7 @@ def read_jsonl_stream(
     object is checked value by value, and a line that is not one JSON value
     gets the error `json.loads` gives for it.
     """
-    declared = tuple(signals) if signals is not None else None
+    declared = _check_signals(tuple(signals), "signal list") if signals is not None else None
     keys = frozenset(declared) if declared is not None else None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -185,9 +207,7 @@ def read_jsonl_stream(
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: expected a JSON object")
         if declared is None:
-            declared = tuple(sorted(obj))
-            if not declared:
-                raise TraceFormatError(f"line {lineno}: object declares no signals")
+            declared = _check_signals(tuple(sorted(obj)), f"line {lineno}")
             keys = frozenset(declared)
         missing = [name for name in declared if name not in obj]
         if missing:
@@ -211,47 +231,39 @@ def read_jsonl_stream(
                 )
             sample[name] = value
         yield sample
+    if declared is None:
+        raise TraceFormatError("empty trace: no samples")
 
 
 _raw_decode = json.JSONDecoder().raw_decode
 _FLOAT_ONLY = frozenset({float})
 
 
-def read_jsonl(source: str | Path | IO[str], signals: Sequence[str] | None = None) -> Trace:
-    with _opened(source) as stream:
+def read_jsonl(
+    source: str | Path | Iterable[str], signals: Sequence[str] | None = None
+) -> Trace:
+    """Load a JSONL trace. With `signals` given and no lines it is empty."""
+    with opened(source) as stream:
         samples = list(read_jsonl_stream(stream, signals))
-    if not samples:
-        raise TraceFormatError("empty trace: no samples")
     names = tuple(sorted(samples[0])) if signals is None else tuple(signals)
     return Trace(names, tuple(tuple(s[n] for n in names) for s in samples))
 
 
-def sniff_format(path: str | Path) -> str:
-    """Guess csv or jsonl from the file extension, falling back to the first
-    non-blank character."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix in (".jsonl", ".ndjson", ".json"):
-        return "jsonl"
-    with open(path, encoding="utf-8") as stream:
-        for line in stream:
-            stripped = line.strip()
-            if stripped:
-                return "jsonl" if stripped[0] == "{" else "csv"
-    return "csv"
-
-
 def read_trace(
-    path: str | Path,
+    source: str | Path | Iterable[str],
     trace_format: str = "auto",
     signals: Sequence[str] | None = None,
 ) -> Trace:
-    fmt = sniff_format(path) if trace_format == "auto" else trace_format
-    if fmt == "csv":
-        return read_csv(path)
-    if fmt == "jsonl":
-        return read_jsonl(path, signals)
+    """Load a trace from a path or from lines, in `trace_format` or, with
+    "auto", in the format `sniff_lines` finds."""
+    with opened(source) as lines:
+        fmt = trace_format
+        if fmt == "auto":
+            fmt, lines = sniff_lines(lines)
+        if fmt == "csv":
+            return read_csv(lines)
+        if fmt == "jsonl":
+            return read_jsonl(lines, signals)
     raise TraceFormatError(f"unknown trace format {fmt!r}")
 
 

@@ -64,7 +64,7 @@ class TestCheckVerdictExits:
             == cli.EXIT_UNKNOWN
         )
 
-    def test_empty_trace_exits_two(self, tmp_path, capsys):
+    def test_empty_trace_is_a_trace_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")
         code = cli.main(["check", "-f", "x > 0", "--trace", str(path)])
@@ -135,7 +135,7 @@ class TestLeadingBlankLines:
         [
             ('\n\n{"x": 1.0}\n{oops\n', "jsonl", 1, "line 4: invalid JSON"),
             ("\nx\n1.0\nzz\n", "csv", 1, "line 4, column 1: not a number"),
-            ("\n \r\nx,time\n1,2\n", "csv", 0, "line 3, column 2: 'time' looks like a time axis"),
+            ("\n \r\nx,time\n1,2\n", "csv", 0, "line 3: 'time' looks like a time axis"),
             ('\n\n{"x": 2.0}\n\n{"x": -1.0}\n', "jsonl", 2, None),
             ("\n\nx\n2.0\n\n-1.0\n", "csv", 2, None),
         ],
@@ -291,20 +291,52 @@ class TestErrorExits:
         assert capsys.readouterr().out.startswith("stlobs ")
 
 
-class TestOracle:
-    def test_matches_check_on_recorded_trace(self, csv_path, capsys):
-        formula = "F[0,2] (x > 2)"
-        check_code = cli.main(["check", "-f", formula, "--trace", csv_path])
-        check_out = capsys.readouterr().out
-        oracle_code = cli.main(["oracle", "-f", formula, "--trace", csv_path])
-        oracle_out = capsys.readouterr().out
-        assert oracle_code == check_code
-        assert oracle_out == check_out
+DEMO_CSV = "speed,brake\n12.0,0\n13.5,0\n15.2,1\n14.9,1\n15.0,0\n"
+TIME_KEY = '{"time": 0, "x": 1}\n{"time": 1, "x": -1}\n'
 
-    def test_rejects_stdin(self, capsys):
-        code = cli.main(["oracle", "-f", "x > 0", "--trace", "-"])
-        assert code == cli.EXIT_USAGE
-        assert "stdin" in capsys.readouterr().err
+
+class TestOracle:
+    @pytest.mark.parametrize(
+        "name,text,args,exit_code",
+        [
+            ("a.json", "x\n1\n-1\n", [], cli.EXIT_TRUE),
+            ("b.csv", '{"x": 1}\n{"x": -1}\n', [], cli.EXIT_TRUE),
+            ("blank.csv", "\n \n\n", [], cli.EXIT_DATA),
+            ("empty.jsonl", "", ["--trace-format", "jsonl"], cli.EXIT_DATA),
+            ("-", '\n{"x": 1}\n{"x": -1}\n', [], cli.EXIT_TRUE),
+            ("header.csv", "x\n", [], cli.EXIT_UNKNOWN),
+            ("empty.jsonl", "", ["--trace-format", "jsonl", "--signals", "x"], cli.EXIT_UNKNOWN),
+            ("time.jsonl", TIME_KEY, [], cli.EXIT_DATA),
+            ("time.jsonl", TIME_KEY, ["--trace-format", "jsonl"], cli.EXIT_DATA),
+            ("time.jsonl", TIME_KEY, ["--signals", "x"], cli.EXIT_TRUE),
+            ("demo.csv", DEMO_CSV, ["-f", "F[1,3] (brake > 0)"], cli.EXIT_TRUE),
+            ("-", DEMO_CSV, ["-f", "F[1,3] (brake > 0)"], cli.EXIT_TRUE),
+        ],
+        ids=[
+            "csv-in-a-json-file", "jsonl-in-a-csv-file", "blank-lines",
+            "empty-declared-jsonl", "stdin", "header-only-csv",
+            "declared-signals-no-lines", "time-key", "time-key-declared-jsonl",
+            "time-key-outside-signals", "demo-file", "demo-stdin",
+        ],
+    )
+    def test_matches_check_on_recorded_trace(self, tmp_path, name, text, args, exit_code):
+        """Both commands, as processes, give the same stdout, stderr and exit
+        code on the same input: from a file whatever it is called, or from
+        stdin (`-`)."""
+        if name == "-":
+            trace, stdin = "-", text.encode()
+        else:
+            trace, stdin = str(tmp_path / name), b""
+            Path(trace).write_text(text)
+        if "-f" not in args:
+            args = ["-f", "x > 0", *args]
+        results = []
+        for command in ("check", "oracle"):
+            proc = spawn_cli(command, "--trace", trace, *args)
+            out, err = proc.communicate(stdin, timeout=60)
+            results.append((proc.returncode, out.decode(), err.decode()))
+        assert results[0] == results[1]
+        assert results[0][0] == exit_code
 
     def test_formula_signal_absent_from_trace(self, csv_path, capsys):
         # z parses fine under the declared signal list but the CSV header

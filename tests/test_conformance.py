@@ -29,6 +29,7 @@ from stlobs.formula import (
     Interval,
     TEMPORAL_NODES,
     Until,
+    horizon,
     validate,
     walk,
 )
@@ -41,7 +42,7 @@ from stlobs.monitor import (
 )
 from stlobs.parser import parse
 from stlobs.trace import Trace
-from stlobs.trilean import UNKNOWN, FlagPair
+from stlobs.trilean import FALSE, TRUE, UNKNOWN, FlagPair
 
 
 class TestEnumerateTraces:
@@ -268,6 +269,55 @@ class TestPropertySuite:
         )
         assert not report.passed
         assert any(f.check == "flag-conflict" for f in report.failures)
+
+    @pytest.mark.parametrize(
+        "changed",
+        [lambda v: FALSE if v is TRUE else TRUE, lambda v: UNKNOWN],
+        ids=["flipped", "unlatched"],
+    )
+    def test_catches_a_changed_decided_verdict(self, changed):
+        class Unlatched:
+            """From the tick after the first decided verdict, reports that
+            verdict changed."""
+
+            def __init__(self, inner):
+                self._inner = inner
+                self._decided = None
+
+            def step(self, sample):
+                record = self._inner.step(sample)
+                if self._decided is not None:
+                    return VerdictRecord(record.tick, changed(self._decided))
+                if record.verdict is not UNKNOWN:
+                    self._decided = record.verdict
+                return record
+
+            def state_scalar_count(self):
+                return self._inner.state_scalar_count()
+
+        report = property_suite(
+            seed=42, cases=100, compile_fn=lambda f: Unlatched(compile_formula(f))
+        )
+        assert not report.passed
+        assert {f.check for f in report.failures} == {"immutability"}
+
+    def test_catches_state_that_grows_with_the_window(self):
+        class Growing:
+            def __init__(self, inner, width):
+                self._inner = inner
+                self._width = width
+
+            def step(self, sample):
+                return self._inner.step(sample)
+
+            def state_scalar_count(self):
+                return self._inner.state_scalar_count() + self._width
+
+        report = property_suite(
+            seed=42, cases=100, compile_fn=lambda f: Growing(compile_formula(f), horizon(f))
+        )
+        assert not report.passed
+        assert any(f.check == "state-size" for f in report.failures)
 
 
 class TestRandomFormula:

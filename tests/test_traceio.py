@@ -25,7 +25,7 @@ from stlobs.traceio import (
     read_jsonl_stream,
     read_trace,
     read_verdicts,
-    sniff_format,
+    sniff_lines,
     stream_csv,
     write_csv,
     write_verdicts,
@@ -49,17 +49,32 @@ class TestReadCsv:
         trace = read_csv(path)
         assert len(trace) == 2
 
+    @pytest.mark.parametrize(
+        "read,error",
+        [
+            (lambda name: read_csv(io.StringIO(f"x,{name}\n1,2\n")), "line 1"),
+            (lambda name: read_jsonl(io.StringIO(f'\n{{"x": 1, "{name}": 2}}\n')), "line 2"),
+            (lambda name: read_jsonl(io.StringIO('{"x": 1}\n'), ["x", name]), "signal list"),
+            (lambda name: read_jsonl(io.StringIO(f'{{"x": 1, "{name}": 2}}\n'), ["x"]), None),
+        ],
+        ids=["csv-header", "jsonl-first-object", "jsonl-signals", "jsonl-extra-key"],
+    )
     @pytest.mark.parametrize("name", ["time", "Timestamp", "TICK"])
-    def test_timestamp_header_rejected(self, name):
-        with pytest.raises(TraceFormatError, match="line 1, column 2"):
-            read_csv(io.StringIO(f"x,{name}\n1,2\n"))
+    def test_timestamp_header_rejected(self, name, read, error):
+        """A time-axis name is rejected wherever it would name a signal; a
+        JSONL key outside the declared signals is an extra key."""
+        if error is None:
+            assert read(name) == Trace(("x",), ((1.0,),))
+        else:
+            with pytest.raises(TraceFormatError, match=f"{error}: '{name}' looks like a time axis"):
+                read(name)
 
     def test_duplicate_header_rejected(self):
         with pytest.raises(TraceFormatError, match="duplicate"):
             read_csv(io.StringIO("x,x\n1,2\n"))
 
     def test_empty_header_name_rejected(self):
-        with pytest.raises(TraceFormatError, match="empty column name"):
+        with pytest.raises(TraceFormatError, match="line 1: empty signal name"):
             read_csv(io.StringIO("x,\n1,2\n"))
 
     def test_missing_header(self):
@@ -247,8 +262,23 @@ class TestReadJsonl:
             list(read_jsonl_stream(['{"x": 1}', "{oops"]))
 
     def test_empty_object_rejected(self):
-        with pytest.raises(TraceFormatError, match="declares no signals"):
+        with pytest.raises(TraceFormatError, match="line 1: no signal names"):
             list(read_jsonl_stream(["{}"]))
+
+    @pytest.mark.parametrize(
+        "lines,signals,error",
+        [
+            (['{"": 1, "x": 2}'], None, "line 1: empty signal name"),
+            (['{"x": 1}'], ["x", "x"], "signal list: duplicate signal name"),
+            (['{"x": 1}'], [], "signal list: no signal names"),
+        ],
+    )
+    def test_signal_names_obey_the_header_rules(self, lines, signals, error):
+        with pytest.raises(TraceFormatError, match=error):
+            list(read_jsonl_stream(lines, signals))
+
+    def test_keys_are_not_stripped(self):
+        assert next(read_jsonl_stream(['{" x": 1.5}'])) == {" x": 1.5}
 
     def test_blank_lines_skipped_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="stlobs.traceio"):
@@ -259,6 +289,11 @@ class TestReadJsonl:
     def test_empty_stream_rejected(self):
         with pytest.raises(TraceFormatError, match="empty trace"):
             read_jsonl(io.StringIO(""))
+        with pytest.raises(TraceFormatError, match="empty trace"):
+            list(read_jsonl_stream(["\n", " \n"]))
+
+    def test_declared_signals_and_no_lines_is_an_empty_trace(self):
+        assert read_jsonl(io.StringIO("\n"), ["x", "y"]) == Trace(("x", "y"), ())
 
 
 # Values and lines for the JSONL reader's one-decode path and its
@@ -326,7 +361,7 @@ def _jsonl_value_by_value(lines: list[str], signals) -> tuple[list, tuple[str, s
         if declared is None:
             declared = tuple(sorted(obj))
             if not declared:
-                return samples, ("TraceFormatError", f"line {lineno}: object declares no signals")
+                return samples, ("TraceFormatError", f"line {lineno}: no signal names")
         missing = [name for name in declared if name not in obj]
         if missing:
             return samples, ("MissingSignalError", str(MissingSignalError(missing, f"line {lineno}")))
@@ -343,6 +378,8 @@ def _jsonl_value_by_value(lines: list[str], signals) -> tuple[list, tuple[str, s
                 return samples, ("TraceFormatError", f"line {lineno}: signal {name!r} is non-finite")
             sample[name] = value
         samples.append(sample)
+    if declared is None:
+        return samples, ("TraceFormatError", "empty trace: no samples")
     return samples, None
 
 
@@ -413,20 +450,22 @@ class TestJsonlFastPath:
 
 
 class TestSniffAndRead:
-    def test_sniff_by_suffix(self, tmp_path):
-        csv_path = tmp_path / "t.csv"
-        csv_path.write_text("x\n1\n")
-        jsonl_path = tmp_path / "t.jsonl"
-        jsonl_path.write_text('{"x": 1}\n')
-        assert sniff_format(csv_path) == "csv"
-        assert sniff_format(jsonl_path) == "jsonl"
-
     def test_sniff_by_content(self, tmp_path):
-        path = tmp_path / "t.dat"
-        path.write_text('\n{"x": 1}\n')
-        assert sniff_format(path) == "jsonl"
-        path.write_text("x\n1\n")
-        assert sniff_format(path) == "csv"
+        """The first non-blank line picks the format, whatever the file is
+        called, and the lines come back from the start."""
+        fmt, lines = sniff_lines(iter(["\n", ' {"x": 1}\n', "x\n"]))
+        assert fmt == "jsonl"
+        assert list(lines) == ["\n", ' {"x": 1}\n', "x\n"]
+        assert sniff_lines(["\n", "x\n", '{"x": 1}\n'])[0] == "csv"
+        with pytest.raises(TraceFormatError, match="empty trace"):
+            sniff_lines(["\n", " \r\n"])
+        path = tmp_path / "t.csv"
+        path.write_text('\n{"x": 1}\n{"x": 2}\n')
+        assert read_trace(path) == Trace(("x",), ((1.0,), (2.0,)))
+        with path.open(newline="") as stream:
+            assert read_trace(stream) == Trace(("x",), ((1.0,), (2.0,)))
+        with pytest.raises(TraceFormatError, match="line 3, column 1: not a number"):
+            read_trace(path, "csv")
 
     def test_read_trace_auto(self, tmp_path):
         path = tmp_path / "t.jsonl"
