@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .errors import FormulaError, MissingSignalError, StlObsError, TraceError
-from .formula import signals_of
+from .formula import Formula, signals_of
 from .monitor import VerdictRecord, compile_formula
 from .parser import parse
 from .traceio import (
@@ -200,6 +200,15 @@ def _trace_source(args) -> str | Iterable[str]:
     return sys.stdin if args.trace == "-" else args.trace
 
 
+def _require_signals(f: Formula, names: Sequence[str]) -> None:
+    """Raise `MissingSignalError` unless every signal `f` reads is one of the
+    trace's `names`, which `--signals` may not match: `check` and `oracle`
+    then stop before the first sample, with the same message."""
+    missing = [name for name in signals_of(f) if name not in names]
+    if missing:
+        raise MissingSignalError(missing, "in trace")
+
+
 def _verdict_exit(last: Trilean | None) -> int:
     if last is None:
         print("no samples in trace", file=sys.stderr)
@@ -216,8 +225,8 @@ def _cmd_check(args) -> int:
 
         declared = args.signals
         if fmt == "csv":
-            header, samples = stream_csv(lines)
-            parse_signals = declared if declared is not None else header
+            names, samples = stream_csv(lines)
+            parse_signals = declared if declared is not None else names
         else:
             samples = read_jsonl_stream(lines, declared)
             parse_signals = declared
@@ -225,8 +234,10 @@ def _cmd_check(args) -> int:
                 first = next(samples)  # an empty trace raises here
                 parse_signals = tuple(sorted(first))
                 samples = itertools.chain([first], samples)
+            names = parse_signals
 
         f = parse(formula_text, parse_signals)
+        _require_signals(f, names)
         step = compile_formula(f).step
         write = VerdictWriter(sys.stdout, args.format).write
         early_stop = args.early_stop
@@ -247,9 +258,7 @@ def _cmd_oracle(args) -> int:
     trace = read_trace(_trace_source(args), args.trace_format, args.signals)
     parse_signals = args.signals if args.signals is not None else trace.signals
     f = parse(formula_text, parse_signals)
-    missing = [name for name in signals_of(f) if name not in trace.signals]
-    if missing:
-        raise MissingSignalError(missing, "in trace")
+    _require_signals(f, trace.signals)
     writer = VerdictWriter(sys.stdout, args.format)
     last: Trilean | None = None
     for tick in range(len(trace)):

@@ -27,11 +27,11 @@ from .formula import (
     Always,
     Eventually,
     Until,
-    TEMPORAL_NODES,
     horizon,
     render,
     signal_atom,
     signals_of,
+    with_windows,
 )
 from .monitor import AlwaysCell, EventuallyCell, Monitor, UntilCell, compile_formula
 from .oracle import OPERATOR_KINDS, POLARITIES, explicit_eval, offline_eval, three_valued_eval
@@ -385,34 +385,17 @@ def _random_trace(rng: random.Random, signals: Sequence[str], length: int) -> Tr
     )
 
 
-def _with_window_width(f: Formula, width: int) -> Formula:
-    """Rebuild `f` with every temporal window ending at `width`."""
-    if isinstance(f, TEMPORAL_NODES):
-        window = Interval(min(f.window.lower, width - 1), width)
-        if isinstance(f, Eventually):
-            return Eventually(window, f.child)
-        if isinstance(f, Always):
-            return Always(window, f.child)
-        return Until(window, f.left, f.right)
-    if isinstance(f, Not):
-        return Not(_with_window_width(f.child, width))
-    if isinstance(f, (And, Or, Implies)):
-        rebuilt = type(f)(
-            _with_window_width(f.left, width), _with_window_width(f.right, width)
-        )
-        return rebuilt
-    return f
-
-
 def property_suite(
     seed: int, cases: int, compile_fn: CompileFn = compile_formula
 ) -> ConformanceReport:
     """Randomized invariant checks on real-valued traces.
 
-    Per case: verdict flags never conflict and decode to the verdict; flags
-    only ever latch (immutability); the verdict is decided at the horizon and
-    beyond; the verdict stream has shape U*(T+ | F+); and the state scalar
-    count is identical when every window is widened to 2, 50, and 1000.
+    Per case, five checks: no cell's flags conflict (flag-conflict); each
+    verdict is T, F or U (completeness); a decided verdict never changes
+    (immutability, so the stream has shape U*(T+ | F+)); the verdict is
+    decided at the horizon and beyond (determination); and the state scalar
+    count is the same with every window widened to 2, 50 and 1000
+    (state-size).
     """
     start = time.perf_counter()
     rng = random.Random(seed)
@@ -455,10 +438,10 @@ def _check_invariants(
         if k >= bound and verdict is UNKNOWN:
             return fail("determination", k, "U", f"decided by tick {bound}")
         previous = verdict
-    counts = {
-        width: compile_fn(_with_window_width(f, width)).state_scalar_count()
-        for width in (2, 50, 1000)
-    }
+    counts = {}
+    for width in (2, 50, 1000):
+        widened = with_windows(f, lambda w: Interval(min(w.lower, width - 1), width))
+        counts[width] = compile_fn(widened).state_scalar_count()
     if len(set(counts.values())) != 1:
         return fail(
             "state-size",

@@ -11,7 +11,7 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from ._record import record
 
@@ -174,6 +174,16 @@ def walk(f: Formula) -> Iterator[Formula]:
     yield f
     for c in children(f):
         yield from walk(c)
+
+
+def with_windows(f: Formula, fn: Callable[[Interval], object]) -> Formula:
+    """`f` rebuilt with each temporal node's window replaced by `fn(window)`,
+    called in formula order."""
+    if isinstance(f, TEMPORAL_NODES):
+        return type(f)(fn(f.window), *children(f))
+    if isinstance(f, Atom):
+        return f
+    return type(f)(*(with_windows(c, fn) for c in children(f)))
 
 
 def signals_of(f: Formula) -> tuple[str, ...]:

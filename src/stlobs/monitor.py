@@ -15,8 +15,9 @@ inlined as a comparison such as `s['speed'] < 20.0`, and one over several
 signals is a closure, called once per tick however many operands hold it.
 
 Formula text reaches the generated source only as the `repr` of a `str` (a
-signal name) or of a finite `float` (a threshold). Each formula's network
-code is cached, so compiling it again only builds fresh cells.
+signal name) or of a finite `float` (a threshold). Windows never reach it,
+so formulas that differ only in their windows share one network code, and
+compiling a formula again only builds fresh cells.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .formula import (
     signals_of,
     validate,
     walk,
+    with_windows,
 )
 from .trace import Trace
 from .trilean import FALSE, TRUE, UNKNOWN, FlagPair, Trilean, to_flags
@@ -304,8 +306,19 @@ _OPERANDS = {And: "({l} and {r})", Or: "({l} or {r})", Implies: "(not {l} or {r}
 @lru_cache(maxsize=256)
 def _network_code(f: Formula) -> tuple[Callable, tuple, tuple[str, ...]]:
     """The factory `make(c0, c1, ...) -> network` of `f`'s step function,
-    each cell's `_CELLS` key and constructor arguments, and `f`'s signals."""
-    source = _NetworkSource(f)
+    each cell's `_CELLS` key and constructor arguments, and `f`'s signals.
+    The factory is its shape's; a pre-order walk meets the temporal nodes in
+    leaf order, so each cell takes its window from there."""
+    make, leaves, signals = _shape_code(with_windows(f, lambda window: None))
+    windows = ((n.window.lower, n.window.upper) for n in walk(f) if isinstance(n, TEMPORAL_NODES))
+    return make, tuple((kind, args if kind is Atom else next(windows)) for kind, args in leaves), signals
+
+
+@lru_cache(maxsize=256)
+def _shape_code(shape: Formula) -> tuple[Callable, tuple, tuple[str, ...]]:
+    """`_network_code` of a formula with its windows erased, built once per
+    shape: temporal cells have no constructor arguments yet."""
+    source = _NetworkSource(shape)
     namespace = {
         "FlagConflictError": FlagConflictError,
         "TRUE": TRUE,
@@ -313,21 +326,15 @@ def _network_code(f: Formula) -> tuple[Callable, tuple, tuple[str, ...]]:
         "UNKNOWN": UNKNOWN,
         **source.atoms,
     }
-    exec(_compiled(source.text), namespace)
-    return namespace["make"], tuple(source.leaves), signals_of(f)
-
-
-@lru_cache(maxsize=256)
-def _compiled(source: str):
-    """Code object of a network's source; formulas that differ only in their
-    windows share it."""
-    return compile(source, "<stlobs network>", "exec")
+    exec(compile(source.text, "<stlobs network>", "exec"), namespace)
+    return namespace["make"], tuple(source.leaves), signals_of(shape)
 
 
 class _NetworkSource:
     """The source of `f`'s factory `make` (`text`), the cells it is called
-    with (`leaves`: `_CELLS` key and constructor arguments, in formula order)
-    and the closures its operands call (`atoms`, by global name)."""
+    with (`leaves`: `_CELLS` key and constructor arguments, in formula order,
+    none for a temporal cell) and the closures its operands call (`atoms`).
+    No window is read."""
 
     def __init__(self, f: Formula):
         self.leaves: list[tuple] = []
@@ -387,7 +394,7 @@ class _NetworkSource:
             args = "s"
         elif type(f) in _CELLS:
             operands = (f.left, f.right) if isinstance(f, Until) else (f.child,)
-            self.leaves.append((type(f), (f.window.lower, f.window.upper)))
+            self.leaves.append((type(f), ()))
             args = ", ".join(self._operand(op) for op in operands)
         else:
             raise TypeError(f"not a formula node: {f!r}")

@@ -120,9 +120,9 @@ def test_criterion_4_property_suite(capsys):
     assert report.wall_time_s < 120.0
     _announce(
         capsys,
-        "ACCEPTANCE 4 PASS: 10000 randomized formula/trace cases uphold "
-        "completeness, disjointness, latching, horizon determination, and "
-        f"verdict shape ({report.wall_time_s:.1f}s)",
+        "ACCEPTANCE 4 PASS: 10000 randomized formula/trace cases pass the "
+        "flag-conflict, completeness, immutability (hence the verdict shape "
+        f"U*(T+|F+)), determination and state-size checks ({report.wall_time_s:.1f}s)",
     )
 
 

@@ -295,6 +295,10 @@ DEMO_CSV = "speed,brake\n12.0,0\n13.5,0\n15.2,1\n14.9,1\n15.0,0\n"
 TIME_KEY = '{"time": 0, "x": 1}\n{"time": 1, "x": -1}\n'
 
 
+# A declared signal that the formula reads but the trace does not carry.
+MISSING_COLUMN = ["-f", "z > 0", "--signals", "x,z"]
+
+
 class TestOracle:
     @pytest.mark.parametrize(
         "name,text,args,exit_code",
@@ -311,12 +315,18 @@ class TestOracle:
             ("time.jsonl", TIME_KEY, ["--signals", "x"], cli.EXIT_TRUE),
             ("demo.csv", DEMO_CSV, ["-f", "F[1,3] (brake > 0)"], cli.EXIT_TRUE),
             ("-", DEMO_CSV, ["-f", "F[1,3] (brake > 0)"], cli.EXIT_TRUE),
+            ("header.csv", "x,y\n", MISSING_COLUMN, cli.EXIT_DATA),
+            ("-", "x,y\n", MISSING_COLUMN, cli.EXIT_DATA),
+            ("-", "x,y\n1,2\n3,4\n", MISSING_COLUMN, cli.EXIT_DATA),
+            ("-", '{"x": 1, "y": 2}\n', MISSING_COLUMN, cli.EXIT_DATA),
         ],
         ids=[
             "csv-in-a-json-file", "jsonl-in-a-csv-file", "blank-lines",
             "empty-declared-jsonl", "stdin", "header-only-csv",
             "declared-signals-no-lines", "time-key", "time-key-declared-jsonl",
             "time-key-outside-signals", "demo-file", "demo-stdin",
+            "missing-column-header-only-file", "missing-column-header-only-stdin",
+            "missing-column-with-rows", "missing-key-jsonl",
         ],
     )
     def test_matches_check_on_recorded_trace(self, tmp_path, name, text, args, exit_code):

@@ -35,6 +35,7 @@ from stlobs.formula import (
     signal_atom,
     signals_of,
     validate,
+    with_windows,
 )
 from stlobs.parser import parse
 from stlobs.trace import Trace
@@ -255,6 +256,31 @@ class TestHorizon:
     )
     def test_horizon(self, text, expected):
         assert horizon(p(text)) == expected
+
+
+class TestWithWindows:
+    def test_each_window_replaced_in_formula_order(self):
+        f = p("G[0,2] (x > 0) & ((x > 0) U[1,3] (y > 0)) | !F[2,5] (y < 1 & p > 0) -> q > 0")
+        seen = []
+
+        def widen(window):
+            seen.append(window)
+            return Interval(window.lower, window.upper + 10)
+
+        widened = with_windows(f, widen)
+        assert seen == [Interval(0, 2), Interval(1, 3), Interval(2, 5)]
+        assert render(widened) == (
+            "G[0,12] x > 0 & (x > 0 U[1,13] y > 0) | !F[2,15] (y < 1 & p > 0) -> q > 0"
+        )
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_identity_and_erasure(self, seed):
+        f = random_formula(random.Random(seed))
+        assert with_windows(f, lambda window: window) == f
+        erased = with_windows(f, lambda window: None)
+        assert with_windows(erased, lambda window: None) == erased
+        assert signals_of(erased) == signals_of(f)
 
 
 class TestRender:

@@ -177,6 +177,110 @@ class TestRepeatedAtoms:
                 assert m.step(trace.sample(k)).verdict is three_valued_eval(f, trace, k)
 
 
+class TestShapeCache:
+    # Formulas that differ only in their windows share one generated network;
+    # each monitor still steps its own cells with its own windows.
+
+    def count_builds(self, monkeypatch) -> list:
+        monitor._network_code.cache_clear()
+        monitor._shape_code.cache_clear()
+        builds = []
+
+        class Counting(monitor._NetworkSource):
+            def __init__(self, f):
+                builds.append(f)
+                super().__init__(f)
+
+        monkeypatch.setattr(monitor, "_NetworkSource", Counting)
+        return builds
+
+    def interleaved(self, formulas, trace: Trace) -> list:
+        """Each formula's verdicts, with all monitors stepped side by side;
+        each must match the oracle at every tick."""
+        monitors = [compile_formula(f) for f in formulas]
+        streams = [[] for _ in formulas]
+        for k in range(len(trace)):
+            for f, m, stream in zip(formulas, monitors, streams):
+                verdict = m.step(trace.sample(k)).verdict
+                assert verdict is three_valued_eval(f, trace, k), (f, k)
+                stream.append(verdict)
+        return streams
+
+    def test_windows_share_one_source_build(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        formulas = [parse(text, SIGNALS) for text in ("F[0,2] (x > 0)", "F[3,5] (x > 0)")]
+        near, far = self.interleaved(formulas, x_trace(0, 1, 0, 0, 0, 0, 0))
+        assert len(builds) == 1
+        assert near == [UNKNOWN, TRUE, TRUE, TRUE, TRUE, TRUE, TRUE]
+        assert far == [UNKNOWN] * 5 + [FALSE, FALSE]
+
+    def test_anchored_atom_keeps_its_tick_zero_value(self, monkeypatch):
+        # `x - y > 0` outside the operator is fixed by tick 0 (false), and
+        # turns true at tick 1, inside the first window only.
+        builds = self.count_builds(monkeypatch)
+        texts = ("!(x - y > 0) & F[0,2] (x - y > 0)", "!(x - y > 0) & F[2,4] (x - y > 0)")
+        formulas = [parse(text, SIGNALS) for text in texts]
+        trace = Trace(("x", "y"), ((0.0, 1.0), (2.0, 1.0), (0.0, 1.0), (0.5, 1.0), (0.0, 1.0)))
+        near, far = self.interleaved(formulas, trace)
+        assert len(builds) == 1
+        assert near == [UNKNOWN, TRUE, TRUE, TRUE, TRUE]
+        assert far == [UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN, FALSE]
+
+
+class TestNetworkText:
+    # The generated source of the benchmark's two formulas, pinned: a change
+    # to it moves `Monitor.step` on every benchmark workload.
+    HEAD = (
+        "def make(c0, c1, c2):\n"
+        "    decided = None\n"
+        "    def network(s):\n"
+        "        nonlocal decided\n"
+        "        if decided is not None:\n"
+        "            return decided\n"
+    )
+    TAIL = (
+        "        if p0 and n0 or p1 and n1 or p2 and n2:\n"
+        "            raise FlagConflictError('positive and negative verdict flags are both set')\n"
+        "        if {pos}:\n"
+        "            decided = TRUE\n"
+        "        elif {neg}:\n"
+        "            decided = FALSE\n"
+        "        return decided or UNKNOWN\n"
+        "    return network\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text,signals,cells,pos,neg",
+        [
+            (
+                "G[0,199999] (speed < 20 | brake > 0) & F[0,199999] (gear >= 6) "
+                "& ((speed >= 0) U[0,199999] (gear >= 6))",
+                ("speed", "brake", "gear"),
+                "        p0, n0 = c0((s['speed'] < 20.0 or s['brake'] > 0.0))\n"
+                "        p1, n1 = c1(s['gear'] >= 6.0)\n"
+                "        p2, n2 = c2(s['speed'] >= 0.0, s['gear'] >= 6.0)\n",
+                "((p0 and p1) and p2)",
+                "((n0 or n1) or n2)",
+            ),
+            (
+                "(F[0,100000] (x - y > 100) | ((x + y >= -100) U[50,100000] (x - y > 100))) "
+                "-> G[10,199999] (2*x - 3/10*y + 1/3 <= z)",
+                ("x", "y", "z"),
+                "        v0 = a0(s)\n"
+                "        p0, n0 = c0(v0)\n"
+                "        p1, n1 = c1(a1(s), v0)\n"
+                "        p2, n2 = c2(a2(s))\n",
+                "((n0 and n1) or p2)",
+                "((p0 or p1) and n2)",
+            ),
+        ],
+        ids=["csv-wide", "jsonl-latch"],
+    )
+    def test_benchmark_formulas(self, text, signals, cells, pos, neg):
+        source = monitor._NetworkSource(parse(text, signals))
+        assert source.text == self.HEAD + cells + self.TAIL.format(pos=pos, neg=neg)
+
+
 class TestStepErrors:
     def test_missing_signal(self):
         m = monitor_for("x > 0 & y > 0")
@@ -210,14 +314,17 @@ class TestStepErrors:
             compile_formula(bad)
 
     def test_invalid_formula_equal_to_a_compiled_one_rejected(self):
-        # Interval(True, 2) == Interval(1, 2), with the same hash; the compile
-        # cache must not let the invalid bound through.
+        # Interval(True, 2) == Interval(1, 2), with the same hash; neither the
+        # compile cache nor the cache of its shape may let the invalid bound
+        # through. First only the shape is cached, then the equal formula.
         atom = signal_atom("x", ">")
-        compile_formula(Always(Interval(1, 2), atom))
         bad = Always(Interval(True, 2), atom)
+        monitor._network_code.cache_clear()
+        for cached in (Always(Interval(3, 5), atom), Always(Interval(1, 2), atom)):
+            compile_formula(cached)
+            with pytest.raises(InvalidFormulaError):
+                compile_formula(bad)
         assert bad == Always(Interval(1, 2), atom) and hash(bad) == hash(Always(Interval(1, 2), atom))
-        with pytest.raises(InvalidFormulaError):
-            compile_formula(bad)
 
     def test_verdict_record_must_be_consistent(self):
         # The record stores only the verdict; its flags are derived from it,
