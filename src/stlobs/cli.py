@@ -16,26 +16,29 @@ stops without a message.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from . import __version__
 from .errors import FormulaError, MissingSignalError, StlObsError, TraceError
 from .formula import Formula, signals_of
 from .monitor import VerdictRecord, compile_formula
 from .parser import parse
+from .trace import Trace
 from .traceio import (
     TRACE_FORMATS,
     VERDICT_FORMATS,
     VerdictWriter,
+    hooks_reads,
     opened,
     read_jsonl_stream,
-    read_trace,
     sniff_lines,
     stream_csv,
 )
@@ -216,30 +219,77 @@ def _verdict_exit(last: Trilean | None) -> int:
     return _VERDICT_EXITS[last]
 
 
+# The most verdict output `check` holds while input is in hand. It is put
+# out before every read of the input, so a held line waits at most for the
+# rows that make 1 KiB of verdicts, about 78 csv or 17 jsonl lines: well
+# under a millisecond of work, and no wait at all on a reader that sends one
+# row per verdict.
+HELD_BYTES = 1024
+
+
+def _held_stdout(source: object) -> BinaryIO | None:
+    """A binary stream on stdout's descriptor that holds up to HELD_BYTES,
+    when `check` may hold its output: its reads of `source` are hooked to
+    flush the stream first (`hooks_reads`), and stdout is the interpreter's
+    own, on POSIX, with an encoding that writes ASCII as itself. Otherwise
+    None, and verdicts go through `sys.stdout` a line at a time.
+
+    A text stream does not expose the newline it was opened with, so only
+    `sys.__stdout__` qualifies: on POSIX Python opens it with newline "\n",
+    which translates nothing. A newline set later with `reconfigure` is not
+    seen."""
+    stdout = sys.stdout
+    if not hooks_reads(source) or stdout is not sys.__stdout__ or os.linesep != "\n":
+        return None
+    try:
+        fd = stdout.fileno()
+        if "tick\n".encode(stdout.encoding) != b"tick\n":
+            return None
+    except (AttributeError, OSError, ValueError, LookupError):
+        return None  # io.UnsupportedOperation is an OSError and a ValueError
+    stdout.flush()  # what is already buffered goes out first
+    return io.BufferedWriter(_stdout_raw(fd), HELD_BYTES)
+
+
+def _stdout_raw(fd: int) -> io.RawIOBase:
+    return io.FileIO(fd, "w", closefd=False)
+
+
+def _read_front(args, formula_text: str, lines: Iterable[str]):
+    """Read the trace's header, or its first JSONL object, from `lines`,
+    then parse the formula against the signals found there or declared:
+    the formula, the trace's signal names and an iterator of its samples,
+    none of them read yet beyond the first JSONL object."""
+    fmt = args.trace_format
+    if fmt == "auto":
+        fmt, lines = sniff_lines(lines)
+    declared = args.signals
+    if fmt == "csv":
+        names, samples = stream_csv(lines)
+        parse_signals = declared if declared is not None else names
+    else:
+        samples = read_jsonl_stream(lines, declared)
+        parse_signals = declared
+        if declared is None:
+            first = next(samples)  # an empty trace raises here
+            parse_signals = tuple(sorted(first))
+            samples = itertools.chain([first], samples)
+        names = parse_signals
+    f = parse(formula_text, parse_signals)
+    _require_signals(f, names)
+    return f, names, samples
+
+
 def _cmd_check(args) -> int:
     formula_text = _load_formula_text(args)
-    with opened(_trace_source(args)) as lines:
-        fmt = args.trace_format
-        if fmt == "auto":
-            fmt, lines = sniff_lines(lines)
-
-        declared = args.signals
-        if fmt == "csv":
-            names, samples = stream_csv(lines)
-            parse_signals = declared if declared is not None else names
-        else:
-            samples = read_jsonl_stream(lines, declared)
-            parse_signals = declared
-            if declared is None:
-                first = next(samples)  # an empty trace raises here
-                parse_signals = tuple(sorted(first))
-                samples = itertools.chain([first], samples)
-            names = parse_signals
-
-        f = parse(formula_text, parse_signals)
-        _require_signals(f, names)
+    source = _trace_source(args)
+    out = _held_stdout(source)
+    # A held stream is flushed before each read of the input and, on the
+    # way out, by its `with`: also after an early stop or a trace error.
+    with out or nullcontext(), opened(source, out.flush if out else None) as lines:
+        f, _, samples = _read_front(args, formula_text, lines)
         step = compile_formula(f).step
-        write = VerdictWriter(sys.stdout, args.format).write
+        write = VerdictWriter(out or sys.stdout, args.format).write
         early_stop = args.early_stop
         last: Trilean | None = None
         for sample in samples:
@@ -248,17 +298,16 @@ def _cmd_check(args) -> int:
             last = record.verdict
             if early_stop and last is not UNKNOWN:
                 break
-        return _verdict_exit(last)
+    return _verdict_exit(last)
 
 
 def _cmd_oracle(args) -> int:
     from .oracle import three_valued_eval
 
     formula_text = _load_formula_text(args)
-    trace = read_trace(_trace_source(args), args.trace_format, args.signals)
-    parse_signals = args.signals if args.signals is not None else trace.signals
-    f = parse(formula_text, parse_signals)
-    _require_signals(f, trace.signals)
+    with opened(_trace_source(args)) as lines:
+        f, names, samples = _read_front(args, formula_text, lines)
+        trace = Trace(names, tuple(tuple(s[n] for n in names) for s in samples))
     writer = VerdictWriter(sys.stdout, args.format)
     last: Trilean | None = None
     for tick in range(len(trace)):

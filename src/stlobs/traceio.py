@@ -9,17 +9,17 @@ nobody mistakes a value column for a time axis.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import logging
 import math
-import os
 import re
 import sys
 from contextlib import contextmanager
 from math import isfinite
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .errors import MissingSignalError, TraceFormatError
 from .monitor import VerdictRecord
@@ -34,16 +34,67 @@ TRACE_FORMATS = ("csv", "jsonl")
 
 
 @contextmanager
-def opened(source: str | Path | Iterable[str]) -> Iterator[Iterable[str]]:
-    """The lines of a file path, opened for reading, or `source` itself."""
-    if isinstance(source, (str, Path)):
-        handle = open(source, encoding="utf-8", newline="")
+def opened(
+    source: str | Path | Iterable[str], before_read: Callable[[], object] | None = None
+) -> Iterator[Iterable[str]]:
+    """The lines of a file path, opened for reading, or `source` itself.
+
+    With `before_read`, a source for which `hooks_reads` holds is read
+    through a stream of this function's own that calls `before_read` before
+    each read of the descriptor, and so before it can wait for input. It
+    decodes as the plain stream would: a path as utf-8 with newline "", the
+    interpreter's stdin with stdin's encoding and errors and newline "\n",
+    as Python opens it on POSIX. What stdin's own buffer already holds is not
+    read. Any other source is yielded as it is and its reads are not hooked.
+    """
+    if before_read is not None and hooks_reads(source):
+        if isinstance(source, (str, Path)):
+            raw = _HookedReads(source, before_read)
+            encoding, errors, newline = "utf-8", "strict", ""
+        else:
+            raw = _HookedReads(source.fileno(), before_read, closefd=False)
+            encoding, errors, newline = source.encoding, source.errors, "\n"
         try:
-            yield handle
-        finally:
-            handle.close()
+            handle = io.TextIOWrapper(io.BufferedReader(raw), encoding, errors, newline)
+        except BaseException:
+            raw.close()
+            raise
+    elif isinstance(source, (str, Path)):
+        handle = open(source, encoding="utf-8", newline="")
     else:
         yield source
+        return
+    try:
+        yield handle
+    finally:
+        handle.close()
+
+
+def hooks_reads(source: object) -> bool:
+    """Whether `opened(source, before_read)` calls `before_read` before each
+    read: for a path, and for the interpreter's own stdin."""
+    return isinstance(source, (str, Path)) or (
+        source is sys.__stdin__ and source is not None
+    )
+
+
+class _HookedReads(io.FileIO):
+    """A file read through `readinto` or `readall`, each of which first calls
+    `before_read`."""
+
+    def __init__(
+        self, file: str | Path | int, before_read: Callable[[], object], closefd: bool = True
+    ):
+        super().__init__(file, "r", closefd)
+        self._before_read = before_read
+
+    def readinto(self, buffer) -> int | None:
+        self._before_read()
+        return super().readinto(buffer)
+
+    def readall(self) -> bytes:
+        self._before_read()
+        return super().readall()
 
 
 def _check_signals(names: tuple[str, ...], where: str) -> tuple[str, ...]:
@@ -117,25 +168,25 @@ def stream_csv(
     signals = _check_signals(tuple(name.strip() for name in header), f"line {header_line}")
     reader = csv.reader(lines)
 
+    convert = _row_converter(signals)
+
     def rows() -> Iterator[dict[str, float]]:
         width = len(signals)
         for lineno, raw in enumerate(reader, start=header_line + 1):
-            if len(raw) != width:
-                if not raw:
-                    logger.warning("skipping blank line %d", lineno)
-                    continue
-                raise TraceFormatError(
-                    f"line {lineno}: expected {width} values, got {len(raw)}"
-                )
-            # The whole row in one pass. The sum of finite floats is finite
-            # unless it overflows, and a nan or an infinity makes it
-            # non-finite; so only a row that fails here is converted value
-            # by value, which finds the first bad value or accepts the row.
             try:
-                sample = dict(zip(signals, map(float, raw)))
+                sample = convert(raw)
             except ValueError:
-                sample = None
-            if sample is None or not isfinite(sum(sample.values())):
+                # A row the converter refuses: a blank one is skipped, one
+                # of another width is an error, and any other is read value
+                # by value, which finds its first bad value or accepts it
+                # (its values were finite, but their sum overflowed).
+                if len(raw) != width:
+                    if not raw:
+                        logger.warning("skipping blank line %d", lineno)
+                        continue
+                    raise TraceFormatError(
+                        f"line {lineno}: expected {width} values, got {len(raw)}"
+                    ) from None
                 sample = {
                     name: _parse_value(text, lineno, column)
                     for column, (name, text) in enumerate(zip(signals, raw), start=1)
@@ -143,6 +194,31 @@ def stream_csv(
             yield sample
 
     return signals, rows()
+
+
+def _row_converter(signals: tuple[str, ...]) -> Callable[[list[str]], dict[str, float]]:
+    """One function, generated for `signals`, that takes a CSV row to its
+    sample in one pass: it unpacks exactly one text per signal, reads each
+    with `float` and tests the finiteness of their sum. The sum of finite
+    floats is finite unless it overflows, and a nan or an infinity makes it
+    non-finite. Any other row raises ValueError: one of another width, one
+    with a text `float` does not read, or one whose sum is not finite.
+
+    Signal names reach the source only as `str.__repr__` literals."""
+    values = [f"v{k}" for k in range(len(signals))]
+    display = ", ".join(f"{str.__repr__(name)}: {v}" for name, v in zip(signals, values))
+    lines = [
+        "def convert(row):",
+        f"    {', '.join(values)}, = row",
+        *(f"    {v} = float({v})" for v in values),
+        f"    if isfinite({' + '.join(values)}):",
+        f"        return {{{display}}}",
+        "    raise ValueError",
+    ]
+    source = "".join(line + "\n" for line in lines)
+    namespace = {"isfinite": isfinite}
+    exec(compile(source, "<stlobs csv row>", "exec"), namespace)
+    return namespace["convert"]
 
 
 def read_csv(source: str | Path | Iterable[str]) -> Trace:
@@ -275,50 +351,38 @@ def write_csv(trace: Trace, stream: IO[str]) -> None:
 
 
 class VerdictWriter:
-    """Writes verdict records one at a time, each line out of the process
-    before `write` returns, so a downstream consumer sees every verdict
-    before the next sample is read.
+    """Writes verdict records one at a time.
 
     Each line is a per-format, per-verdict template with the tick filled
     in; jsonl lines are byte-identical to `json.dumps` of the same object.
-    On the interpreter's own stdout, on POSIX and with an encoding that
-    writes ASCII as itself, each line is one `os.write` of its bytes, past
-    the stream's buffers: a caller that writes to the same stream between
-    verdicts must flush it. Any other stream gets a `write` and a `flush`
-    per line, so its newline translation applies."""
+    A text stream gets a `write` and a `flush` per line, so each line is
+    out of the writer before `write` returns and the stream's newline
+    translation applies. A binary stream (an `io.BufferedIOBase`, whose
+    `write` takes every byte) gets the line's ASCII bytes and no flush: when
+    they go out is left to the stream's owner."""
 
-    def __init__(self, stream: IO[str], fmt: str = "text"):
+    def __init__(self, stream: IO[str] | BinaryIO, fmt: str = "text"):
         if fmt not in VERDICT_FORMATS:
             raise ValueError(f"unknown verdict format {fmt!r}")
-        self._stream = stream
         self._lines = _LINES[fmt]
-        self._fd = _ascii_fd(stream)
-        if self._fd is not None:
-            stream.flush()  # what is already buffered goes out first
+        header = "tick,verdict,pos,neg\n" if fmt == "csv" else ""
+        if isinstance(stream, io.BufferedIOBase):
             self._lines = {v: line.encode("ascii") for v, line in self._lines.items()}
-        if fmt == "csv":
-            header = "tick,verdict,pos,neg\n"
-            self._put(header if self._fd is None else header.encode("ascii"))
+            self._put = stream.write
+            header = header.encode("ascii")
+        else:
+            self._stream = stream
+            self._put = self._put_text
+        if header:
+            self._put(header)
 
     def write(self, record: VerdictRecord) -> None:
         self._put(self._lines[record.verdict] % record.tick)
 
-    def _put(self, line) -> None:
-        fd = self._fd
-        if fd is None:
-            self._stream.write(line)
-            self._stream.flush()
-            return
-        written = _os_write(fd, line)
-        if written < len(line):
-            # The rest through the binary buffer, which retries until every
-            # byte is out.
-            buffer = self._stream.buffer
-            buffer.write(line[written:])
-            buffer.flush()
+    def _put_text(self, line: str) -> None:
+        self._stream.write(line)
+        self._stream.flush()
 
-
-_os_write = os.write
 
 # One line per format and verdict, `%` the tick.
 _LINES = {
@@ -336,30 +400,17 @@ _LINES = {
 }
 
 
-def _ascii_fd(stream: IO[str]) -> int | None:
-    """The file descriptor under a text stream whose bytes for an ASCII line
-    are that line, or None.
-
-    A text stream does not expose the newline it was opened with, so only
-    `sys.__stdout__` qualifies: on POSIX Python opens it with newline "\n",
-    which translates nothing. A newline set later with `reconfigure` is not
-    seen."""
-    if stream is not sys.__stdout__:
-        return None
-    try:
-        fd = stream.buffer.fileno()
-        ascii_as_itself = "tick\n".encode(stream.encoding) == b"tick\n"
-    except (AttributeError, OSError, ValueError, LookupError):
-        return None  # io.UnsupportedOperation is an OSError and a ValueError
-    return fd if ascii_as_itself and os.linesep == "\n" else None
-
-
 def write_verdicts(
-    records: Iterable[VerdictRecord], stream: IO[str], fmt: str = "text"
+    records: Iterable[VerdictRecord], stream: IO[str] | BinaryIO, fmt: str = "text"
 ) -> None:
+    """Write `records` to `stream` with a `VerdictWriter`. A binary stream
+    is flushed at the end, so there too every line has left its buffer on
+    return; a text stream was flushed line by line."""
     writer = VerdictWriter(stream, fmt)
     for record in records:
         writer.write(record)
+    if isinstance(stream, io.BufferedIOBase):
+        stream.flush()
 
 
 _TEXT_LINE = re.compile(r"tick=(\d+) verdict=([TFU]) pos=([01]) neg=([01])$")

@@ -3,8 +3,10 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -212,29 +214,6 @@ class TestErrorExits:
         assert code == cli.EXIT_NOINPUT
         assert "not found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
-    def test_stdout_gets_one_os_write_per_line(self, csv_path, fmt):
-        # In a process of its own, `check` writes to the interpreter's
-        # stdout, and each verdict line (and the csv header) is one os.write.
-        counting = (
-            "import os, sys\n"
-            "from stlobs import cli, traceio\n"
-            "def os_write(fd, data):\n"
-            "    sys.stderr.write(repr(data) + '\\n')\n"
-            "    return os.write(fd, data)\n"
-            "traceio._os_write = os_write\n"
-            "cli.main(sys.argv[1:])\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(stlobs.__file__).resolve().parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-c", counting, "check", "-f", "F[0,9] (x > 2)",
-             "--trace", csv_path, "--format", fmt],
-            capture_output=True, env=env, timeout=60,
-        )
-        lines = proc.stdout.splitlines(keepends=True)
-        assert len(lines) == (4 if fmt == "csv" else 3)
-        assert proc.stderr.decode().splitlines() == [repr(line) for line in lines]
-
     def test_output_closed_by_its_reader(self):
         # As `stlobs check ... | head -1`: the reader takes one verdict line
         # and closes the pipe, so the verdict of the next row cannot be
@@ -291,12 +270,203 @@ class TestErrorExits:
         assert capsys.readouterr().out.startswith("stlobs ")
 
 
+def read_lines(fd: int, count: int, timeout: float) -> bytes:
+    """`count` whole lines read from `fd`, or what came of them before
+    `timeout` seconds passed or the writer closed it."""
+    deadline = time.monotonic() + timeout
+    data = b""
+    while data.count(b"\n") < count:
+        ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+        chunk = os.read(fd, 1 << 16) if ready else b""
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+class LoggingRaw(io.RawIOBase):
+    """A binary sink that keeps the bytes of each `write` call, taking at
+    most `limit` of them a call."""
+
+    def __init__(self, limit: int | None = None):
+        self.writes: list[bytes] = []
+        self.limit = limit
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        taken = bytes(data[: self.limit])
+        self.writes.append(taken)
+        return len(taken)
+
+
+LOOP_ROWS = {
+    "csv": [b"x\n1\n", b"2\n", b"3\n", b"0\n", b"4\n"],
+    "jsonl": [b'{"x": 1}\n', b'{"x": 2}\n', b'{"x": 3}\n', b'{"x": 0}\n', b'{"x": 4}\n'],
+}
+
+
+class TestHeldVerdicts:
+    """`check` holds its verdicts in a small buffer of its own while input
+    is in hand and puts them out before each read of its input: a caller
+    that sends one row and waits for its verdict gets it, a file's verdicts
+    leave in few writes, and what is held is out when `check` stops."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
+    @pytest.mark.parametrize("trace_format", ["csv", "jsonl"])
+    @pytest.mark.parametrize("source", ["stdin", "fifo"])
+    def test_closed_loop(self, tmp_path, source, trace_format, fmt):
+        # One row, then its verdict, then the next row: a verdict held past
+        # the read of the next row never arrives.
+        env = dict(os.environ, PYTHONPATH=str(Path(stlobs.__file__).resolve().parent.parent))
+        argv = [sys.executable, "-m", "stlobs.cli", "check", "-f", "F[0,9] (x > 2)",
+                "--format", fmt]
+        trace = "-" if source == "stdin" else str(tmp_path / "trace.fifo")
+        if source == "fifo":
+            os.mkfifo(trace)
+        proc = subprocess.Popen(
+            argv + ["--trace", trace], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env, bufsize=0,
+        )
+        try:
+            # Opening a FIFO for writing waits for `check` to open it.
+            into = proc.stdin if source == "stdin" else open(trace, "wb", buffering=0)
+            got = b""
+            for tick, row in enumerate(LOOP_ROWS[trace_format]):
+                into.write(row)
+                lines = tick + 1 + (fmt == "csv")
+                got += read_lines(proc.stdout.fileno(), lines - got.count(b"\n"), timeout=20)
+                assert got.count(b"\n") == lines, f"no verdict for tick {tick}"
+            into.close()
+            assert proc.wait(timeout=60) == cli.EXIT_TRUE
+            records = read_verdicts(got.decode().splitlines(), fmt)
+            assert [str(r.verdict) for r in records] == ["U", "U", "T", "T", "T"]
+            assert proc.stdout.read() == b""
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            for stream in (into, proc.stdin, proc.stdout, proc.stderr):
+                stream.close()
+
+    @pytest.fixture
+    def held(self, tmp_path, monkeypatch):
+        """Returns a function that makes a file the interpreter's stdout, so
+        that `check` holds its output, and puts a `LoggingRaw` with the given
+        limit under each stream `check` builds there. It returns the list of
+        the sinks made."""
+        stream = open(tmp_path / "stdout", "w", encoding="utf-8")
+        sinks: list[LoggingRaw] = []
+
+        def make(limit: int | None = None) -> list[LoggingRaw]:
+            def raw(fd):
+                sinks.append(LoggingRaw(limit))
+                return sinks[-1]
+
+            monkeypatch.setattr(sys, "stdout", stream)
+            monkeypatch.setattr(sys, "__stdout__", stream)
+            monkeypatch.setattr(cli, "_stdout_raw", raw)
+            return sinks
+
+        yield make
+        stream.close()
+
+    @staticmethod
+    def rows_file(tmp_path, rows: int, bad_row: int | None = None) -> str:
+        path = tmp_path / "rows.csv"
+        path.write_text("x\n" + "".join(
+            "oops\n" if k == bad_row else f"{k}\n" for k in range(rows)
+        ))
+        return str(path)
+
+    def unheld(self, argv, capsys) -> tuple[int, bytes, str]:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out.encode(), captured.err
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
+    def test_file_verdicts_leave_in_few_writes(self, tmp_path, held, capsys, fmt):
+        argv = ["check", "-f", "G[0,9999] (x >= 0)", "--trace", self.rows_file(tmp_path, 5000),
+                "--format", fmt]
+        expected = self.unheld(argv, capsys)
+        sinks = held()
+        code = cli.main(argv)
+        [sink] = sinks
+        assert (code, b"".join(sink.writes), capsys.readouterr().err) == expected
+        assert len(sink.writes) < 5000 / 10
+        assert max(map(len, sink.writes)) <= cli.HELD_BYTES
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "jsonl"])
+    def test_a_sink_that_takes_5_bytes_a_call_gets_every_byte(self, tmp_path, held, capsys, fmt):
+        argv = ["check", "-f", "G[0,9] (x >= 0)", "--trace", self.rows_file(tmp_path, 300),
+                "--format", fmt]
+        expected = self.unheld(argv, capsys)
+        sinks = held(limit=5)
+        code = cli.main(argv)
+        assert (code, b"".join(sinks[0].writes), capsys.readouterr().err) == expected
+        assert max(map(len, sinks[0].writes)) == 5
+
+    @pytest.mark.parametrize(
+        "formula,bad_row,extra,exit_code",
+        [
+            ("F[0,4000] (x > 2500)", None, ["--early-stop"], cli.EXIT_TRUE),
+            ("G[0,9999] (x >= 0)", 3000, [], cli.EXIT_DATA),
+            ("F[0,4000] (x > 2500)", 3000, ["--early-stop"], cli.EXIT_TRUE),
+        ],
+        ids=["early-stop", "bad-row", "early-stop-before-a-bad-row"],
+    )
+    def test_every_verdict_before_a_stop_is_out(
+        self, tmp_path, held, capsys, formula, bad_row, extra, exit_code
+    ):
+        argv = ["check", "-f", formula, "--trace", self.rows_file(tmp_path, 5000, bad_row), *extra]
+        expected = self.unheld(argv, capsys)
+        assert expected[0] == exit_code
+        assert expected[1].count(b"\n") == (2502 if extra else 3000)
+        sinks = held()
+        code = cli.main(argv)
+        assert (code, b"".join(sinks[0].writes), capsys.readouterr().err) == expected
+
+    @pytest.mark.parametrize("extra", [[], ["--early-stop"]])
+    def test_output_closed_before_the_last_flush(self, csv_path, extra):
+        # The file's verdicts are held until `check` reads its end or stops
+        # early; their flush meets a pipe with no reader, and the command
+        # stops silently with EX_IOERR.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(stlobs.__file__).resolve().parent.parent))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stlobs.cli", "check", "-f", "x > 0",
+                 "--trace", csv_path, *extra],
+                stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE,
+                env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_IOERR, b"")
+
+    def test_replaced_stdin_is_written_line_by_line(self, held, monkeypatch, capsys):
+        # Reads from a stream that is not the interpreter's stdin are not
+        # hooked, so nothing may be held: each line goes through sys.stdout.
+        sinks = held()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("x\n1\n2\n"))
+        assert cli.main(["check", "-f", "F[0,1] (x > 1)", "--trace", "-"]) == cli.EXIT_TRUE
+        assert sinks == []
+        sys.stdout.flush()
+        assert Path(sys.stdout.name).read_text() == (
+            "tick=0 verdict=U pos=0 neg=0\ntick=1 verdict=T pos=1 neg=0\n"
+        )
+
+
 DEMO_CSV = "speed,brake\n12.0,0\n13.5,0\n15.2,1\n14.9,1\n15.0,0\n"
 TIME_KEY = '{"time": 0, "x": 1}\n{"time": 1, "x": -1}\n'
 
 
 # A declared signal that the formula reads but the trace does not carry.
 MISSING_COLUMN = ["-f", "z > 0", "--signals", "x,z"]
+# A row that does not read: the formula and its signals are checked first.
+BAD_ROW = "x,y\n1,abc\n"
 
 
 class TestOracle:
@@ -319,6 +489,10 @@ class TestOracle:
             ("-", "x,y\n", MISSING_COLUMN, cli.EXIT_DATA),
             ("-", "x,y\n1,2\n3,4\n", MISSING_COLUMN, cli.EXIT_DATA),
             ("-", '{"x": 1, "y": 2}\n', MISSING_COLUMN, cli.EXIT_DATA),
+            ("bad.csv", BAD_ROW, ["-f", "x >"], cli.EXIT_USAGE),
+            ("-", BAD_ROW, ["-f", "x >"], cli.EXIT_USAGE),
+            ("bad.csv", BAD_ROW, MISSING_COLUMN, cli.EXIT_DATA),
+            ("-", BAD_ROW, MISSING_COLUMN, cli.EXIT_DATA),
         ],
         ids=[
             "csv-in-a-json-file", "jsonl-in-a-csv-file", "blank-lines",
@@ -327,6 +501,8 @@ class TestOracle:
             "time-key-outside-signals", "demo-file", "demo-stdin",
             "missing-column-header-only-file", "missing-column-header-only-stdin",
             "missing-column-with-rows", "missing-key-jsonl",
+            "bad-formula-before-bad-row-file", "bad-formula-before-bad-row-stdin",
+            "missing-column-before-bad-row-file", "missing-column-before-bad-row-stdin",
         ],
     )
     def test_matches_check_on_recorded_trace(self, tmp_path, name, text, args, exit_code):

@@ -1,5 +1,6 @@
 """Trace readers, format sniffing, and verdict writers."""
 
+import csv
 import io
 import json
 import logging
@@ -152,6 +153,9 @@ def _value_by_value(lines: list[str], signals: tuple[str, ...]) -> tuple[list, s
     for lineno, line in enumerate(lines, start=2):
         if line == "":  # csv.reader gives [] for it: a skipped blank line
             continue
+        width = line.count(",") + 1
+        if width != len(signals):
+            return samples, f"line {lineno}: expected {len(signals)} values, got {width}"
         try:
             samples.append(
                 {name: _parse_value(text, lineno, column)
@@ -213,6 +217,39 @@ class TestCsvFastPath:
     def test_rows_that_leave_the_fast_path(self, row, expected):
         samples, error = _drain(stream_csv(["a,b\n", row + "\n"])[1])
         assert (samples[0] if samples else error) == expected
+
+    @given(
+        st.sampled_from([
+            ("x",),
+            ("class",),
+            ('say "hi"', "back\\slash", "été", "if", "None", "a'}#", "{v0}"),
+            tuple(f"s{k}" for k in range(38)) + ("lambda", "λ\\'"),
+        ]).flatmap(
+            lambda signals: st.tuples(
+                st.just(signals),
+                st.lists(
+                    st.integers(-1, 1).flatmap(
+                        lambda extra: st.lists(
+                            _CELLS, min_size=len(signals) + extra, max_size=len(signals) + extra
+                        )
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    def test_generated_converter_reads_as_value_by_value(self, case):
+        signals, rows = case
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(signals)
+        lines = [",".join(row) for row in rows]
+        text = header.getvalue() + "".join(line + "\n" for line in lines)
+        names, samples = stream_csv(text.splitlines(keepends=True))
+        assert names == signals
+        samples, error = _drain(samples)
+        assert (samples, error) == _value_by_value(lines, signals)
+        assert all(list(sample) == list(signals) for sample in samples)
 
 
 class TestReadJsonl:
@@ -480,6 +517,55 @@ class TestSniffAndRead:
             read_trace(path, trace_format="xml")
 
 
+# Line ends that split lines differently under newline "" and "\n".
+HOOKED_TEXT = "x,y\r\n1,2\r3,4\n5,é6\r\n\r\n7,8\r"
+
+
+class TestHookedReads:
+    """`opened` with `before_read` reads a path or the interpreter's stdin
+    itself, calling the hook before each read, and gives the lines the plain
+    stream would give."""
+
+    def test_path_reads_as_open_does(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(HOOKED_TEXT.encode("utf-8") * 2000)
+        calls = []
+        with open(path, encoding="utf-8", newline="") as plain:
+            expected = list(plain)
+        with traceio.opened(path, lambda: calls.append(1)) as lines:
+            assert next(lines) == "x,y\r\n"
+            assert len(calls) == 1  # before the first read, not after
+            assert [next(lines), *lines] == expected[1:]
+        assert len(calls) > 2  # one per read, the last one meeting the end
+        assert lines.closed
+
+    @pytest.mark.parametrize(
+        "encoding,errors", [("utf-8", "strict"), ("latin-1", "strict"), ("ascii", "replace")]
+    )
+    def test_interpreter_stdin_reads_as_itself(self, tmp_path, monkeypatch, encoding, errors):
+        path = tmp_path / "stdin"
+        path.write_bytes(HOOKED_TEXT.encode("utf-8"))
+        calls = []
+        with open(path, encoding=encoding, errors=errors, newline="\n") as plain:
+            expected = list(plain)
+        with open(path, encoding=encoding, errors=errors) as stdin:
+            monkeypatch.setattr(sys, "__stdin__", stdin)
+            with traceio.opened(stdin, lambda: calls.append(1)) as lines:
+                assert lines is not stdin
+                assert list(lines) == expected
+            assert lines.closed and not stdin.closed
+        assert expected[1] == "1,2\r3,4\n"  # "\r" does not end a line
+        assert len(calls) >= 2  # the last read meets the end
+
+    def test_other_sources_are_not_hooked(self, tmp_path):
+        stream = io.StringIO("x\n1\n")
+        with traceio.opened(stream, lambda: pytest.fail("hooked")) as lines:
+            assert lines is stream
+            assert list(lines) == ["x\n", "1\n"]
+        assert not traceio.hooks_reads(stream)
+        assert traceio.hooks_reads(tmp_path / "t.csv") and traceio.hooks_reads("t.csv")
+
+
 RECORDS = [
     VerdictRecord(0, UNKNOWN),
     VerdictRecord(1, TRUE),
@@ -612,9 +698,8 @@ def written_line_by_line(stream, fmt: str, new_output) -> list[bytes]:
 
 @pytest.fixture(params=["own stream", "interpreter stdout"])
 def as_sink(request, monkeypatch):
-    """Returns its stream, made the interpreter's own stdout (where the
-    writer puts each line out with one `os.write`) or left as it is (where
-    the writer calls the stream's `write` and `flush`)."""
+    """Returns its stream, made the interpreter's own stdout or left as it
+    is: the writer calls a text stream's `write` and `flush` either way."""
 
     def make(stream):
         if request.param == "interpreter stdout":
@@ -678,22 +763,37 @@ class TestVerdictSinks:
 
         assert written_line_by_line(sys.stdout, fmt, new_output) == expected_lines(fmt)
 
-    def test_short_writes_are_finished(self, fmt, tmp_path, monkeypatch):
-        # The descriptor takes at most 5 bytes a call; the stream's buffer
-        # must write the rest before `write` returns.
-        monkeypatch.setattr(traceio, "_os_write", lambda fd, data: os.write(fd, data[:5]))
-        path = tmp_path / "verdicts.out"
-        done = 0
+    def test_binary_stream_that_takes_5_bytes_a_call(self, fmt):
+        # The raw sink takes at most 5 bytes a call; its buffered stream
+        # writes the rest, and `write_verdicts` flushes it at the end.
+        class FiveBytes(io.RawIOBase):
+            def __init__(self):
+                self.data = b""
 
-        def new_output() -> bytes:
-            nonlocal done
-            data = path.read_bytes()
-            new, done = data[done:], len(data)
-            return new
+            def writable(self):
+                return True
 
-        with open(path, "w", encoding="utf-8") as stream:
-            monkeypatch.setattr(sys, "__stdout__", stream)
-            assert written_line_by_line(stream, fmt, new_output) == expected_lines(fmt)
+            def write(self, data):
+                self.data += bytes(data[:5])
+                return min(len(data), 5)
+
+        raw = FiveBytes()
+        write_verdicts(SINK_RECORDS, io.BufferedWriter(raw, 8), fmt)
+        assert raw.data == b"".join(expected_lines(fmt))
+
+    def test_binary_stream_is_flushed_by_its_owner(self, fmt):
+        flushes = []
+
+        class Spy(io.BytesIO):
+            def flush(self):
+                flushes.append(self.getvalue())
+
+        stream = Spy()
+        writer = VerdictWriter(stream, fmt)
+        for record in SINK_RECORDS:
+            writer.write(record)
+        assert flushes == []
+        assert stream.getvalue() == b"".join(expected_lines(fmt))
 
     def test_text_buffered_before_the_writer_comes_first(self, fmt, tmp_path, as_sink):
         path = tmp_path / "verdicts.out"
