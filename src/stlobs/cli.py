@@ -24,7 +24,7 @@ import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from . import __version__
 from .errors import FormulaError, MissingSignalError, StlObsError, TraceError
@@ -252,10 +252,14 @@ def _held_stdout(source: object) -> BinaryIO | None:
 
 
 def _stdout_raw(fd: int) -> io.RawIOBase:
+    """The unbuffered stream under the held stdout; the descriptor stays
+    open when it is closed."""
     return io.FileIO(fd, "w", closefd=False)
 
 
-def _read_front(args, formula_text: str, lines: Iterable[str]):
+def _read_front(
+    args, formula_text: str, lines: Iterable[str]
+) -> tuple[Formula, tuple[str, ...], Iterator[dict[str, float]]]:
     """Read the trace's header, or its first JSONL object, from `lines`,
     then parse the formula against the signals found there or declared:
     the formula, the trace's signal names and an iterator of its samples,
