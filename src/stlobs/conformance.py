@@ -390,12 +390,13 @@ def property_suite(
 ) -> ConformanceReport:
     """Randomized invariant checks on real-valued traces.
 
-    Per case, five checks: no cell's flags conflict (flag-conflict); each
+    Per case, six checks: no cell's flags conflict (flag-conflict); each
     verdict is T, F or U (completeness); a decided verdict never changes
-    (immutability, so the stream has shape U*(T+ | F+)); the verdict is
-    decided at the horizon and beyond (determination); and the state scalar
-    count is the same with every window widened to 2, 50 and 1000
-    (state-size).
+    (immutability, so the stream has shape U^d V^(n-d)); the verdict is
+    decided at the horizon and beyond (determination); the verdict agrees
+    with the oracle at ticks d-1, d and n-1 (oracle-agreement); and the
+    state scalar count is the same with every window widened to 2, 50 and
+    1000 (state-size).
     """
     start = time.perf_counter()
     rng = random.Random(seed)
@@ -421,6 +422,7 @@ def _check_invariants(
     monitor = compile_fn(f)
     bound = horizon(f)
     previous = UNKNOWN
+    verdicts: list[Trilean] = []
     for k in range(len(trace)):
         try:
             record = monitor.step(trace.sample(k))
@@ -438,6 +440,16 @@ def _check_invariants(
         if k >= bound and verdict is UNKNOWN:
             return fail("determination", k, "U", f"decided by tick {bound}")
         previous = verdict
+        verdicts.append(verdict)
+    # The stream is U^d V^(n-d) and the oracle's verdict, once decided, stays
+    # decided: agreement at d-1, d and n-1 is agreement at every tick.
+    n = len(verdicts)
+    d = next((k for k, verdict in enumerate(verdicts) if verdict is not UNKNOWN), n)
+    for k in sorted({d - 1, d, n - 1}):
+        if 0 <= k < n:
+            want = three_valued_eval(f, trace, k)
+            if verdicts[k] is not want:
+                return fail("oracle-agreement", k, str(verdicts[k]), str(want))
     counts = {}
     for width in (2, 50, 1000):
         widened = with_windows(f, lambda w: Interval(min(w.lower, width - 1), width))

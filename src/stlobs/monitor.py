@@ -4,26 +4,32 @@ Each temporal operator becomes one fused cell that reports both verdict
 flags (pos, neg); both latch, unknown is the absence of both, and a cell's
 state does not grow with the window width. `compile_formula` writes the whole
 observer network as the source of one function, `network(s) -> verdict`: it
-steps every cell on its operand, inlined as one expression, combines the
+steps each cell on its operand, inlined as one expression, combines the
 pairs with the flag-pair algebra of the `_3v` Lustre nodes (`a & b` is
 (pa and pb, na or nb), `a | b` is (pa or pb, na and nb), `a -> b` is
 (na or pb, pa and nb), `!a` swaps the pair) and reads T/F/U off the root
-pair. The root verdict latches: once it is decided the function returns it
-without stepping any cell. Each atom is compiled once to a float test that
-agrees exactly with its rational definition; one over a single signal is
-inlined as a comparison such as `s['speed'] < 20.0`, and one over several
-signals is a closure, called once per tick however many operands hold it.
+pair. Every cell's flags latch, so a cell is stepped, and its operands
+evaluated, only while neither of its flags is set; once the root has
+decided, the function returns its verdict without stepping any cell. Each
+atom is compiled once to a float test that agrees exactly with its rational
+definition and is inlined: one over a single signal as a comparison such as
+`s['speed'] < 20.0`, one over several as one expression that computes the
+float sum and its error bound and calls the exact test only when the bound
+cannot decide. An atom over several signals that more than one operand reads
+is computed once per tick, while some cell that reads it is undecided.
 
 Formula text reaches the generated source only as the `repr` of a `str` (a
-signal name) or of a finite `float` (a threshold). Windows never reach it,
-so formulas that differ only in their windows share one network code, and
-compiling a formula again only builds fresh cells.
+signal name) or of a finite `float` (a threshold, a coefficient or an error
+bound). Windows never reach it, so formulas that differ only in their
+windows share one network code, and compiling a formula again only builds
+fresh cells.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import isfinite
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import FlagConflictError, InvalidFormulaError, MissingSignalError
@@ -192,25 +198,26 @@ _MIN_SUBNORMAL = 2.0**-1074
 
 
 def compile_atom(pred: AtomicPredicate) -> Predicate:
-    """Compile a linear atom to a sample -> bool closure that agrees exactly
-    with `pred.evaluate`: the float test a network inlines, or the closure
-    it calls."""
-    test = _atom_test(pred)
-    return eval(f"lambda s: {test}", {}) if isinstance(test, str) else test
+    """Compile a linear atom to a sample -> bool function that agrees exactly
+    with `pred.evaluate`: the test a network inlines, as a lambda."""
+    test, names = _atom_test(pred, "a0")
+    return eval(f"lambda s: {test}", names)
 
 
-def _atom_test(pred: AtomicPredicate) -> str | Predicate:
-    """The atom as the source of a test of sample `s`, or, with more than one
-    signal, as a closure. Works on the atom's integer form, which has the
-    same truth on every sample."""
+def _atom_test(pred: AtomicPredicate, name: str) -> tuple[str, dict[str, Predicate]]:
+    """The atom as the source of one expression of sample `s`, and the
+    globals it reads: none, or, for an atom over several signals, its exact
+    test `pred.evaluate` as `name`, whose float filter keeps its partial
+    results in locals named after it. Works on the atom's integer form,
+    which has the same truth on every sample."""
     terms, constant = pred.integer_form
-    terms = tuple((name, coef) for name, coef in terms if coef)
+    terms = tuple((signal, coef) for signal, coef in terms if coef)
     if not terms:
-        return repr(compare_with_zero(constant, pred.comparator))
+        return repr(compare_with_zero(constant, pred.comparator)), {}
     if len(terms) == 1:
-        ((name, coef),) = terms
-        return _threshold_test(pred, name, coef, constant)
-    return _filtered_atom(pred, terms, constant)
+        ((signal, coef),) = terms
+        return _threshold_test(pred, signal, coef, constant), {}
+    return _filtered_test(pred, terms, constant, name), {name: pred.evaluate}
 
 
 def _threshold_test(pred: AtomicPredicate, name: str, coef: int, constant: int) -> str:
@@ -247,9 +254,9 @@ def _threshold_test(pred: AtomicPredicate, name: str, coef: int, constant: int) 
     return f"s[{str.__repr__(name)}] {cmp} {float.__repr__(d)}"
 
 
-def _filtered_atom(pred: AtomicPredicate, terms: tuple, constant: int) -> Predicate:
+def _filtered_test(pred: AtomicPredicate, terms: tuple, constant: int, name: str) -> str:
     """Multi-signal atom: the float sum decides whenever it is finite and
-    farther from 0 than its error bound, the exact sum otherwise.
+    farther from 0 than its error bound, the exact test `name(s)` otherwise.
 
     The bound covers the rounding of the coefficients and of the constant to
     floats, of each sample's decimal to its float, of the products and of the
@@ -258,41 +265,45 @@ def _filtered_atom(pred: AtomicPredicate, terms: tuple, constant: int) -> Predic
     for the rounding of the bound itself (Shewchuk, "Adaptive Precision
     Floating-Point Arithmetic and Fast Robust Geometric Predicates", 1997).
     Integer coefficients are never subnormal; one beyond the float range
-    leaves the atom exact only.
+    leaves the atom exact only, and so does an underflow term beyond it,
+    which no finite sum exceeds.
+
+    The sum starts at the constant and adds the products in term order, the
+    sum of magnitudes likewise: in the source, the total is `{name}t`, the
+    k-th product `{name}q{k}` and the bound `{name}b`.
     """
+    exact = f"{name}(s)"
     try:
-        coefs = tuple((name, float(coef)) for name, coef in terms)
+        coefs = tuple(float(coef) for _, coef in terms)
         constant = float(constant)
     except OverflowError:
-        return pred.evaluate
+        return exact
     relative = (len(coefs) + 4) * _UNIT_ROUNDOFF
-    absolute = 2 * (sum(abs(c) for _, c in coefs) + 2 * len(coefs) + 1) * _MIN_SUBNORMAL
+    absolute = 2 * (sum(abs(c) for c in coefs) + 2 * len(coefs) + 1) * _MIN_SUBNORMAL
+    if not isfinite(absolute):
+        return exact
     cmp = pred.comparator
     above, below = compare_with_zero(1, cmp), compare_with_zero(-1, cmp)
-    exact = pred.evaluate
-
-    def atom(sample: Mapping[str, float]) -> bool:
-        total = constant
-        size = abs(constant)
-        for name, coef in coefs:
-            product = coef * sample[name]
-            total += product
-            size += abs(product)
-        bound = relative * size + absolute
-        if total > bound:
-            return above
-        if total < -bound:
-            return below
-        return exact(sample)
-
-    return atom
+    # The only formula text in generated code: str names and finite floats.
+    products = [
+        f"({name}q{k} := {float.__repr__(coef)} * s[{str.__repr__(signal)}])"
+        for k, ((signal, _), coef) in enumerate(zip(terms, coefs))
+    ]
+    sizes = [f"abs({name}q{k})" for k in range(len(coefs))]
+    total = " + ".join([float.__repr__(constant), *products])
+    size = " + ".join([float.__repr__(abs(constant)), *sizes])
+    bound = f"{float.__repr__(relative)} * ({size}) + {float.__repr__(absolute)}"
+    return (
+        f"({above} if ({name}t := {total}) > ({name}b := {bound}) "
+        f"else {below} if {name}t < -{name}b else {exact})"
+    )
 
 
 # The generated network. Cell k is the parameter `ck` (its bound `step`) and
-# leaves its flags in the locals `pk`, `nk`; closures called from operands
-# are the globals `a0`, `a1`, ..., and a closure called from more than one
-# operand leaves its value in a local `vk`, computed once per tick. The
-# latched root verdict is the local `decided` of `make`.
+# leaves its flags in `pk`, `nk`, locals of `make` that start False; the
+# latched root verdict is `make`'s local `decided`. Atoms are inlined; an
+# atom over several signals reads its exact test as a global `a0`, `a1`, ...,
+# and one that more than one operand reads leaves its value in a local `vk`.
 
 _CELLS = {Atom: _AnchoredAtom, Eventually: EventuallyCell, Always: AlwaysCell, Until: UntilCell}
 _PAIRS = {
@@ -333,16 +344,17 @@ def _shape_code(shape: Formula) -> tuple[Callable, tuple, tuple[str, ...]]:
 class _NetworkSource:
     """The source of `f`'s factory `make` (`text`), the cells it is called
     with (`leaves`: `_CELLS` key and constructor arguments, in formula order,
-    none for a temporal cell) and the closures its operands call (`atoms`).
+    none for a temporal cell) and the globals its atoms read (`atoms`).
     No window is read."""
 
     def __init__(self, f: Formula):
         self.leaves: list[tuple] = []
         self.atoms: dict[str, Predicate] = {}
         self._lines: list[str] = []
-        self._hoisted: list[str] = []
         self._refs: dict[AtomicPredicate, str] = {}
-        # Only an atom over two or more signals can become a closure.
+        # Each shared atom's local: its test and the cells that read it.
+        self._shared: dict[str, tuple[str, list[int]]] = {}
+        # Only an atom over two or more signals is worth sharing.
         self._uses = Counter(
             atom.predicate
             for node in walk(f)
@@ -352,7 +364,12 @@ class _NetworkSource:
             if isinstance(atom, Atom) and len(atom.predicate.terms) > 1
         )
         pos, neg = self._pair(f)
-        lines = self._hoisted + self._lines
+        # A shared atom is computed while some cell that reads it is open.
+        lines = []
+        for local, (test, readers) in self._shared.items():
+            lines.append("if " + " or ".join(f"not (p{k} or n{k})" for k in readers) + ":")
+            lines.append(f"    {local} = {test}")
+        lines += self._lines
         # Each cell's pair is checked: the algebra can hide a conflicting pair
         # ((T, T) & (F, F) is (F, T)) but never makes one from consistent pairs.
         temporal = [k for k, (kind, _) in enumerate(self.leaves) if kind is not Atom]
@@ -365,12 +382,14 @@ class _NetworkSource:
         lines += [f"if {pos}:", "    decided = TRUE", f"elif {neg}:", "    decided = FALSE"]
         lines.append("return decided or UNKNOWN")
         params = ", ".join(f"c{k}" for k in range(len(self.leaves)))
+        flags = [f"{flag}{k}" for k in range(len(self.leaves)) for flag in "pn"]
         body = "".join(f"        {line}\n" for line in lines)
         self.text = (
             f"def make({params}):\n"
             "    decided = None\n"
+            f"    {' = '.join(flags)} = False\n"
             "    def network(s):\n"
-            "        nonlocal decided\n"
+            f"        nonlocal decided, {', '.join(flags)}\n"
             "        if decided is not None:\n"
             "            return decided\n"
             f"{body}"
@@ -379,7 +398,8 @@ class _NetworkSource:
 
     def _pair(self, f: Formula) -> tuple[str, str]:
         """Source of the (pos, neg) flags of `f`; adds one statement per cell,
-        in formula order."""
+        in formula order. Flags latch, so a cell is stepped, and its operands
+        evaluated, only while neither of its flags is set."""
         if isinstance(f, Not):
             pos, neg = self._pair(f.child)
             return neg, pos
@@ -395,39 +415,38 @@ class _NetworkSource:
         elif type(f) in _CELLS:
             operands = (f.left, f.right) if isinstance(f, Until) else (f.child,)
             self.leaves.append((type(f), ()))
-            args = ", ".join(self._operand(op) for op in operands)
+            args = ", ".join(self._operand(op, k) for op in operands)
         else:
             raise TypeError(f"not a formula node: {f!r}")
-        self._lines.append(f"p{k}, n{k} = c{k}({args})")
+        self._lines += [f"if not (p{k} or n{k}):", f"    p{k}, n{k} = c{k}({args})"]
         return f"p{k}", f"n{k}"
 
-    def _operand(self, f: Formula) -> str:
-        """Source of a propositional formula's truth on sample `s`."""
+    def _operand(self, f: Formula, cell: int) -> str:
+        """Source of a propositional formula's truth on sample `s`, as an
+        operand of cell `cell`."""
         if isinstance(f, Atom):
-            return self._atom(f.predicate)
+            return self._atom(f.predicate, cell)
         if isinstance(f, Not):
-            return f"(not {self._operand(f.child)})"
+            return f"(not {self._operand(f.child, cell)})"
         template = _OPERANDS.get(type(f))
         if template is None:
             raise TypeError(f"operand is not propositional: {f!r}")
-        return template.format(l=self._operand(f.left), r=self._operand(f.right))
+        return template.format(l=self._operand(f.left, cell), r=self._operand(f.right, cell))
 
-    def _atom(self, pred: AtomicPredicate) -> str:
-        """An inlined test, a call of the atom's closure, or, for a closure
-        that more than one operand calls, the local holding its value."""
-        if len(pred.terms) < 2:
-            return _atom_test(pred)
+    def _atom(self, pred: AtomicPredicate, cell: int) -> str:
+        """The atom's inlined test or, for a multi-signal atom that more than
+        one operand reads, the local holding its value."""
         ref = self._refs.get(pred)
         if ref is None:
-            ref = _atom_test(pred)
-            if not isinstance(ref, str):
-                name = f"a{len(self.atoms)}"
-                self.atoms[name], ref = ref, f"{name}(s)"
-                if self._uses[pred] > 1:
-                    local = f"v{len(self._hoisted)}"
-                    self._hoisted.append(f"{local} = {ref}")
-                    ref = local
+            ref, names = _atom_test(pred, f"a{len(self.atoms)}")
+            self.atoms.update(names)
+            if names and self._uses[pred] > 1:
+                local = f"v{len(self._shared)}"
+                self._shared[local], ref = (ref, []), local
             self._refs[pred] = ref
+        shared = self._shared.get(ref)
+        if shared is not None and cell not in shared[1]:
+            shared[1].append(cell)
         return ref
 
 

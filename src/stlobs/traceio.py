@@ -37,33 +37,36 @@ TRACE_FORMATS = ("csv", "jsonl")
 def opened(
     source: str | Path | Iterable[str], before_read: Callable[[], object] | None = None
 ) -> Iterator[Iterable[str]]:
-    """The lines of a file path, opened for reading, or `source` itself.
+    """The lines of a file path or of the interpreter's stdin, opened for
+    reading, or `source` itself.
 
-    With `before_read`, a source for which `hooks_reads` holds is read
-    through a stream of this function's own that calls `before_read` before
-    each read of the descriptor, and so before it can wait for input. It
-    decodes as the plain stream would: a path as utf-8 with newline "", the
-    interpreter's stdin with stdin's encoding and errors and newline "\n",
-    as Python opens it on POSIX. What stdin's own buffer already holds is not
-    read. Any other source is yielded as it is and its reads are not hooked.
+    A source for which `hooks_reads` holds is read through a stream of this
+    function's own, with newline "", the csv module's rule, so that a line
+    ends at "\n", "\r" or "\r\n" in either. A path decodes as utf-8 with
+    errors "surrogateescape", so a byte that is not utf-8 reads as a lone
+    surrogate, as it does from stdin (which decodes with its own encoding
+    and errors), and a value holding one is not a number. With
+    `before_read`, the stream calls it before each read of the descriptor,
+    and so before it can wait for input. What stdin's own buffer already
+    holds is not read. Any other source is yielded as it is and its reads
+    are not hooked.
     """
-    if before_read is not None and hooks_reads(source):
-        if isinstance(source, (str, Path)):
-            raw = _HookedReads(source, before_read)
-            encoding, errors, newline = "utf-8", "strict", ""
-        else:
-            raw = _HookedReads(source.fileno(), before_read, closefd=False)
-            encoding, errors, newline = source.encoding, source.errors, "\n"
-        try:
-            handle = io.TextIOWrapper(io.BufferedReader(raw), encoding, errors, newline)
-        except BaseException:
-            raw.close()
-            raise
-    elif isinstance(source, (str, Path)):
-        handle = open(source, encoding="utf-8", newline="")
-    else:
+    if not hooks_reads(source):
         yield source
         return
+    if isinstance(source, (str, Path)):
+        file, closefd, encoding, errors = source, True, "utf-8", "surrogateescape"
+    else:
+        file, closefd, encoding, errors = source.fileno(), False, source.encoding, source.errors
+    if before_read is None:
+        raw = io.FileIO(file, "r", closefd)
+    else:
+        raw = _HookedReads(file, before_read, closefd)
+    try:
+        handle = io.TextIOWrapper(io.BufferedReader(raw), encoding, errors, newline="")
+    except BaseException:
+        raw.close()
+        raise
     try:
         yield handle
     finally:
@@ -71,8 +74,9 @@ def opened(
 
 
 def hooks_reads(source: object) -> bool:
-    """Whether `opened(source, before_read)` calls `before_read` before each
-    read: for a path, and for the interpreter's own stdin."""
+    """Whether `opened(source)` reads `source` through its own stream, which
+    calls `before_read` before each read: for a path, and for the
+    interpreter's own stdin."""
     return isinstance(source, (str, Path)) or (
         source is sys.__stdin__ and source is not None
     )
@@ -164,7 +168,15 @@ def stream_csv(
         raise TraceFormatError("empty trace: missing header row")
     # The header is read from its own reader, which takes from `lines` only
     # the lines of the header record; the rows' reader reads `lines` itself.
-    header = next(csv.reader(itertools.chain((first,), lines)))
+    # A reader's `line_num` counts the lines it has taken, so a `csv.Error`
+    # (a field over the size limit, a NUL before Python 3.11, a line break
+    # inside a line of a source split only at "\n") names the line it met.
+    header_reader = csv.reader(itertools.chain((first,), lines))
+    try:
+        header = next(header_reader)
+    except csv.Error as exc:
+        raise TraceFormatError(f"line {header_line - 1 + header_reader.line_num}: {exc}") from None
+    before_rows = header_line - 1 + header_reader.line_num
     signals = _check_signals(tuple(name.strip() for name in header), f"line {header_line}")
     reader = csv.reader(lines)
 
@@ -172,26 +184,30 @@ def stream_csv(
 
     def rows() -> Iterator[dict[str, float]]:
         width = len(signals)
-        for lineno, raw in enumerate(reader, start=header_line + 1):
-            try:
-                sample = convert(raw)
-            except ValueError:
-                # A row the converter refuses: a blank one is skipped, one
-                # of another width is an error, and any other is read value
-                # by value, which finds its first bad value or accepts it
-                # (its values were finite, but their sum overflowed).
-                if len(raw) != width:
-                    if not raw:
-                        logger.warning("skipping blank line %d", lineno)
-                        continue
-                    raise TraceFormatError(
-                        f"line {lineno}: expected {width} values, got {len(raw)}"
-                    ) from None
-                sample = {
-                    name: _parse_value(text, lineno, column)
-                    for column, (name, text) in enumerate(zip(signals, raw), start=1)
-                }
-            yield sample
+        try:
+            for lineno, raw in enumerate(reader, start=header_line + 1):
+                try:
+                    sample = convert(raw)
+                except ValueError:
+                    # A row the converter refuses: a blank one is skipped,
+                    # one of another width is an error, and any other is
+                    # read value by value, which finds its first bad value
+                    # or accepts it (its values were finite, but their sum
+                    # overflowed).
+                    if len(raw) != width:
+                        if not raw:
+                            logger.warning("skipping blank line %d", lineno)
+                            continue
+                        raise TraceFormatError(
+                            f"line {lineno}: expected {width} values, got {len(raw)}"
+                        ) from None
+                    sample = {
+                        name: _parse_value(text, lineno, column)
+                        for column, (name, text) in enumerate(zip(signals, raw), start=1)
+                    }
+                yield sample
+        except csv.Error as exc:
+            raise TraceFormatError(f"line {before_rows + reader.line_num}: {exc}") from None
 
     return signals, rows()
 
@@ -256,13 +272,13 @@ def read_jsonl_stream(
             logger.warning("skipping blank line %d", lineno)
             continue
         # The stripped line has no whitespace to skip at either end, so a
-        # decode that ends at its end read what `json.loads` reads. The sum
-        # of finite floats is finite unless it overflows, and a nan or an
-        # infinity makes it non-finite; any other object is checked value
-        # by value below.
+        # scan that ends at its end read what `json.loads` reads; a scan
+        # that finds no value raises StopIteration. The sum of finite floats
+        # is finite unless it overflows, and a nan or an infinity makes it
+        # non-finite; any other object is checked value by value below.
         try:
-            obj, end = _raw_decode(line)
-        except ValueError:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError):
             end = -1
         if end == len(line):
             if (
@@ -311,7 +327,8 @@ def read_jsonl_stream(
         raise TraceFormatError("empty trace: no samples")
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+# The scanner `json.JSONDecoder.raw_decode` calls: one value from an index.
+_scan_once = json.JSONDecoder().scan_once
 _FLOAT_ONLY = frozenset({float})
 
 

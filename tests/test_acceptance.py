@@ -122,7 +122,8 @@ def test_criterion_4_property_suite(capsys):
         capsys,
         "ACCEPTANCE 4 PASS: 10000 randomized formula/trace cases pass the "
         "flag-conflict, completeness, immutability (hence the verdict shape "
-        f"U*(T+|F+)), determination and state-size checks ({report.wall_time_s:.1f}s)",
+        "U*(T+|F+)), determination, oracle-agreement and state-size checks "
+        f"({report.wall_time_s:.1f}s)",
     )
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlobs import cli
+from stlobs import cli, monitor
 from stlobs.formula import (
     COMPARATORS,
     Always,
@@ -21,6 +21,7 @@ from stlobs.formula import (
     Interval,
     Not,
     Or,
+    compare_with_zero,
     linear_atom,
     render,
     signal_atom,
@@ -179,6 +180,54 @@ class TestGeneratedSource:
         online, offline = verdicts(f, Trace(names, tuple(rows)))
         assert "".join(map(str, online)) == expected
         assert online == offline
+
+
+class TestInlinedMultiSignalAtoms:
+    """A multi-signal atom is one expression, the same text in
+    `compile_atom`'s lambda and in a network: the float filter, and the exact
+    test `pred.evaluate` where the filter cannot decide or cannot be built."""
+
+    @pytest.mark.parametrize(
+        "coeffs,constant",
+        [
+            ({"x": 10**400, "y": 1}, 0),  # a coefficient beyond the float range
+            ({"x": 1, "y": -1}, -(10**400)),  # the constant beyond it
+            ({"x": 10**308, "y": 10**308}, 0),  # the underflow term beyond it
+        ],
+    )
+    def test_beyond_the_float_range_the_text_is_the_exact_call_alone(self, coeffs, constant):
+        pred = linear_atom(coeffs, ">", constant).predicate
+        assert monitor._atom_test(pred, "a0") == ("a0(s)", {"a0": pred.evaluate})
+        for sample in ({"x": 1e-300, "y": -1e99}, {"x": -1.0, "y": MAX}, {"x": 0.0, "y": 0.0}):
+            closure_agrees(pred, sample)
+
+    def test_filter_text(self):
+        pred = linear_atom({"x": 1, "y": -1}, ">", -100).predicate
+        text, names = monitor._atom_test(pred, "a3")
+        assert names == {"a3": pred.evaluate}
+        assert text == (
+            "(True if (a3t := -100.0 + (a3q0 := 1.0 * s['x']) + (a3q1 := -1.0 * s['y'])) "
+            "> (a3b := 6.661338147750939e-16 * (100.0 + abs(a3q0) + abs(a3q1)) + 7e-323) "
+            "else False if a3t < -a3b else a3(s))"
+        )
+
+    @pytest.mark.parametrize("comparator", COMPARATORS)
+    @pytest.mark.parametrize(
+        "coeffs,constant,sample",
+        [
+            # Exact sums 0 whose float sums are 5.6e-17 and 0.
+            ({"x": 1, "y": 1}, Fraction(-3, 10), {"x": 0.1, "y": 0.2}),
+            ({"x": 10, "y": 10, "z": -1}, 0, {"x": 0.1, "y": 0.2, "z": 3.0}),
+        ],
+    )
+    def test_boundary_samples_through_step(self, comparator, coeffs, constant, sample):
+        pred = linear_atom(coeffs, comparator, constant).predicate
+        holds = pred.evaluate(sample)
+        assert holds is compare_with_zero(0, comparator)
+        # Anchored (compile_atom's lambda) and as a G operand (inlined).
+        assert compile_formula(Atom(pred)).step(sample).verdict is (TRUE if holds else FALSE)
+        always = compile_formula(Always(Interval(0, 1), Atom(pred)))
+        assert always.step(sample).verdict is (UNKNOWN if holds else FALSE)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

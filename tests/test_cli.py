@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through cli.main."""
 
+import contextlib
 import io
 import json
 import os
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stlobs
 from stlobs import cli
@@ -532,6 +535,71 @@ class TestOracle:
         )
         assert code == cli.EXIT_DATA
         assert "z" in capsys.readouterr().err
+
+
+class TestSameBytesFromFileAndStdin:
+    """A trace's bytes read the same from a path and from stdin: one newline
+    rule (a line ends at \\n, \\r or \\r\\n) and one decoding (a byte that is
+    not UTF-8 is a lone surrogate), and bad bytes end in exit 65, not 70."""
+
+    @pytest.mark.parametrize(
+        "data,exit_code,err",
+        [
+            (b"x\n1\n\xff\n", cli.EXIT_DATA, "trace error: line 3, column 1: not a number: '\\udcff'\n"),
+            (b"x\r1\r2\r", cli.EXIT_TRUE, ""),
+            (b"x\r\n1\r\n-1\r\n", cli.EXIT_TRUE, ""),
+            (b'{"x": 1}\r{"x": -1}\r', cli.EXIT_TRUE, ""),
+            (b'{"x": 1}\n{"x": \xff}\n', cli.EXIT_DATA, None),
+            (b"x\n1\n\x00\n", cli.EXIT_DATA, None),  # csv.Error before Python 3.11
+            (b"x\n" + b"1" * 200_000 + b"\n", cli.EXIT_DATA,
+             "trace error: line 2: field larger than field limit (131072)\n"),
+        ],
+        ids=["bad-utf8", "cr-csv", "crlf-csv", "cr-jsonl", "bad-utf8-jsonl", "nul", "long-field"],
+    )
+    def test_path_and_stdin_agree(self, tmp_path, data, exit_code, err):
+        path = tmp_path / "trace"
+        path.write_bytes(data)
+        results = {}
+        for command in ("check", "oracle"):
+            for trace, stdin in ((str(path), b""), ("-", data)):
+                proc = spawn_cli(command, "-f", "x > 0", "--trace", trace)
+                out, error = proc.communicate(stdin, timeout=60)
+                results[command, trace] = (proc.returncode, out.decode(), error.decode())
+            assert results[command, str(path)] == results[command, "-"]
+        check, oracle = results["check", "-"], results["oracle", "-"]
+        assert check[0] == oracle[0] == exit_code
+        assert check[2] == oracle[2]
+        if err is not None:
+            assert check[2] == err
+        if exit_code == cli.EXIT_TRUE:
+            assert check[1] == oracle[1] == "tick=0 verdict=T pos=1 neg=0\ntick=1 verdict=T pos=1 neg=0\n"
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        st.sampled_from([b"x,y\n1,2\n", b'{"x": 1, "y": 2}\n']),
+        st.lists(
+            st.sampled_from(
+                [b"0", b"1", b"9", b",", b".", b"\r", b"\n", b"\r\n", b"{", b'"', b"\xff",
+                 b"\x00", b"nan", b"1e999"]
+            ),
+            max_size=20,
+        ),
+    )
+    def test_random_bytes_on_a_path(self, tmp_path, prefix, pieces):
+        """In process, on a path: every input ends in a documented exit, and
+        check and oracle agree on its code and on stderr."""
+        path = tmp_path / "trace"
+        path.write_bytes(prefix + b"".join(pieces))
+        results = []
+        for command in ("check", "oracle"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "-f", "x > 0 | y > 1", "--trace", str(path)])
+            results.append((code, err.getvalue()))
+        assert results[0] == results[1]
+        assert results[0][0] in (cli.EXIT_TRUE, cli.EXIT_FALSE, cli.EXIT_UNKNOWN, cli.EXIT_USAGE, cli.EXIT_DATA)
 
 
 class TestImports:

@@ -25,8 +25,10 @@ from stlobs.conformance import (
 from stlobs.errors import EnumerationCapError
 from stlobs.formula import (
     Always,
+    And,
     Eventually,
     Interval,
+    Or,
     TEMPORAL_NODES,
     Until,
     horizon,
@@ -300,6 +302,27 @@ class TestPropertySuite:
         )
         assert not report.passed
         assert {f.check for f in report.failures} == {"immutability"}
+
+    def test_catches_swapped_connectives(self):
+        """`&` and `|` swapped in the network's pair algebra keep every
+        verdict stream well formed; only the oracle check sees them. The
+        sweep, whose formulas have no connective, passes."""
+        pairs = dict(monitor._PAIRS)
+        pairs[And], pairs[Or] = pairs[Or], pairs[And]
+        saved = monitor._PAIRS
+        monitor._PAIRS = pairs
+        monitor._network_code.cache_clear()
+        monitor._shape_code.cache_clear()
+        try:
+            report = property_suite(seed=42, cases=300)
+            sweep = differential_sweep(max_upper=2)
+        finally:
+            monitor._PAIRS = saved
+            monitor._network_code.cache_clear()
+            monitor._shape_code.cache_clear()
+        assert not report.passed
+        assert {f.check for f in report.failures} == {"oracle-agreement"}
+        assert sweep.passed and sweep.cases > 0
 
     def test_catches_state_that_grows_with_the_window(self):
         class Growing:

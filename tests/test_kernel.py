@@ -1,6 +1,7 @@
 """Constant-state streaming cells: the window gate, latches and clock inside
 the fused operator cells, and their state footprint."""
 
+import itertools
 import random
 
 import pytest
@@ -140,3 +141,51 @@ def test_until_refutes_when_left_operand_fails_inside_the_window():
     assert cell.step(True, False) == (False, False)
     assert cell.step(False, True) == (False, True)
     assert cell.step(True, True) == (False, True)
+
+
+def unlatched_flag(cell_type, lower, upper):
+    """The first boolean operand trace of length upper + 2 on which a flag of
+    a `cell_type(lower, upper)` is set and then drops back to false, or None.
+    Every trace of that length is tried."""
+    arity = 2 if issubclass(cell_type, UntilCell) else 1
+    operands = list(itertools.product((False, True), repeat=arity))
+    for trace in itertools.product(operands, repeat=upper + 2):
+        cell = cell_type(lower, upper)
+        pos = neg = False
+        for values in trace:
+            p, n = cell.step(*values)
+            if pos and not p or neg and not n:
+                return trace
+            pos, neg = p, n
+    return None
+
+
+WINDOWS = [(a, b) for b in range(1, 5) for a in range(b)]
+
+
+@pytest.mark.parametrize("cell_type", CELLS)
+def test_flags_latch_on_every_trace(cell_type):
+    # The generated network steps a cell only while neither flag is set, so
+    # a set flag must stay set on every operand trace.
+    for lower, upper in WINDOWS:
+        assert unlatched_flag(cell_type, lower, upper) is None, (lower, upper)
+
+
+class UnlatchedUntil(UntilCell):
+    """U whose neg reads phi1 at the current tick instead of the latched
+    prefix: it falls back to false when phi1 holds again."""
+
+    __slots__ = ()
+
+    def step(self, phi1, phi2):
+        clk = self._clk
+        pos, _ = super().step(phi1, phi2)
+        return pos, not pos and (clk >= self.upper or not phi1)
+
+
+def test_flag_latch_check_catches_an_until_whose_neg_drops():
+    found = {window: unlatched_flag(UnlatchedUntil, *window) for window in WINDOWS}
+    # Every window but [0,1], which has closed by the tick phi1 holds again.
+    assert [window for window, trace in found.items() if trace is None] == [(0, 1)]
+    # phi1 fails at tick 0, setting neg, and holds at tick 1, dropping it.
+    assert found[(0, 2)][:2] == ((False, False), (True, False))

@@ -233,8 +233,9 @@ class TestNetworkText:
     HEAD = (
         "def make(c0, c1, c2):\n"
         "    decided = None\n"
+        "    p0 = n0 = p1 = n1 = p2 = n2 = False\n"
         "    def network(s):\n"
-        "        nonlocal decided\n"
+        "        nonlocal decided, p0, n0, p1, n1, p2, n2\n"
         "        if decided is not None:\n"
         "            return decided\n"
     )
@@ -256,9 +257,12 @@ class TestNetworkText:
                 "G[0,199999] (speed < 20 | brake > 0) & F[0,199999] (gear >= 6) "
                 "& ((speed >= 0) U[0,199999] (gear >= 6))",
                 ("speed", "brake", "gear"),
-                "        p0, n0 = c0((s['speed'] < 20.0 or s['brake'] > 0.0))\n"
-                "        p1, n1 = c1(s['gear'] >= 6.0)\n"
-                "        p2, n2 = c2(s['speed'] >= 0.0, s['gear'] >= 6.0)\n",
+                "        if not (p0 or n0):\n"
+                "            p0, n0 = c0((s['speed'] < 20.0 or s['brake'] > 0.0))\n"
+                "        if not (p1 or n1):\n"
+                "            p1, n1 = c1(s['gear'] >= 6.0)\n"
+                "        if not (p2 or n2):\n"
+                "            p2, n2 = c2(s['speed'] >= 0.0, s['gear'] >= 6.0)\n",
                 "((p0 and p1) and p2)",
                 "((n0 or n1) or n2)",
             ),
@@ -266,10 +270,22 @@ class TestNetworkText:
                 "(F[0,100000] (x - y > 100) | ((x + y >= -100) U[50,100000] (x - y > 100))) "
                 "-> G[10,199999] (2*x - 3/10*y + 1/3 <= z)",
                 ("x", "y", "z"),
-                "        v0 = a0(s)\n"
-                "        p0, n0 = c0(v0)\n"
-                "        p1, n1 = c1(a1(s), v0)\n"
-                "        p2, n2 = c2(a2(s))\n",
+                # x - y > 100 is shared: computed while c0 or c1 is open.
+                "        if not (p0 or n0) or not (p1 or n1):\n"
+                "            v0 = (True if (a0t := -100.0 + (a0q0 := 1.0 * s['x']) "
+                "+ (a0q1 := -1.0 * s['y'])) > (a0b := 6.661338147750939e-16 "
+                "* (100.0 + abs(a0q0) + abs(a0q1)) + 7e-323) else False if a0t < -a0b else a0(s))\n"
+                "        if not (p0 or n0):\n"
+                "            p0, n0 = c0(v0)\n"
+                "        if not (p1 or n1):\n"
+                "            p1, n1 = c1((True if (a1t := 100.0 + (a1q0 := 1.0 * s['x']) "
+                "+ (a1q1 := 1.0 * s['y'])) > (a1b := 6.661338147750939e-16 "
+                "* (100.0 + abs(a1q0) + abs(a1q1)) + 7e-323) else False if a1t < -a1b else a1(s)), v0)\n"
+                "        if not (p2 or n2):\n"
+                "            p2, n2 = c2((False if (a2t := 10.0 + (a2q0 := 60.0 * s['x']) "
+                "+ (a2q1 := -9.0 * s['y']) + (a2q2 := -30.0 * s['z'])) > (a2b := 7.771561172376096e-16 "
+                "* (10.0 + abs(a2q0) + abs(a2q1) + abs(a2q2)) + 1.047e-321) "
+                "else True if a2t < -a2b else a2(s)))\n",
                 "((n0 and n1) or p2)",
                 "((p0 or p1) and n2)",
             ),
@@ -375,6 +391,44 @@ class TestDecidedRoot:
         for _ in range(3):
             assert m.step({"x": 1.0}).verdict is FALSE
         assert cell.state_scalars() == state
+
+
+class TestDecidedCell:
+    """A cell whose flags are set is not stepped again, and the operands
+    only it reads are not evaluated, while the root is still open."""
+
+    class Reads(dict):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.reads = []
+
+        def __getitem__(self, name):
+            self.reads.append(name)
+            return super().__getitem__(name)
+
+    def test_decided_cell_and_its_operand_are_skipped(self):
+        m = monitor_for("F[0,5] (x - y > 0) & G[0,5] (p > 0)")
+        f_cell, g_cell = m.temporal_cells
+        sample = self.Reads({"x": 1.0, "y": 0.0, "p": 1.0})
+        assert m.step(sample).verdict is UNKNOWN
+        assert sorted(sample.reads) == ["p", "x", "y"]
+        state = f_cell.state_scalars()
+        for tick in range(1, 5):
+            sample = self.Reads({"x": -1.0, "y": 0.0, "p": 1.0})
+            assert m.step(sample).verdict is UNKNOWN
+            assert sample.reads == ["p"]
+        assert f_cell.state_scalars() == state
+        assert g_cell.state_scalars()[0] == 5
+        assert m.step({"x": 0.0, "y": 0.0, "p": 1.0}).verdict is TRUE
+
+    def test_shared_atom_is_read_while_one_of_its_cells_is_open(self):
+        m = monitor_for("F[0,5] (x - y > 0) | G[0,5] (x - y > 0)")
+        sample = self.Reads({"x": -1.0, "y": 0.0})
+        assert m.step(sample).verdict is UNKNOWN  # G is now false, F open
+        assert sorted(sample.reads) == ["x", "y"]
+        sample = self.Reads({"x": -1.0, "y": 0.0})
+        assert m.step(sample).verdict is UNKNOWN
+        assert sorted(sample.reads) == ["x", "y"]
 
 
 class TestEarlyStop:

@@ -2,12 +2,15 @@
 agreement between quantified, enumerated, and derived characterizations."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stlobs.conformance import bool_trace, enumerate_traces, operator_formula
+from stlobs.conformance import bool_trace, enumerate_traces, operator_formula, random_formula
 from stlobs.errors import ShortTraceError
-from stlobs.formula import Interval, Not, Or, Until, signal_atom
+from stlobs.formula import Interval, Not, Or, Until, signal_atom, signals_of
 from stlobs.oracle import (
     explicit_eval,
     identity_check,
@@ -210,3 +213,29 @@ class TestHorizonAgreement:
             f = p(text)
             verdict = three_valued_eval(f, trace, len(trace) - 1)
             assert verdict is (TRUE if offline_eval(f, trace, 0) else FALSE)
+
+
+# Real values, half of them on the 0.1 grid the random atoms' thresholds use.
+_values = st.one_of(
+    st.floats(-2.5, 2.5), st.integers(-25, 25).map(lambda k: k / 10)
+)
+
+
+class TestMonotoneInTau:
+    """Once the three-valued verdict is decided it stays decided: the
+    property suite's oracle-agreement check compares only at ticks d-1, d
+    and n-1, and relies on this."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_a_decided_verdict_never_changes(self, seed, data):
+        f = random_formula(random.Random(seed), max_upper=6)
+        signals = signals_of(f)
+        rows = data.draw(
+            st.lists(st.tuples(*(_values,) * len(signals)), min_size=1, max_size=10)
+        )
+        trace = Trace(signals, tuple(rows))
+        verdicts = [three_valued_eval(f, trace, tau) for tau in range(len(trace))]
+        d = next((k for k, v in enumerate(verdicts) if v is not UNKNOWN), len(verdicts))
+        assert verdicts[:d] == [UNKNOWN] * d
+        assert verdicts[d:] == verdicts[d:d + 1] * (len(verdicts) - d)

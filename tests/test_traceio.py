@@ -116,6 +116,21 @@ class TestReadCsv:
         with pytest.raises(TraceFormatError, match="line 2: duplicate signal name"):
             read_csv(io.StringIO("\nx,x\n1,2\n"))
 
+    @pytest.mark.parametrize(
+        "lines,line",
+        [
+            (["x\ry\n"], 1),  # in the header
+            (["\n", "x\n", "1\n", "2\r3\n"], 4),  # after a blank line
+            (['"x\n', 'y"\n', "1\n", "2\r3\n"], 4),  # after a two-line header
+            (["x\n", '"1\n', '"\n', "3\r4\n"], 4),  # after a two-line row
+        ],
+    )
+    def test_reader_errors_name_their_line(self, lines, line):
+        # A source split at "\n" only leaves a "\r" inside a line, which
+        # the csv module refuses.
+        with pytest.raises(TraceFormatError, match=f"^line {line}: new-line character"):
+            list(stream_csv(lines)[1])
+
     def test_only_blank_lines_is_an_empty_trace(self):
         with pytest.raises(TraceFormatError, match="missing header"):
             read_csv(io.StringIO("\n \n"))
@@ -431,8 +446,8 @@ def _jsonl_drain(lines: list[str], signals) -> tuple[list, tuple[str, str] | Non
     return samples, None
 
 
-def _no_bulk_decode(line):
-    raise ValueError("every line takes the value-by-value path")
+def _no_bulk_decode(line, index):
+    raise StopIteration(index)  # no value: every line takes the value-by-value path
 
 
 class TestJsonlFastPath:
@@ -449,7 +464,7 @@ class TestJsonlFastPath:
     def test_same_samples_and_errors_as_value_by_value(self, lines, signals):
         expected = _jsonl_value_by_value(lines, signals)
         assert _jsonl_drain(lines, signals) == expected
-        with mock.patch.object(traceio, "_raw_decode", _no_bulk_decode):
+        with mock.patch.object(traceio, "_scan_once", _no_bulk_decode):
             assert _jsonl_drain(lines, signals) == expected
         # A stream ends at its first bad line; each line alone, read against
         # a declared set, reaches every line.
@@ -478,7 +493,7 @@ class TestJsonlFastPath:
     def test_fast_path_sample_equals_the_value_by_value_one(self):
         line = '{"y": -0.0, "x": 0.1}'
         fast = next(read_jsonl_stream([line], ("x", "y")))
-        with mock.patch.object(traceio, "_raw_decode", _no_bulk_decode):
+        with mock.patch.object(traceio, "_scan_once", _no_bulk_decode):
             slow = next(read_jsonl_stream([line], ("x", "y")))
         assert fast == slow
         assert math.copysign(1.0, fast["y"]) == -1.0
@@ -522,9 +537,9 @@ HOOKED_TEXT = "x,y\r\n1,2\r3,4\n5,é6\r\n\r\n7,8\r"
 
 
 class TestHookedReads:
-    """`opened` with `before_read` reads a path or the interpreter's stdin
-    itself, calling the hook before each read, and gives the lines the plain
-    stream would give."""
+    """`opened` reads a path or the interpreter's stdin itself, calling
+    `before_read`, if given, before each read, and gives the lines a file
+    opened with newline "" would give."""
 
     def test_path_reads_as_open_does(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -543,10 +558,11 @@ class TestHookedReads:
         "encoding,errors", [("utf-8", "strict"), ("latin-1", "strict"), ("ascii", "replace")]
     )
     def test_interpreter_stdin_reads_as_itself(self, tmp_path, monkeypatch, encoding, errors):
+        # stdin's own encoding and errors, and the newline rule of a path.
         path = tmp_path / "stdin"
         path.write_bytes(HOOKED_TEXT.encode("utf-8"))
         calls = []
-        with open(path, encoding=encoding, errors=errors, newline="\n") as plain:
+        with open(path, encoding=encoding, errors=errors, newline="") as plain:
             expected = list(plain)
         with open(path, encoding=encoding, errors=errors) as stdin:
             monkeypatch.setattr(sys, "__stdin__", stdin)
@@ -554,7 +570,12 @@ class TestHookedReads:
                 assert lines is not stdin
                 assert list(lines) == expected
             assert lines.closed and not stdin.closed
-        assert expected[1] == "1,2\r3,4\n"  # "\r" does not end a line
+            stdin.seek(0)
+            with traceio.opened(stdin) as lines:  # unhooked: the same lines
+                assert lines is not stdin
+                assert list(lines) == expected
+            assert not stdin.closed
+        assert expected[1] == "1,2\r"  # "\r" ends a line, as in a file
         assert len(calls) >= 2  # the last read meets the end
 
     def test_other_sources_are_not_hooked(self, tmp_path):
