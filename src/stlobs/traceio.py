@@ -44,8 +44,9 @@ def opened(
     function's own, with newline "", the csv module's rule, so that a line
     ends at "\n", "\r" or "\r\n" in either. A path decodes as utf-8 with
     errors "surrogateescape", so a byte that is not utf-8 reads as a lone
-    surrogate, as it does from stdin (which decodes with its own encoding
-    and errors), and a value holding one is not a number. With
+    surrogate, and a value holding one is not a number. Stdin decodes with
+    its own encoding and error handler, but "surrogateescape" in place of
+    "strict", which would end the read at the first bad byte. With
     `before_read`, the stream calls it before each read of the descriptor,
     and so before it can wait for input. What stdin's own buffer already
     holds is not read. Any other source is yielded as it is and its reads
@@ -58,6 +59,8 @@ def opened(
         file, closefd, encoding, errors = source, True, "utf-8", "surrogateescape"
     else:
         file, closefd, encoding, errors = source.fileno(), False, source.encoding, source.errors
+        if errors == "strict":
+            errors = "surrogateescape"
     if before_read is None:
         raw = io.FileIO(file, "r", closefd)
     else:

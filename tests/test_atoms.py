@@ -194,6 +194,7 @@ class TestInlinedMultiSignalAtoms:
             ({"x": 1, "y": -1}, -(10**400)),  # the constant beyond it
             ({"x": 10**308, "y": 10**308}, 0),  # the underflow term beyond it
         ],
+        ids=["coefficient", "constant", "underflow-term"],
     )
     def test_beyond_the_float_range_the_text_is_the_exact_call_alone(self, coeffs, constant):
         pred = linear_atom(coeffs, ">", constant).predicate

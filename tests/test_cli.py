@@ -21,10 +21,11 @@ from stlobs.traceio import read_verdicts
 CSV_TRACE = "x,y\n1,0\n2,0\n3,0\n"
 
 
-def spawn_cli(*args: str) -> subprocess.Popen:
+def spawn_cli(*args: str, **environ: str) -> subprocess.Popen:
     """`python -m stlobs.cli *args` from these sources, with piped stdin,
-    stdout and stderr, and stdout block-buffered as it is by default."""
-    env = dict(os.environ, PYTHONPATH=str(Path(stlobs.__file__).resolve().parent.parent))
+    stdout and stderr, stdout block-buffered as it is by default, and
+    `environ` added to the environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stlobs.__file__).resolve().parent.parent), **environ)
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen(
         [sys.executable, "-m", "stlobs.cli", *args],
@@ -573,6 +574,21 @@ class TestSameBytesFromFileAndStdin:
             assert check[2] == err
         if exit_code == cli.EXIT_TRUE:
             assert check[1] == oracle[1] == "tick=0 verdict=T pos=1 neg=0\ntick=1 verdict=T pos=1 neg=0\n"
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    def test_a_strict_stdin_reads_a_bad_byte_as_a_file_does(self, tmp_path, command):
+        # A "strict" stdin error handler would end the read at the byte with
+        # a UnicodeDecodeError (exit 70); stdin reads it as a file does.
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"x\n1\n\xff\n")
+        results = []
+        for trace, stdin in ((str(path), b""), ("-", path.read_bytes())):
+            proc = spawn_cli(command, "-f", "x > 0", "--trace", trace, PYTHONIOENCODING="utf-8:strict")
+            out, err = proc.communicate(stdin, timeout=60)
+            results.append((proc.returncode, out, err))
+        assert results[0] == results[1]
+        assert results[0][0] == cli.EXIT_DATA
+        assert results[0][2] == b"trace error: line 3, column 1: not a number: '\\udcff'\n"
 
     @settings(
         max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

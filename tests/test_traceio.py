@@ -558,7 +558,8 @@ class TestHookedReads:
         "encoding,errors", [("utf-8", "strict"), ("latin-1", "strict"), ("ascii", "replace")]
     )
     def test_interpreter_stdin_reads_as_itself(self, tmp_path, monkeypatch, encoding, errors):
-        # stdin's own encoding and errors, and the newline rule of a path.
+        # stdin's own encoding and error handler ("strict" reads as
+        # "surrogateescape"), and the newline rule of a path.
         path = tmp_path / "stdin"
         path.write_bytes(HOOKED_TEXT.encode("utf-8"))
         calls = []
