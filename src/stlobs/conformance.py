@@ -28,12 +28,13 @@ from .formula import (
     Eventually,
     Until,
     horizon,
+    linear_atom,
     render,
     signal_atom,
     signals_of,
     with_windows,
 )
-from .monitor import AlwaysCell, EventuallyCell, Monitor, UntilCell, compile_formula
+from .monitor import Monitor, _network_code, compile_formula
 from .oracle import OPERATOR_KINDS, POLARITIES, explicit_eval, offline_eval, three_valued_eval
 from .trace import Trace
 from .trilean import FALSE, TRUE, UNKNOWN, Trilean
@@ -225,38 +226,53 @@ def differential_sweep(
     return ConformanceReport(cases, failures, time.perf_counter() - start)
 
 
-# Induction checks: each flag of a streaming cell must agree with the
-# oracle's unrolled forms (`explicit_eval`), both for the smallest window and
-# when the window is extended by one tick. Both compare from the window's
-# last tick on, where every operand value a form reads has been seen, so
-# each reference value is one constant per trace.
+# Induction checks: each flag of a single-operator network must agree with
+# the oracle's unrolled forms (`explicit_eval`), both for the smallest window
+# and when the window is extended by one tick. Both compare from the window's
+# last tick on, where every operand value a form reads has been seen, so each
+# reference value is one constant per trace. A single operator's pair is the
+# root's, so its positive flag is a T verdict and its negative one an F.
 
-_CELLS = {"eventually": EventuallyCell, "always": AlwaysCell, "until": UntilCell}
+_FLAGS = {"positive": TRUE, "negative": FALSE}
+# The sample of each boolean operand row, over p (and q).
+_ROW_SAMPLES = {
+    row: dict(zip(_SIGNALS, map(float, row)))
+    for arity in (1, 2)
+    for row in itertools.product((False, True), repeat=arity)
+}
 # The flags a wider window can only set; the step joins them with the new
 # tick's form by `or`, and the others by `and`.
 _WIDENING = {("eventually", "positive"), ("always", "negative"), ("until", "positive")}
 
 
+def _network_factory(kind: str, lower: int, upper: int) -> Callable[[], Callable]:
+    """A function that builds a fresh step function `network(sample, tick)`
+    of `operator_formula(kind, lower, upper)`."""
+    make, bounds, _ = _network_code(operator_formula(kind, lower, upper))
+    return lambda: make(*bounds)
+
+
 def check_induction_base(kind: str, lower: int, polarity: str) -> bool:
-    """The polarity's flag of the cell over [lower, lower+1] equals the
+    """The polarity's flag of the operator over [lower, lower+1] equals the
     unrolled form over that window at every tick from lower + 1 on, over all
     boolean operand traces."""
     num_atoms = 2 if kind == "until" else 1
-    flag = POLARITIES.index(polarity)
+    flag = _FLAGS[polarity]
+    fresh = _network_factory(kind, lower, lower + 1)
     for rows in enumerate_traces(num_atoms, lower + 3):
         want = explicit_eval(kind, lower, lower + 1, list(zip(*rows)), polarity)
-        cell = _CELLS[kind](lower, lower + 1)
+        network = fresh()
         for k, row in enumerate(rows):
-            got = cell.step(*row)[flag]
+            got = network(_ROW_SAMPLES[row], k) is flag
             if k >= lower + 1 and got != want:
                 return False
     return True
 
 
 def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bool:
-    """The polarity's flag of the cell over [lower, upper+1] equals that
-    flag of the cell over [lower, upper] joined with the unrolled form over
-    the new tick upper + 1 alone, from tick upper + 1 on.
+    """The polarity's flag of the operator over [lower, upper+1] equals that
+    flag of the operator over [lower, upper] joined with the unrolled form
+    over the new tick upper + 1 alone, from tick upper + 1 on.
 
     For Until the wide flag is also cross-checked against the three-valued
     oracle at tick upper + 1, which reads only the ticks up to upper + 1: it
@@ -264,19 +280,21 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bo
     """
     num_atoms = 2 if kind == "until" else 1
     wide_formula = operator_formula(kind, lower, upper + 1)
-    flag = POLARITIES.index(polarity)
+    flag = _FLAGS[polarity]
     widens = (kind, polarity) in _WIDENING
+    fresh_wide = _network_factory(kind, lower, upper + 1)
+    fresh_narrow = _network_factory(kind, lower, upper)
     oracle_verdicts: dict[tuple, Trilean] = {}
     for rows in enumerate_traces(num_atoms, upper + 3):
         new_tick = explicit_eval(kind, upper + 1, upper + 1, list(zip(*rows)), polarity)
-        wide_cell = _CELLS[kind](lower, upper + 1)
-        narrow_cell = _CELLS[kind](lower, upper)
+        wide, narrow = fresh_wide(), fresh_narrow()
         for k, row in enumerate(rows):
-            got = wide_cell.step(*row)[flag]
-            narrow = narrow_cell.step(*row)[flag]
+            sample = _ROW_SAMPLES[row]
+            got = wide(sample, k) is flag
+            was = narrow(sample, k) is flag
             if k < upper + 1:
                 continue
-            if got != ((narrow or new_tick) if widens else (narrow and new_tick)):
+            if got != ((was or new_tick) if widens else (was and new_tick)):
                 return False
             if kind == "until" and k == upper + 1:
                 prefix = rows[: k + 1]
@@ -284,8 +302,7 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bo
                     oracle_verdicts[prefix] = three_valued_eval(
                         wide_formula, bool_trace(prefix, num_atoms), k
                     )
-                verdict = oracle_verdicts[prefix]
-                if got != (verdict is (TRUE if polarity == "positive" else FALSE)):
+                if got != (oracle_verdicts[prefix] is flag):
                     return False
     return True
 
@@ -309,7 +326,7 @@ def induction_suite(
                             f"{kind}/{polarity} window [{lower},{lower + 1}]",
                             (),
                             lower + 1,
-                            "cell",
+                            "operator",
                             "unrolled form",
                         )
                     )
@@ -324,7 +341,7 @@ def induction_suite(
                                 f"[{lower},{upper + 1}]",
                                 (),
                                 upper + 1,
-                                "cell",
+                                "operator",
                                 "combination",
                             )
                         )
@@ -338,21 +355,25 @@ _PROP_SIGNALS = ("x", "y")
 
 def random_formula(rng: random.Random, max_upper: int = 20) -> Formula:
     """A random well-formed formula: one temporal leaf, or a shallow boolean
-    combination of temporal and propositional leaves."""
+    combination of temporal and propositional leaves. An atom is over one
+    signal or over both; each formula draws its atoms over both from a pool
+    of two, so that two operands, or an operand and an atom outside every
+    operator, can share one."""
+    pool = (_random_sum(rng), _random_sum(rng))
 
     def leaf() -> Formula:
         roll = rng.random()
         if roll < 0.15:
-            return _random_prop(rng, depth=2)
+            return _random_prop(rng, 2, pool)
         kind = rng.choice(OPERATOR_KINDS)
         lower = rng.randrange(0, max_upper)
         upper = rng.randrange(lower + 1, max_upper + 1)
         window = Interval(lower, upper)
         if kind == "eventually":
-            return Eventually(window, _random_prop(rng, depth=2))
+            return Eventually(window, _random_prop(rng, 2, pool))
         if kind == "always":
-            return Always(window, _random_prop(rng, depth=2))
-        return Until(window, _random_prop(rng, depth=1), _random_prop(rng, depth=1))
+            return Always(window, _random_prop(rng, 2, pool))
+        return Until(window, _random_prop(rng, 1, pool), _random_prop(rng, 1, pool))
 
     roll = rng.random()
     if roll < 0.5:
@@ -363,17 +384,28 @@ def random_formula(rng: random.Random, max_upper: int = 20) -> Formula:
     return combiner(leaf(), leaf())
 
 
-def _random_prop(rng: random.Random, depth: int) -> Formula:
+_COMPARATORS = (">", ">=", "<", "<=")
+
+
+def _random_sum(rng: random.Random) -> Formula:
+    """An atom over both signals, `a*x + b*y + c <cmp> 0`, with a and b
+    nonzero tenths."""
+    coeffs = {name: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 21), 10) for name in _PROP_SIGNALS}
+    return linear_atom(coeffs, rng.choice(_COMPARATORS), Fraction(rng.randrange(-20, 21), 10))
+
+
+def _random_prop(rng: random.Random, depth: int, pool: Sequence[Formula]) -> Formula:
     if depth == 0 or rng.random() < 0.6:
+        if rng.random() < 0.3:
+            return rng.choice(pool)
         name = rng.choice(_PROP_SIGNALS)
-        comparator = rng.choice((">", ">=", "<", "<="))
         threshold = Fraction(rng.randrange(-20, 21), 10)
-        return signal_atom(name, comparator, threshold)
+        return signal_atom(name, rng.choice(_COMPARATORS), threshold)
     roll = rng.random()
     if roll < 0.4:
-        return Not(_random_prop(rng, depth - 1))
+        return Not(_random_prop(rng, depth - 1, pool))
     combiner = And if roll < 0.7 else Or
-    return combiner(_random_prop(rng, depth - 1), _random_prop(rng, depth - 1))
+    return combiner(_random_prop(rng, depth - 1, pool), _random_prop(rng, depth - 1, pool))
 
 
 def _random_trace(rng: random.Random, signals: Sequence[str], length: int) -> Trace:
@@ -390,7 +422,7 @@ def property_suite(
 ) -> ConformanceReport:
     """Randomized invariant checks on real-valued traces.
 
-    Per case, six checks: no cell's flags conflict (flag-conflict); each
+    Per case, six checks: no operator's flags conflict (flag-conflict); each
     verdict is T, F or U (completeness); a decided verdict never changes
     (immutability, so the stream has shape U^d V^(n-d)); the verdict is
     decided at the horizon and beyond (determination); the verdict agrees

@@ -1,28 +1,30 @@
 """Online monitor: one generated step function per formula.
 
-Each temporal operator becomes one fused cell that reports both verdict
-flags (pos, neg); both latch, unknown is the absence of both, and a cell's
-state does not grow with the window width. `compile_formula` writes the whole
-observer network as the source of one function, `network(s) -> verdict`: it
-steps each cell on its operand, inlined as one expression, combines the
-pairs with the flag-pair algebra of the `_3v` Lustre nodes (`a & b` is
-(pa and pb, na or nb), `a | b` is (pa or pb, na and nb), `a -> b` is
-(na or pb, pa and nb), `!a` swaps the pair) and reads T/F/U off the root
-pair. Every cell's flags latch, so a cell is stepped, and its operands
-evaluated, only while neither of its flags is set; once the root has
-decided, the function returns its verdict without stepping any cell. Each
-atom is compiled once to a float test that agrees exactly with its rational
-definition and is inlined: one over a single signal as a comparison such as
-`s['speed'] < 20.0`, one over several as one expression that computes the
-float sum and its error bound and calls the exact test only when the bound
-cannot decide. An atom over several signals that more than one operand reads
-is computed once per tick, while some cell that reads it is undecided.
+`compile_formula` writes the whole observer network as the source of one
+function, `network(s, t) -> verdict`, called with each sample and its tick.
+Each temporal operator is a few inline statements over two flags (pos, neg):
+both latch, unknown is the absence of both, and nothing else is kept per
+operator. The formulas are not nested, so every operator is anchored at tick
+0 and reads the monitor's tick as its clock, against its window's bounds.
+The function steps each operator on its operand, inlined as one expression,
+combines the pairs with the flag-pair algebra of the `_3v` Lustre nodes
+(`a & b` is (pa and pb, na or nb), `a | b` is (pa or pb, na and nb), `a -> b`
+is (na or pb, pa and nb), `!a` swaps the pair) and reads T/F/U off the root
+pair. An operator is stepped, and its operands evaluated, only while
+neither of its flags is set; once the root has decided, the function returns
+its verdict without stepping any operator. Each atom is compiled once to a
+float test that agrees exactly with its rational definition and is inlined:
+one over a single signal as a comparison such as `s['speed'] < 20.0`, one
+over several as one expression that computes the float sum and its error
+bound and calls the exact test only when the bound cannot decide. An atom
+over several signals that more than one operand reads is computed once per
+tick, while some operand that reads it is undecided.
 
 Formula text reaches the generated source only as the `repr` of a `str` (a
 signal name) or of a finite `float` (a threshold, a coefficient or an error
-bound). Windows never reach it, so formulas that differ only in their
-windows share one network code, and compiling a formula again only builds
-fresh cells.
+bound). Windows never reach it: they are the arguments of the network's
+factory, so formulas that differ only in their windows share one network
+code, and compiling a formula again only calls that factory.
 """
 
 from __future__ import annotations
@@ -73,118 +75,6 @@ class VerdictRecord(NamedTuple):
 
 # Builds a record without the keyword handling of `VerdictRecord.__new__`.
 _new_tuple = tuple.__new__
-
-
-# Operator cells. Each cell advances one tick per `step`, returns the pair
-# (pos, neg) of latched verdict flags, and stores one clock plus one or two
-# latched booleans. The clock counts ticks and stops at `upper + 1`, so
-# "inside the window" (clk <= upper) stays distinguishable from "past it"
-# whatever the window width; nothing is updated past the window.
-
-
-class _WindowCell:
-    __slots__ = ("lower", "upper", "_clk")
-
-    def __init__(self, lower: int, upper: int):
-        if not 0 <= lower < upper:
-            raise ValueError(f"window [{lower},{upper}] must satisfy 0 <= lower < upper")
-        self.lower, self.upper = lower, upper
-        self._clk = 0
-
-
-class EventuallyCell(_WindowCell):
-    """F[lower,upper]: true once the operand holds at a tick in the window,
-    false once the window has closed without that."""
-
-    __slots__ = ("_seen",)
-
-    def __init__(self, lower: int, upper: int):
-        super().__init__(lower, upper)
-        self._seen = False
-
-    def step(self, phi: bool) -> tuple[bool, bool]:
-        clk = self._clk
-        if clk <= self.upper:
-            if phi and clk >= self.lower:
-                self._seen = True
-            self._clk = clk + 1
-        seen = self._seen
-        return seen, clk >= self.upper and not seen
-
-    def state_scalars(self) -> tuple:
-        return (self._clk, self._seen)
-
-
-class AlwaysCell(_WindowCell):
-    """G[lower,upper]: false once the operand fails at a tick in the window,
-    true once the window has closed without that."""
-
-    __slots__ = ("_ok",)
-
-    def __init__(self, lower: int, upper: int):
-        super().__init__(lower, upper)
-        self._ok = True
-
-    def step(self, phi: bool) -> tuple[bool, bool]:
-        clk = self._clk
-        if clk <= self.upper:
-            if not phi and clk >= self.lower:
-                self._ok = False
-            self._clk = clk + 1
-        ok = self._ok
-        return clk >= self.upper and ok, not ok
-
-    def state_scalars(self) -> tuple:
-        return (self._clk, self._ok)
-
-
-class UntilCell(_WindowCell):
-    """phi1 U[lower,upper] phi2: true once phi2 holds at a tick in the window
-    with phi1 holding at every tick from 0 up to and including it.
-
-    False once no tick can still be such a witness: phi1 has failed (every
-    later witness would need it to hold there), or the window has closed.
-    """
-
-    __slots__ = ("_prefix_ok", "_witness")
-
-    def __init__(self, lower: int, upper: int):
-        super().__init__(lower, upper)
-        self._prefix_ok = True
-        self._witness = False
-
-    def step(self, phi1: bool, phi2: bool) -> tuple[bool, bool]:
-        clk = self._clk
-        if clk <= self.upper:
-            prefix_ok = self._prefix_ok = self._prefix_ok and phi1
-            if prefix_ok and phi2 and clk >= self.lower:
-                self._witness = True
-            self._clk = clk + 1
-        witness = self._witness
-        return witness, not witness and (clk >= self.upper or not self._prefix_ok)
-
-    def state_scalars(self) -> tuple:
-        return (self._clk, self._prefix_ok, self._witness)
-
-
-class _AnchoredAtom:
-    """An atom outside every temporal operator: its verdict is fixed by the
-    sample at tick 0."""
-
-    __slots__ = ("_pred", "_holds")
-
-    def __init__(self, pred: Predicate):
-        self._pred = pred
-        self._holds: bool | None = None
-
-    def step(self, sample: Mapping[str, float]) -> tuple[bool, bool]:
-        holds = self._holds
-        if holds is None:
-            holds = self._holds = self._pred(sample)
-        return holds, not holds
-
-    def state_scalars(self) -> tuple:
-        return (self._holds,)
 
 
 # Compiled atoms. Each test agrees exactly with `AtomicPredicate.evaluate`
@@ -299,13 +189,30 @@ def _filtered_test(pred: AtomicPredicate, terms: tuple, constant: int, name: str
     )
 
 
-# The generated network. Cell k is the parameter `ck` (its bound `step`) and
-# leaves its flags in `pk`, `nk`, locals of `make` that start False; the
-# latched root verdict is `make`'s local `decided`. Atoms are inlined; an
-# atom over several signals reads its exact test as a global `a0`, `a1`, ...,
-# and one that more than one operand reads leaves its value in a local `vk`.
+# The generated network. Leaf k, a temporal operator or an atom outside every
+# operator, keeps its flags in `pk`, `nk`, locals of `make` that start False;
+# operator k reads its window from `make`'s parameters `lk`, `uk`, and the
+# latched root verdict is `make`'s local `decided`. `network(s, t)` takes the
+# sample and its tick: every operator is anchored at tick 0, so the tick is
+# each operator's clock. Atoms are inlined; an atom over several signals reads
+# its exact test as a global `a0`, `a1`, ..., and one that more than one leaf
+# reads leaves its value in a local `vk`.
 
-_CELLS = {Atom: _AnchoredAtom, Eventually: EventuallyCell, Always: AlwaysCell, Until: UntilCell}
+# Each leaf's body, run only while neither of its flags is set, so each body
+# sets one flag and never clears one. `{0}` and `{1}` are the operands' source.
+# An operator that has not decided by tick `uk` decides there: F and G are
+# false and true once their window has closed, and U is false once its left
+# operand has failed, since every later witness would need it to hold there.
+_CELLS = {
+    Atom: "p{k} = {0}\nn{k} = not p{k}",
+    Eventually: "if t >= l{k} and {0}:\n    p{k} = True\nelif t >= u{k}:\n    n{k} = True",
+    Always: "if t >= l{k} and not {0}:\n    n{k} = True\nelif t >= u{k}:\n    p{k} = True",
+    Until: (
+        "if not {0}:\n    n{k} = True\n"
+        "elif t >= l{k} and {1}:\n    p{k} = True\n"
+        "elif t >= u{k}:\n    n{k} = True"
+    ),
+}
 _PAIRS = {
     And: ("({lp} and {rp})", "({ln} or {rn})"),
     Or: ("({lp} or {rp})", "({ln} and {rn})"),
@@ -315,20 +222,24 @@ _OPERANDS = {And: "({l} and {r})", Or: "({l} or {r})", Implies: "(not {l} or {r}
 
 
 @lru_cache(maxsize=256)
-def _network_code(f: Formula) -> tuple[Callable, tuple, tuple[str, ...]]:
-    """The factory `make(c0, c1, ...) -> network` of `f`'s step function,
-    each cell's `_CELLS` key and constructor arguments, and `f`'s signals.
-    The factory is its shape's; a pre-order walk meets the temporal nodes in
-    leaf order, so each cell takes its window from there."""
-    make, leaves, signals = _shape_code(with_windows(f, lambda window: None))
-    windows = ((n.window.lower, n.window.upper) for n in walk(f) if isinstance(n, TEMPORAL_NODES))
-    return make, tuple((kind, args if kind is Atom else next(windows)) for kind, args in leaves), signals
+def _network_code(f: Formula) -> tuple[Callable, tuple[int, ...], tuple[str, ...]]:
+    """The factory `make(l0, u0, ...) -> network` of `f`'s step function, the
+    window bounds it is called with, and `f`'s signals. The factory is its
+    shape's; a pre-order walk meets the temporal nodes in leaf order."""
+    make, signals = _shape_code(with_windows(f, lambda window: None))
+    bounds = tuple(
+        bound
+        for node in walk(f)
+        if isinstance(node, TEMPORAL_NODES)
+        for bound in (node.window.lower, node.window.upper)
+    )
+    return make, bounds, signals
 
 
 @lru_cache(maxsize=256)
-def _shape_code(shape: Formula) -> tuple[Callable, tuple, tuple[str, ...]]:
-    """`_network_code` of a formula with its windows erased, built once per
-    shape: temporal cells have no constructor arguments yet."""
+def _shape_code(shape: Formula) -> tuple[Callable, tuple[str, ...]]:
+    """`_network_code`'s factory and signals for a formula with its windows
+    erased, built once per shape."""
     source = _NetworkSource(shape)
     namespace = {
         "FlagConflictError": FlagConflictError,
@@ -338,57 +249,53 @@ def _shape_code(shape: Formula) -> tuple[Callable, tuple, tuple[str, ...]]:
         **source.atoms,
     }
     exec(compile(source.text, "<stlobs network>", "exec"), namespace)
-    return namespace["make"], tuple(source.leaves), signals_of(shape)
+    return namespace["make"], signals_of(shape)
 
 
 class _NetworkSource:
-    """The source of `f`'s factory `make` (`text`), the cells it is called
-    with (`leaves`: `_CELLS` key and constructor arguments, in formula order,
-    none for a temporal cell) and the globals its atoms read (`atoms`).
-    No window is read."""
+    """The source of `f`'s factory `make` (`text`) and the globals its atoms
+    read (`atoms`). No window is read."""
 
     def __init__(self, f: Formula):
-        self.leaves: list[tuple] = []
         self.atoms: dict[str, Predicate] = {}
         self._lines: list[str] = []
+        self._leaves = 0
+        self._operators: list[int] = []
         self._refs: dict[AtomicPredicate, str] = {}
-        # Each shared atom's local: its test and the cells that read it.
+        # Each shared atom's local: its test and the leaves that read it.
         self._shared: dict[str, tuple[str, list[int]]] = {}
         # Only an atom over two or more signals is worth sharing.
         self._uses = Counter(
             atom.predicate
-            for node in walk(f)
-            if isinstance(node, TEMPORAL_NODES)
-            for operand in children(node)
-            for atom in walk(operand)
+            for atom in walk(f)
             if isinstance(atom, Atom) and len(atom.predicate.terms) > 1
         )
         pos, neg = self._pair(f)
-        # A shared atom is computed while some cell that reads it is open.
+        # A shared atom is computed while some leaf that reads it is open.
         lines = []
         for local, (test, readers) in self._shared.items():
             lines.append("if " + " or ".join(f"not (p{k} or n{k})" for k in readers) + ":")
             lines.append(f"    {local} = {test}")
         lines += self._lines
-        # Each cell's pair is checked: the algebra can hide a conflicting pair
-        # ((T, T) & (F, F) is (F, T)) but never makes one from consistent pairs.
-        temporal = [k for k, (kind, _) in enumerate(self.leaves) if kind is not Atom]
-        if temporal:
-            lines.append("if " + " or ".join(f"p{k} and n{k}" for k in temporal) + ":")
+        # Each operator's pair is checked: the algebra can hide a conflicting
+        # pair ((T, T) & (F, F) is (F, T)) but never makes one from consistent
+        # pairs.
+        if self._operators:
+            lines.append("if " + " or ".join(f"p{k} and n{k}" for k in self._operators) + ":")
             lines.append("    raise FlagConflictError('positive and negative verdict flags are both set')")
-        # Verdicts latch: once the root has decided, no cell is stepped.
+        # Verdicts latch: once the root has decided, no leaf is stepped.
         # (Every distinct formula pays a `compile()`; this form compiles
         # faster than one conditional expression or two returns.)
         lines += [f"if {pos}:", "    decided = TRUE", f"elif {neg}:", "    decided = FALSE"]
         lines.append("return decided or UNKNOWN")
-        params = ", ".join(f"c{k}" for k in range(len(self.leaves)))
-        flags = [f"{flag}{k}" for k in range(len(self.leaves)) for flag in "pn"]
+        params = ", ".join(f"l{k}, u{k}" for k in self._operators)
+        flags = [f"{flag}{k}" for k in range(self._leaves) for flag in "pn"]
         body = "".join(f"        {line}\n" for line in lines)
         self.text = (
             f"def make({params}):\n"
             "    decided = None\n"
             f"    {' = '.join(flags)} = False\n"
-            "    def network(s):\n"
+            "    def network(s, t):\n"
             f"        nonlocal decided, {', '.join(flags)}\n"
             "        if decided is not None:\n"
             "            return decided\n"
@@ -397,9 +304,9 @@ class _NetworkSource:
         )
 
     def _pair(self, f: Formula) -> tuple[str, str]:
-        """Source of the (pos, neg) flags of `f`; adds one statement per cell,
-        in formula order. Flags latch, so a cell is stepped, and its operands
-        evaluated, only while neither of its flags is set."""
+        """Source of the (pos, neg) flags of `f`; adds one guarded body per
+        leaf, in formula order. Flags latch, so a leaf is stepped, and its
+        operands evaluated, only while neither of its flags is set."""
         if isinstance(f, Not):
             pos, neg = self._pair(f.child)
             return neg, pos
@@ -408,32 +315,33 @@ class _NetworkSource:
             lp, ln = self._pair(f.left)
             rp, rn = self._pair(f.right)
             return tuple(t.format(lp=lp, ln=ln, rp=rp, rn=rn) for t in templates)
-        k = len(self.leaves)
-        if isinstance(f, Atom):
-            self.leaves.append((Atom, (compile_atom(f.predicate),)))
-            args = "s"
-        elif type(f) in _CELLS:
-            operands = (f.left, f.right) if isinstance(f, Until) else (f.child,)
-            self.leaves.append((type(f), ()))
-            args = ", ".join(self._operand(op, k) for op in operands)
-        else:
+        template = _CELLS.get(type(f))
+        if template is None:
             raise TypeError(f"not a formula node: {f!r}")
-        self._lines += [f"if not (p{k} or n{k}):", f"    p{k}, n{k} = c{k}({args})"]
+        k = self._leaves
+        self._leaves += 1
+        if isinstance(f, Atom):
+            operands = (self._atom(f.predicate, k),)
+        else:
+            self._operators.append(k)
+            operands = tuple(self._operand(operand, k) for operand in children(f))
+        body = template.format(*operands, k=k)
+        self._lines += [f"if not (p{k} or n{k}):", *(f"    {line}" for line in body.splitlines())]
         return f"p{k}", f"n{k}"
 
-    def _operand(self, f: Formula, cell: int) -> str:
+    def _operand(self, f: Formula, leaf: int) -> str:
         """Source of a propositional formula's truth on sample `s`, as an
-        operand of cell `cell`."""
+        operand of leaf `leaf`."""
         if isinstance(f, Atom):
-            return self._atom(f.predicate, cell)
+            return self._atom(f.predicate, leaf)
         if isinstance(f, Not):
-            return f"(not {self._operand(f.child, cell)})"
+            return f"(not {self._operand(f.child, leaf)})"
         template = _OPERANDS.get(type(f))
         if template is None:
             raise TypeError(f"operand is not propositional: {f!r}")
-        return template.format(l=self._operand(f.left, cell), r=self._operand(f.right, cell))
+        return template.format(l=self._operand(f.left, leaf), r=self._operand(f.right, leaf))
 
-    def _atom(self, pred: AtomicPredicate, cell: int) -> str:
+    def _atom(self, pred: AtomicPredicate, leaf: int) -> str:
         """The atom's inlined test or, for a multi-signal atom that more than
         one operand reads, the local holding its value."""
         ref = self._refs.get(pred)
@@ -445,20 +353,19 @@ class _NetworkSource:
                 self._shared[local], ref = (ref, []), local
             self._refs[pred] = ref
         shared = self._shared.get(ref)
-        if shared is not None and cell not in shared[1]:
-            shared[1].append(cell)
+        if shared is not None and leaf not in shared[1]:
+            shared[1].append(leaf)
         return ref
 
 
 class Monitor:
     """Stepwise evaluator for one formula, anchored at tick 0."""
 
-    def __init__(self, formula: Formula, network: Callable, cells: tuple, signals: tuple[str, ...]):
+    def __init__(self, formula: Formula, network: Callable, signals: tuple[str, ...]):
         self.formula = formula
         self.signals = signals
         self._signal_set = frozenset(self.signals)
         self._network = network
-        self._cells = cells
         self._tick = 0
 
     @property
@@ -471,17 +378,12 @@ class Monitor:
         """Index of the next sample to be consumed."""
         return self._tick
 
-    @property
-    def temporal_cells(self) -> tuple:
-        """All operator cells, one per temporal operator, in formula order."""
-        return tuple(cell for cell in self._cells if isinstance(cell, _WindowCell))
-
     def step(self, sample: Mapping[str, float]) -> VerdictRecord:
         if not sample.keys() >= self._signal_set:
             missing = [name for name in self.signals if name not in sample]
             raise MissingSignalError(missing, f"at tick {self._tick}")
         tick = self._tick
-        record = _new_tuple(VerdictRecord, (tick, self._network(sample)))
+        record = _new_tuple(VerdictRecord, (tick, self._network(sample, tick)))
         self._tick = tick + 1
         return record
 
@@ -499,10 +401,27 @@ class Monitor:
                 break
         return records
 
+    def state_scalars(self) -> tuple:
+        """The state the network rebinds, read from its closure: the tick, the
+        latched root verdict, then each leaf's flags (pos, neg) in formula
+        order. The windows are constants of the closure, not state."""
+        network = self._network
+        closure = network.__closure__
+        return (self._tick, *(closure[i].cell_contents for i in _state_slots(network.__code__.co_freevars)))
+
     def state_scalar_count(self) -> int:
-        """Number of scalars stored across all cells; constant over time and
+        """Number of scalars the monitor keeps; constant over time and
         independent of window widths."""
-        return sum(len(cell.state_scalars()) for cell in self._cells)
+        return len(self.state_scalars())
+
+
+@lru_cache(maxsize=256)
+def _state_slots(names: tuple[str, ...]) -> tuple[int, ...]:
+    """Where a network's closure, whose names are `names`, holds `decided`
+    and each leaf's flags, in leaf order."""
+    leaves = sum(name.startswith("p") for name in names)
+    state = ("decided", *(f"{flag}{k}" for k in range(leaves) for flag in "pn"))
+    return tuple(names.index(name) for name in state)
 
 
 def compile_formula(f: Formula) -> Monitor:
@@ -510,6 +429,5 @@ def compile_formula(f: Formula) -> Monitor:
     violations = validate(f)
     if violations:
         raise InvalidFormulaError(violations)
-    make, leaves, signals = _network_code(f)
-    cells = tuple(_CELLS[kind](*args) for kind, args in leaves)
-    return Monitor(f, make(*(cell.step for cell in cells)), cells, signals)
+    make, bounds, signals = _network_code(f)
+    return Monitor(f, make(*bounds), signals)

@@ -188,7 +188,7 @@ def explicit_eval(
 
     Operands are plain boolean rows covering at least ticks 0..upper. These
     are the expressions the emitted proof obligations are built from, and
-    the induction checks compare each cell's flags with them. The one-tick
+    the induction checks compare each operator's flags with them. The one-tick
     window lower == upper is accepted here (the step case's form over the
     new tick alone); formulas still need lower < upper.
     """

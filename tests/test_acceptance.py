@@ -146,11 +146,13 @@ def test_criterion_6_bounded_memory(capsys):
         per_bound = []
         for upper in (2, 50, 1000):
             monitor = compile_formula(operator_formula(kind, 1, upper))
-            before = monitor.state_scalar_count()
+            before = len(monitor.state_scalars())
             for tick in range(5):
                 sample = {"p": float(tick % 2), "q": 1.0}
                 monitor.step(sample)
-            assert monitor.state_scalar_count() == before
+            state = monitor.state_scalars()
+            # The tick, the root latch and the operator's two flags.
+            assert len(state) == before == 4 and state[0] == 5
             per_bound.append(before)
         assert len(set(per_bound)) == 1, (kind, per_bound)
         counts[kind] = per_bound[0]

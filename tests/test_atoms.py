@@ -225,7 +225,7 @@ class TestInlinedMultiSignalAtoms:
         pred = linear_atom(coeffs, comparator, constant).predicate
         holds = pred.evaluate(sample)
         assert holds is compare_with_zero(0, comparator)
-        # Anchored (compile_atom's lambda) and as a G operand (inlined).
+        # Anchored (read once, at tick 0) and as a G operand; inlined in both.
         assert compile_formula(Atom(pred)).step(sample).verdict is (TRUE if holds else FALSE)
         always = compile_formula(Always(Interval(0, 1), Atom(pred)))
         assert always.step(sample).verdict is (UNKNOWN if holds else FALSE)

@@ -4,10 +4,11 @@ through `compile_fn` to prove the checks can actually fail."""
 
 import json
 import random
+import re
 
 import pytest
 
-from stlobs import conformance, monitor
+from stlobs import monitor
 from stlobs.conformance import (
     ConformanceReport,
     Failure,
@@ -35,13 +36,7 @@ from stlobs.formula import (
     validate,
     walk,
 )
-from stlobs.monitor import (
-    AlwaysCell,
-    EventuallyCell,
-    UntilCell,
-    VerdictRecord,
-    compile_formula,
-)
+from stlobs.monitor import VerdictRecord, compile_formula
 from stlobs.parser import parse
 from stlobs.trace import Trace
 from stlobs.trilean import FALSE, TRUE, UNKNOWN, FlagPair
@@ -138,88 +133,69 @@ class TestInduction:
         assert report.cases == 2 * (2 + 3)
 
 
-# Cell mutants for the induction canaries.
+# Mutants of the operator bodies in `monitor._CELLS`, for the induction
+# canaries.
 
-
-class EventuallyLateAtLower(EventuallyCell):
-    """Ignores the operand at tick `lower`."""
-
-    __slots__ = ()
-
-    def step(self, phi):
-        return super().step(phi and self._clk != self.lower)
-
-
-class EventuallyWidthOne(EventuallyCell):
-    """Looks at ticks `lower` and `lower + 1` only, right for the base
-    window and wrong for every wider one."""
-
-    __slots__ = ()
-
-    def step(self, phi):
-        return super().step(phi and self._clk <= self.lower + 1)
-
-
-class UntilWithoutPrefix(UntilCell):
-    """Takes phi2 in the window as a witness whether or not phi1 held."""
-
-    __slots__ = ()
-
-    def step(self, phi1, phi2):
-        clk = self._clk
-        if clk <= self.upper:
-            self._prefix_ok = self._prefix_ok and phi1
-            if phi2 and clk >= self.lower:
-                self._witness = True
-            self._clk = clk + 1
-        witness = self._witness
-        return witness, not witness and (clk >= self.upper or not self._prefix_ok)
-
-
-class UntilFalseOnlyAtHorizon(UntilCell):
-    """Reports false only once the window has closed, never on an early
-    failure of phi1."""
-
-    __slots__ = ()
-
-    def step(self, phi1, phi2):
-        clk = self._clk
-        witness, _ = super().step(phi1, phi2)
-        return witness, not witness and clk >= self.upper
-
-
-class AlwaysTrueOneTickEarly(AlwaysCell):
-    """Reports true one tick before the window closes."""
-
-    __slots__ = ()
-
-    def step(self, phi):
-        clk = self._clk
-        _, neg = super().step(phi)
-        return clk >= self.upper - 1 and not neg, neg
+# Ignores the operand at tick `lower`.
+EVENTUALLY_LATE_AT_LOWER = "if t > l{k} and {0}:\n    p{k} = True\nelif t >= u{k}:\n    n{k} = True"
+# Looks at ticks `lower` and `lower + 1` only, right for the base window and
+# wrong for every wider one.
+EVENTUALLY_WIDTH_ONE = (
+    "if l{k} <= t <= l{k} + 1 and {0}:\n    p{k} = True\nelif t >= u{k}:\n    n{k} = True"
+)
+# Takes phi2 in the window as a witness whether or not phi1 held.
+UNTIL_WITHOUT_PREFIX = "if t >= l{k} and {1}:\n    p{k} = True\nelif t >= u{k}:\n    n{k} = True"
+# Reports false only once the window has closed, never on an early failure
+# of phi1: it holds that failure back as a None in its neg flag, which is
+# false to the guard and to the root.
+UNTIL_FALSE_ONLY_AT_HORIZON = (
+    "if n{k} is None or not {0}:\n    n{k} = True if t >= u{k} else None\n"
+    "elif t >= l{k} and {1}:\n    p{k} = True\n"
+    "elif t >= u{k}:\n    n{k} = True"
+)
+# Reports true one tick before the window closes.
+ALWAYS_TRUE_ONE_TICK_EARLY = (
+    "if t >= l{k} and not {0}:\n    n{k} = True\nelif t >= u{k} - 1:\n    p{k} = True"
+)
+# Reports a failure inside the window only once the window has closed,
+# holding it back as UNTIL_FALSE_ONLY_AT_HORIZON does.
+ALWAYS_FALSE_ONLY_AT_HORIZON = (
+    "if n{k} is None or t >= l{k} and not {0}:\n    n{k} = True if t >= u{k} else None\n"
+    "elif t >= u{k}:\n    p{k} = True"
+)
 
 
 class TestInductionCanaries:
-    """The induction suite fails on a cell that is wrong at or after the
-    window's last tick. It compares only from that tick on, so a flag set
-    too early passes it (count 0): the differential sweep, which compares
-    every tick, catches all five mutants."""
+    """The induction suite fails on an operator that is wrong at or after
+    the window's last tick. It compares only from that tick on, so an
+    operator that holds a decision back until then passes it (count 0);
+    one that decides too early keeps that verdict latched to that tick and
+    fails it. The differential sweep, which compares every tick, catches all
+    six mutants."""
 
     @pytest.mark.parametrize(
         "kind, mutant, induction_failures",
         [
-            ("eventually", EventuallyLateAtLower, 10),
-            ("eventually", EventuallyWidthOne, 20),
-            ("until", UntilWithoutPrefix, 30),
-            ("until", UntilFalseOnlyAtHorizon, 0),
-            ("always", AlwaysTrueOneTickEarly, 0),
+            ("eventually", EVENTUALLY_LATE_AT_LOWER, 10),
+            ("eventually", EVENTUALLY_WIDTH_ONE, 20),
+            ("until", UNTIL_WITHOUT_PREFIX, 30),
+            ("until", UNTIL_FALSE_ONLY_AT_HORIZON, 0),
+            ("always", ALWAYS_TRUE_ONE_TICK_EARLY, 30),
+            ("always", ALWAYS_FALSE_ONLY_AT_HORIZON, 0),
+        ],
+        ids=[
+            "EventuallyLateAtLower",
+            "EventuallyWidthOne",
+            "UntilWithoutPrefix",
+            "UntilFalseOnlyAtHorizon",
+            "AlwaysTrueOneTickEarly",
+            "AlwaysFalseOnlyAtHorizon",
         ],
     )
-    def test_mutant_cell(self, monkeypatch, kind, mutant, induction_failures):
-        monkeypatch.setitem(conformance._CELLS, kind, mutant)
-        assert len(induction_suite(kinds=(kind,)).failures) == induction_failures
+    def test_mutant_body(self, monkeypatch, fresh_networks, kind, mutant, induction_failures):
         node = {"eventually": Eventually, "always": Always, "until": Until}[kind]
         monkeypatch.setitem(monitor._CELLS, node, mutant)
+        assert len(induction_suite(kinds=(kind,)).failures) == induction_failures
         assert not differential_sweep(kinds=(kind,), max_upper=3).passed
 
 
@@ -303,26 +279,54 @@ class TestPropertySuite:
         assert not report.passed
         assert {f.check for f in report.failures} == {"immutability"}
 
-    def test_catches_swapped_connectives(self):
+    def test_catches_swapped_connectives(self, monkeypatch, fresh_networks):
         """`&` and `|` swapped in the network's pair algebra keep every
         verdict stream well formed; only the oracle check sees them. The
         sweep, whose formulas have no connective, passes."""
-        pairs = dict(monitor._PAIRS)
-        pairs[And], pairs[Or] = pairs[Or], pairs[And]
-        saved = monitor._PAIRS
-        monitor._PAIRS = pairs
-        monitor._network_code.cache_clear()
-        monitor._shape_code.cache_clear()
-        try:
-            report = property_suite(seed=42, cases=300)
-            sweep = differential_sweep(max_upper=2)
-        finally:
-            monitor._PAIRS = saved
-            monitor._network_code.cache_clear()
-            monitor._shape_code.cache_clear()
+        conjunction, disjunction = monitor._PAIRS[And], monitor._PAIRS[Or]
+        monkeypatch.setitem(monitor._PAIRS, And, disjunction)
+        monkeypatch.setitem(monitor._PAIRS, Or, conjunction)
+        report = property_suite(seed=42, cases=300)
+        sweep = differential_sweep(max_upper=2)
         assert not report.passed
         assert {f.check for f in report.failures} == {"oracle-agreement"}
         assert sweep.passed and sweep.cases > 0
+
+    def test_catches_a_shared_atom_guard_without_all_its_readers(self, monkeypatch, fresh_networks):
+        """A shared atom's guard that lists only its first reader leaves the
+        atom's local unset once that reader has decided, while another reader
+        is still open: the network raises on reading it. The suite's random
+        formulas share multi-signal atoms between operands, and between an
+        operand and an anchored atom, so it reaches that case."""
+
+        class FirstReaderOnly(monitor._NetworkSource):
+            def __init__(self, f):
+                super().__init__(f)
+                self.text = re.sub(
+                    r"if (not \(p\d+ or n\d+\))(?: or not \(p\d+ or n\d+\))+:", r"if \1:", self.text
+                )
+
+        f = parse("x - y > 0 & F[0,3] (x - y > 0)", ("x", "y"))
+        assert "        if not (p0 or n0):\n            v0 = " in FirstReaderOnly(f).text
+        monkeypatch.setattr(monitor, "_NetworkSource", FirstReaderOnly)
+        with pytest.raises(UnboundLocalError):
+            property_suite(seed=42, cases=2000)
+
+    def test_catches_atoms_shared_by_their_signals(self, monkeypatch, fresh_networks):
+        """A network that takes every multi-signal atom over the same
+        signals for the first one keeps every verdict stream well formed;
+        only the oracle check sees it."""
+
+        class SharedBySignals(monitor._NetworkSource):
+            def _atom(self, pred, leaf):
+                if len(pred.signals) > 1:
+                    pred = self.__dict__.setdefault("firsts", {}).setdefault(pred.signals, pred)
+                return super()._atom(pred, leaf)
+
+        monkeypatch.setattr(monitor, "_NetworkSource", SharedBySignals)
+        report = property_suite(seed=42, cases=1000)
+        assert not report.passed
+        assert {f.check for f in report.failures} == {"oracle-agreement"}
 
     def test_catches_state_that_grows_with_the_window(self):
         class Growing:

@@ -1,69 +1,109 @@
-"""Constant-state streaming cells: the window gate, latches and clock inside
-the fused operator cells, and their state footprint."""
+"""Constant-state operators: the window test, latches and flags of each
+temporal operator's body in the generated network, and its state footprint."""
 
 import itertools
 import random
+import re
 
 import pytest
 
-from stlobs.monitor import AlwaysCell, EventuallyCell, UntilCell
+from stlobs import monitor
+from stlobs.conformance import operator_formula
+from stlobs.errors import FlagConflictError, InvalidFormulaError
+from stlobs.formula import Always, And, Interval, Or, signal_atom
+from stlobs.monitor import Monitor, compile_formula
+from stlobs.trilean import Trilean
 
-CELLS = (EventuallyCell, AlwaysCell, UntilCell)
+KINDS = ("eventually", "always", "until")
 
 
-def run(cell, values):
-    """Step a unary cell through `values`, returning its (pos, neg) outputs."""
-    return [cell.step(value) for value in values]
+def runs(kind, lower, upper, open_root=False):
+    """A function that starts a fresh run of the network of
+    `operator_formula(kind, lower, upper)` on boolean operands. A run is a
+    step function: each call takes one tick's operand values (p, and q for
+    U) and returns the operator's flags (pos, neg), read from
+    `Monitor.state_scalars()`.
+
+    With `open_root` the operator is the left leaf of `(op & G) | G` for a G
+    that holds open past the ticks a test steps, so the root never decides
+    and only the operator's own guard keeps its flags from changing."""
+    f = operator_formula(kind, lower, upper)
+    if open_root:
+        keep = Always(Interval(0, upper + 3), signal_atom("r", ">"))
+        f = Or(And(f, keep), keep)
+    compile_formula(f)  # rejects a bad window
+    make, bounds, signals = monitor._network_code(f)
+
+    def start():
+        m = Monitor(f, make(*bounds), signals)
+
+        def step(*values):
+            m.step({"p": float(values[0]), "q": float(values[-1]), "r": 1.0})
+            return m.state_scalars()[2:4]
+
+        return step
+
+    return start
 
 
-def gate_opens_at(cell_type, lower, upper, k, length):
+def stepper(kind, lower, upper):
+    """One run of `runs(kind, lower, upper)`."""
+    return runs(kind, lower, upper)()
+
+
+def run(step, values):
+    """Feed a unary operator `values`, returning its (pos, neg) outputs."""
+    return [step(value) for value in values]
+
+
+def gate_opens_at(kind, lower, upper, k, length):
     """Whether a single decisive operand value at tick `k` reaches the
-    cell's latch: true for F (and for U's right operand, with the left
+    operator's flag: true for F (and for U's right operand, with the left
     operand always true), false for G."""
-    cell = cell_type(lower, upper)
+    step = stepper(kind, lower, upper)
     for tick in range(length):
         hit = tick == k
-        if cell_type is UntilCell:
-            pos, neg = cell.step(True, hit)
-        elif cell_type is EventuallyCell:
-            pos, neg = cell.step(hit)
+        if kind == "until":
+            pos, neg = step(True, hit)
+        elif kind == "eventually":
+            pos, neg = step(hit)
         else:
-            pos, neg = cell.step(not hit)
-    return pos if cell_type is not AlwaysCell else neg
+            pos, neg = step(not hit)
+    return pos if kind != "always" else neg
 
 
 def test_interval_gate_window():
-    assert [gate_opens_at(EventuallyCell, 1, 2, k, 5) for k in range(5)] == [
+    assert [gate_opens_at("eventually", 1, 2, k, 5) for k in range(5)] == [
         False, True, True, False, False,
     ]
 
 
 def test_interval_gate_from_zero():
-    assert [gate_opens_at(EventuallyCell, 0, 1, k, 4) for k in range(4)] == [
+    assert [gate_opens_at("eventually", 0, 1, k, 4) for k in range(4)] == [
         True, True, False, False,
     ]
 
 
 def test_interval_gate_matches_membership():
-    for cell_type in CELLS:
+    for kind in KINDS:
         for lower in range(0, 4):
             for upper in range(lower + 1, 5):
                 for k in range(upper + 3):
-                    got = gate_opens_at(cell_type, lower, upper, k, upper + 3)
-                    assert got == (lower <= k <= upper), (cell_type, lower, upper, k)
+                    got = gate_opens_at(kind, lower, upper, k, upper + 3)
+                    assert got == (lower <= k <= upper), (kind, lower, upper, k)
 
 
 @pytest.mark.parametrize("lower,upper", [(2, 2), (3, 1), (-1, 2), (0, 0)])
 def test_interval_gate_rejects_bad_bounds(lower, upper):
-    for cell_type in CELLS:
-        with pytest.raises(ValueError):
-            cell_type(lower, upper)
+    for kind in KINDS:
+        with pytest.raises(InvalidFormulaError):
+            runs(kind, lower, upper)
 
 
 def test_interval_gate_closed_forever_after_window():
-    outputs = run(AlwaysCell(0, 2), [True, True, True] + [False] * 7)
+    outputs = run(stepper("always", 0, 2), [True, True, True] + [False] * 7)
     assert outputs[2:] == [(True, False)] * 8
-    outputs = run(EventuallyCell(0, 2), [False, False, False] + [True] * 7)
+    outputs = run(stepper("eventually", 0, 2), [False, False, False] + [True] * 7)
     assert outputs[2:] == [(False, True)] * 8
 
 
@@ -72,12 +112,12 @@ def test_latching_exists_matches_fold():
     for _ in range(200):
         lower = rng.randrange(0, 5)
         upper = rng.randrange(lower + 1, 8)
-        cell = EventuallyCell(lower, upper)
+        step = stepper("eventually", lower, upper)
         seen = False
         for k in range(12):
             prop = rng.random() < 0.3
             seen = seen or (lower <= k <= upper and prop)
-            assert cell.step(prop) == (seen, k >= upper and not seen)
+            assert step(prop) == (seen, k >= upper and not seen)
 
 
 def test_latching_forall_matches_fold():
@@ -85,75 +125,83 @@ def test_latching_forall_matches_fold():
     for _ in range(200):
         lower = rng.randrange(0, 5)
         upper = rng.randrange(lower + 1, 8)
-        cell = AlwaysCell(lower, upper)
+        step = stepper("always", lower, upper)
         ok = True
         for k in range(12):
             prop = rng.random() < 0.8
             ok = ok and (not lower <= k <= upper or prop)
-            assert cell.step(prop) == (k >= upper and ok, not ok)
+            assert step(prop) == (k >= upper and ok, not ok)
 
 
 def test_latching_forall_vacuously_true():
-    cell = AlwaysCell(2, 3)
-    assert run(cell, [False, False]) == [(False, False), (False, False)]
-    assert run(cell, [True, True]) == [(False, False), (True, False)]
+    step = stepper("always", 2, 3)
+    assert run(step, [False, False]) == [(False, False), (False, False)]
+    assert run(step, [True, True]) == [(False, False), (True, False)]
 
 
-def test_saturating_clock():
-    cell = EventuallyCell(1, 3)
-    clocks = []
+def test_the_tick_is_the_only_clock():
+    # Every operator reads the monitor's tick; besides it the state is the
+    # root latch and the flags, so nothing counts ticks inside a window.
+    m = compile_formula(operator_formula("eventually", 1, 3))
+    states = []
     for _ in range(7):
-        cell.step(False)
-        clocks.append(cell.state_scalars()[0])
-    assert clocks == [1, 2, 3, 4, 4, 4, 4]
+        m.step({"p": 0.0})
+        states.append(m.state_scalars())
+    assert [state[0] for state in states] == [1, 2, 3, 4, 5, 6, 7]
+    assert all(isinstance(v, (bool, type(None), Trilean)) for state in states for v in state[1:])
 
 
 def test_state_scalar_counts_do_not_depend_on_bounds():
-    for cell_type in CELLS:
-        assert len(cell_type(0, 2).state_scalars()) == len(
-            cell_type(17, 1000).state_scalars()
-        )
+    for kind in KINDS:
+        narrow = compile_formula(operator_formula(kind, 0, 2))
+        wide = compile_formula(operator_formula(kind, 17, 1000))
+        assert len(narrow.state_scalars()) == len(wide.state_scalars()) == 4
 
 
 def test_state_scalar_counts_constant_over_time():
-    cells = [EventuallyCell(1, 4), AlwaysCell(1, 4), UntilCell(1, 4)]
-    sizes = [len(cell.state_scalars()) for cell in cells]
+    monitors = [compile_formula(operator_formula(kind, 1, 4)) for kind in KINDS]
+    sizes = [len(m.state_scalars()) for m in monitors]
     for _ in range(12):
-        cells[0].step(True)
-        cells[1].step(True)
-        cells[2].step(True, False)
-        assert [len(cell.state_scalars()) for cell in cells] == sizes
+        for m in monitors:
+            m.step({"p": 1.0, "q": 0.0})
+        assert [len(m.state_scalars()) for m in monitors] == sizes
 
 
 def test_state_scalars_are_plain_values():
-    for cell_type in CELLS:
-        cell = cell_type(0, 3)
-        cell.step(*(True,) * (2 if cell_type is UntilCell else 1))
-        assert all(isinstance(v, (bool, int)) for v in cell.state_scalars())
+    for kind in KINDS:
+        m = compile_formula(operator_formula(kind, 0, 3))
+        m.step({"p": 1.0, "q": 1.0})
+        assert all(isinstance(v, (bool, int, type(None), Trilean)) for v in m.state_scalars())
 
 
 def test_until_refutes_when_left_operand_fails_inside_the_window():
     # phi1 fails at tick 2, inside [1, 4] and before its upper bound, with no
     # witness yet: no later tick can be a witness, so neg is set at once
     # rather than when the window closes.
-    cell = UntilCell(1, 4)
-    assert cell.step(True, False) == (False, False)
-    assert cell.step(True, False) == (False, False)
-    assert cell.step(False, True) == (False, True)
-    assert cell.step(True, True) == (False, True)
+    step = stepper("until", 1, 4)
+    assert step(True, False) == (False, False)
+    assert step(True, False) == (False, False)
+    assert step(False, True) == (False, True)
+    assert step(True, True) == (False, True)
 
 
-def unlatched_flag(cell_type, lower, upper):
+def unlatched_flag(kind, lower, upper):
     """The first boolean operand trace of length upper + 2 on which a flag of
-    a `cell_type(lower, upper)` is set and then drops back to false, or None.
-    Every trace of that length is tried."""
-    arity = 2 if issubclass(cell_type, UntilCell) else 1
+    the operator over [lower, upper], under a root that stays open, is set
+    and then changes: drops back to false, or meets the other flag (which
+    the network raises as a conflict). None if there is none. Every trace of
+    that length is tried."""
+    arity = 2 if kind == "until" else 1
     operands = list(itertools.product((False, True), repeat=arity))
+    start = runs(kind, lower, upper, open_root=True)
     for trace in itertools.product(operands, repeat=upper + 2):
-        cell = cell_type(lower, upper)
+        step = start()
         pos = neg = False
         for values in trace:
-            p, n = cell.step(*values)
+            try:
+                p, n = step(*values)
+            except FlagConflictError:
+                return trace
             if pos and not p or neg and not n:
                 return trace
             pos, neg = p, n
@@ -163,29 +211,30 @@ def unlatched_flag(cell_type, lower, upper):
 WINDOWS = [(a, b) for b in range(1, 5) for a in range(b)]
 
 
-@pytest.mark.parametrize("cell_type", CELLS)
-def test_flags_latch_on_every_trace(cell_type):
-    # The generated network steps a cell only while neither flag is set, so
-    # a set flag must stay set on every operand trace.
+@pytest.mark.parametrize("kind", KINDS)
+def test_flags_latch_on_every_trace(kind):
+    # The generated network steps an operator only while neither flag is
+    # set, so a set flag must stay set on every operand trace, even while
+    # the root is open.
     for lower, upper in WINDOWS:
-        assert unlatched_flag(cell_type, lower, upper) is None, (lower, upper)
+        assert unlatched_flag(kind, lower, upper) is None, (lower, upper)
 
 
-class UnlatchedUntil(UntilCell):
-    """U whose neg reads phi1 at the current tick instead of the latched
-    prefix: it falls back to false when phi1 holds again."""
+class Unguarded(monitor._NetworkSource):
+    """The network without the `if not (pk or nk):` guard: every body runs
+    at every tick, so an operator that has decided can set its other flag."""
 
-    __slots__ = ()
-
-    def step(self, phi1, phi2):
-        clk = self._clk
-        pos, _ = super().step(phi1, phi2)
-        return pos, not pos and (clk >= self.upper or not phi1)
+    def __init__(self, f):
+        super().__init__(f)
+        self.text = re.sub(r"(?m)^( +)if not \((p\d+) or (n\d+)\):$", r"\1if True:", self.text)
 
 
-def test_flag_latch_check_catches_an_until_whose_neg_drops():
-    found = {window: unlatched_flag(UnlatchedUntil, *window) for window in WINDOWS}
-    # Every window but [0,1], which has closed by the tick phi1 holds again.
-    assert [window for window, trace in found.items() if trace is None] == [(0, 1)]
-    # phi1 fails at tick 0, setting neg, and holds at tick 1, dropping it.
-    assert found[(0, 2)][:2] == ((False, False), (True, False))
+def test_flag_latch_check_catches_a_network_without_the_guard(monkeypatch, fresh_networks):
+    monkeypatch.setattr(monitor, "_NetworkSource", Unguarded)
+    assert "if True:" in monitor._NetworkSource(operator_formula("until", 0, 2)).text
+    for kind in KINDS:
+        found = {window: unlatched_flag(kind, *window) for window in WINDOWS}
+        assert all(trace is not None for trace in found.values()), (kind, found)
+    # F over [0,2] is false once its window closes without a witness at tick
+    # 2; unguarded, its body takes the operand at tick 3 as a witness too.
+    assert unlatched_flag("eventually", 0, 2) == ((False,), (False,), (False,), (True,))

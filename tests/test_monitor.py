@@ -8,14 +8,7 @@ from stlobs import monitor
 from stlobs.conformance import random_formula
 from stlobs.errors import FlagConflictError, InvalidFormulaError, MissingSignalError
 from stlobs.formula import Always, Eventually, Interval, signal_atom
-from stlobs.monitor import (
-    AlwaysCell,
-    EventuallyCell,
-    Monitor,
-    UntilCell,
-    VerdictRecord,
-    compile_formula,
-)
+from stlobs.monitor import Monitor, VerdictRecord, compile_formula
 from stlobs.oracle import three_valued_eval
 from stlobs.parser import parse
 from stlobs.trace import Trace
@@ -124,15 +117,20 @@ class TestVerdictSequences:
 
 
 class TestStructure:
-    def test_cells_come_in_polarity_pairs(self):
-        # One fused cell per operator reports both polarities as (pos, neg).
+    def test_each_operator_is_one_flag_pair(self):
+        # After the tick and the root latch, one (pos, neg) pair per operator.
         m = monitor_for("G[0,2](x>0) -> (p>0) U[1,4] (q<1)")
-        kinds = [type(c) for c in m.temporal_cells]
-        assert kinds == [AlwaysCell, UntilCell]
-        assert m.temporal_cells[0].step(True) == (False, False)
+        assert m.state_scalars() == (0, None, False, False, False, False)
+        # p fails at tick 0, refuting U; G is still open, and so is the root.
+        assert m.step({"x": 1.0, "p": 0.0, "q": 1.0}).verdict is UNKNOWN
+        assert m.state_scalars() == (1, None, False, False, False, True)
 
-    def test_propositional_formula_has_no_cells(self):
-        assert monitor_for("x > 0 & y < 1").temporal_cells == ()
+    def test_propositional_formula_has_no_window(self):
+        f = parse("x > 0 & y < 1", SIGNALS)
+        assert monitor._network_code(f)[1] == ()
+        m = compile_formula(f)
+        assert m.step({"x": 1.0, "y": 0.0}).verdict is TRUE
+        assert m.state_scalars() == (1, TRUE, True, False, True, False)
 
     def test_tick_counts_consumed_samples(self):
         m = monitor_for("x > 0")
@@ -179,7 +177,7 @@ class TestRepeatedAtoms:
 
 class TestShapeCache:
     # Formulas that differ only in their windows share one generated network;
-    # each monitor still steps its own cells with its own windows.
+    # each monitor still keeps its own flags and reads its own windows.
 
     def count_builds(self, monkeypatch) -> list:
         monitor._network_code.cache_clear()
@@ -231,10 +229,10 @@ class TestNetworkText:
     # The generated source of the benchmark's two formulas, pinned: a change
     # to it moves `Monitor.step` on every benchmark workload.
     HEAD = (
-        "def make(c0, c1, c2):\n"
+        "def make(l0, u0, l1, u1, l2, u2):\n"
         "    decided = None\n"
         "    p0 = n0 = p1 = n1 = p2 = n2 = False\n"
-        "    def network(s):\n"
+        "    def network(s, t):\n"
         "        nonlocal decided, p0, n0, p1, n1, p2, n2\n"
         "        if decided is not None:\n"
         "            return decided\n"
@@ -251,18 +249,29 @@ class TestNetworkText:
     )
 
     @pytest.mark.parametrize(
-        "text,signals,cells,pos,neg",
+        "text,signals,operators,pos,neg",
         [
             (
                 "G[0,199999] (speed < 20 | brake > 0) & F[0,199999] (gear >= 6) "
                 "& ((speed >= 0) U[0,199999] (gear >= 6))",
                 ("speed", "brake", "gear"),
                 "        if not (p0 or n0):\n"
-                "            p0, n0 = c0((s['speed'] < 20.0 or s['brake'] > 0.0))\n"
+                "            if t >= l0 and not (s['speed'] < 20.0 or s['brake'] > 0.0):\n"
+                "                n0 = True\n"
+                "            elif t >= u0:\n"
+                "                p0 = True\n"
                 "        if not (p1 or n1):\n"
-                "            p1, n1 = c1(s['gear'] >= 6.0)\n"
+                "            if t >= l1 and s['gear'] >= 6.0:\n"
+                "                p1 = True\n"
+                "            elif t >= u1:\n"
+                "                n1 = True\n"
                 "        if not (p2 or n2):\n"
-                "            p2, n2 = c2(s['speed'] >= 0.0, s['gear'] >= 6.0)\n",
+                "            if not s['speed'] >= 0.0:\n"
+                "                n2 = True\n"
+                "            elif t >= l2 and s['gear'] >= 6.0:\n"
+                "                p2 = True\n"
+                "            elif t >= u2:\n"
+                "                n2 = True\n",
                 "((p0 and p1) and p2)",
                 "((n0 or n1) or n2)",
             ),
@@ -270,31 +279,71 @@ class TestNetworkText:
                 "(F[0,100000] (x - y > 100) | ((x + y >= -100) U[50,100000] (x - y > 100))) "
                 "-> G[10,199999] (2*x - 3/10*y + 1/3 <= z)",
                 ("x", "y", "z"),
-                # x - y > 100 is shared: computed while c0 or c1 is open.
+                # x - y > 100 is shared: computed while F or U is open.
                 "        if not (p0 or n0) or not (p1 or n1):\n"
                 "            v0 = (True if (a0t := -100.0 + (a0q0 := 1.0 * s['x']) "
                 "+ (a0q1 := -1.0 * s['y'])) > (a0b := 6.661338147750939e-16 "
                 "* (100.0 + abs(a0q0) + abs(a0q1)) + 7e-323) else False if a0t < -a0b else a0(s))\n"
                 "        if not (p0 or n0):\n"
-                "            p0, n0 = c0(v0)\n"
+                "            if t >= l0 and v0:\n"
+                "                p0 = True\n"
+                "            elif t >= u0:\n"
+                "                n0 = True\n"
                 "        if not (p1 or n1):\n"
-                "            p1, n1 = c1((True if (a1t := 100.0 + (a1q0 := 1.0 * s['x']) "
+                "            if not (True if (a1t := 100.0 + (a1q0 := 1.0 * s['x']) "
                 "+ (a1q1 := 1.0 * s['y'])) > (a1b := 6.661338147750939e-16 "
-                "* (100.0 + abs(a1q0) + abs(a1q1)) + 7e-323) else False if a1t < -a1b else a1(s)), v0)\n"
+                "* (100.0 + abs(a1q0) + abs(a1q1)) + 7e-323) else False if a1t < -a1b else a1(s)):\n"
+                "                n1 = True\n"
+                "            elif t >= l1 and v0:\n"
+                "                p1 = True\n"
+                "            elif t >= u1:\n"
+                "                n1 = True\n"
                 "        if not (p2 or n2):\n"
-                "            p2, n2 = c2((False if (a2t := 10.0 + (a2q0 := 60.0 * s['x']) "
+                "            if t >= l2 and not (False if (a2t := 10.0 + (a2q0 := 60.0 * s['x']) "
                 "+ (a2q1 := -9.0 * s['y']) + (a2q2 := -30.0 * s['z'])) > (a2b := 7.771561172376096e-16 "
                 "* (10.0 + abs(a2q0) + abs(a2q1) + abs(a2q2)) + 1.047e-321) "
-                "else True if a2t < -a2b else a2(s)))\n",
+                "else True if a2t < -a2b else a2(s)):\n"
+                "                n2 = True\n"
+                "            elif t >= u2:\n"
+                "                p2 = True\n",
                 "((n0 and n1) or p2)",
                 "((p0 or p1) and n2)",
             ),
         ],
         ids=["csv-wide", "jsonl-latch"],
     )
-    def test_benchmark_formulas(self, text, signals, cells, pos, neg):
+    def test_benchmark_formulas(self, text, signals, operators, pos, neg):
         source = monitor._NetworkSource(parse(text, signals))
-        assert source.text == self.HEAD + cells + self.TAIL.format(pos=pos, neg=neg)
+        assert source.text == self.HEAD + operators + self.TAIL.format(pos=pos, neg=neg)
+
+    def test_anchored_atoms(self):
+        # An atom outside every operator is decided at tick 0, where its
+        # guard is open: it reads the sample once, and caches nothing. With
+        # no operator there is no window to take and no pair to check.
+        source = monitor._NetworkSource(parse("x - y > 0 & !(x > 1)", ("x", "y")))
+        assert source.text == (
+            "def make():\n"
+            "    decided = None\n"
+            "    p0 = n0 = p1 = n1 = False\n"
+            "    def network(s, t):\n"
+            "        nonlocal decided, p0, n0, p1, n1\n"
+            "        if decided is not None:\n"
+            "            return decided\n"
+            "        if not (p0 or n0):\n"
+            "            p0 = (True if (a0t := 0.0 + (a0q0 := 1.0 * s['x']) "
+            "+ (a0q1 := -1.0 * s['y'])) > (a0b := 6.661338147750939e-16 "
+            "* (0.0 + abs(a0q0) + abs(a0q1)) + 7e-323) else False if a0t < -a0b else a0(s))\n"
+            "            n0 = not p0\n"
+            "        if not (p1 or n1):\n"
+            "            p1 = s['x'] > 1.0\n"
+            "            n1 = not p1\n"
+            "        if (p0 and n1):\n"
+            "            decided = TRUE\n"
+            "        elif (n0 or p1):\n"
+            "            decided = FALSE\n"
+            "        return decided or UNKNOWN\n"
+            "    return network\n"
+        )
 
 
 class TestStepErrors:
@@ -351,23 +400,19 @@ class TestStepErrors:
         assert VerdictRecord(0, TRUE).flags == FlagPair(True, False)
 
 
-class ConflictingAlwaysCell(AlwaysCell):
-    """A broken G cell that reports both flags from tick 1 on."""
-
-    __slots__ = ()
-
-    def step(self, phi):
-        pair = super().step(phi)
-        return (True, True) if self._clk > 1 else pair
+# A broken G body that sets both flags from tick 1 on.
+CONFLICTING_ALWAYS = "p{k} = n{k} = t >= 1"
 
 
 class TestFlagConflicts:
     # At tick 1 the broken G reports (T, T). Under & with F's (F, F) the root
     # pair would be (F, T), and under | with F's (T, F) it would be (T, F):
-    # a clean verdict either way, so only a check of each cell can see it.
+    # a clean verdict either way, so only a check of each operator can see it.
     @pytest.mark.parametrize("connective,y", [("&", 0.0), ("|", 1.0)])
-    def test_conflict_raises_even_when_masked_at_the_root(self, monkeypatch, connective, y):
-        monkeypatch.setitem(monitor._CELLS, Always, ConflictingAlwaysCell)
+    def test_conflict_raises_even_when_masked_at_the_root(
+        self, monkeypatch, fresh_networks, connective, y
+    ):
+        monkeypatch.setitem(monitor._CELLS, Always, CONFLICTING_ALWAYS)
         m = monitor_for(f"G[0,5] (x > 0) {connective} F[0,5] (y > 0)")
         assert m.step({"x": 1.0, "y": 0.0}).verdict is UNKNOWN
         with pytest.raises(FlagConflictError):
@@ -383,19 +428,19 @@ class TestDecidedRoot:
         assert [r.tick for r in records] == [1, 2, 3]
         assert m.tick == 4
 
-    def test_decided_root_steps_no_cell(self):
+    def test_decided_root_steps_no_operator(self):
         m = monitor_for("G[0,5] (x > 0)")
         assert m.step({"x": -1.0}).verdict is FALSE
-        (cell,) = m.temporal_cells
-        state = cell.state_scalars()
+        state = m.state_scalars()
+        assert state == (1, FALSE, False, True)
         for _ in range(3):
             assert m.step({"x": 1.0}).verdict is FALSE
-        assert cell.state_scalars() == state
+        assert m.state_scalars()[1:] == state[1:]
 
 
-class TestDecidedCell:
-    """A cell whose flags are set is not stepped again, and the operands
-    only it reads are not evaluated, while the root is still open."""
+class TestDecidedOperator:
+    """An operator whose flags are set is not stepped again, and the
+    operands only it reads are not evaluated, while the root is still open."""
 
     class Reads(dict):
         def __init__(self, *args):
@@ -406,22 +451,20 @@ class TestDecidedCell:
             self.reads.append(name)
             return super().__getitem__(name)
 
-    def test_decided_cell_and_its_operand_are_skipped(self):
+    def test_decided_operator_and_its_operand_are_skipped(self):
         m = monitor_for("F[0,5] (x - y > 0) & G[0,5] (p > 0)")
-        f_cell, g_cell = m.temporal_cells
         sample = self.Reads({"x": 1.0, "y": 0.0, "p": 1.0})
         assert m.step(sample).verdict is UNKNOWN
         assert sorted(sample.reads) == ["p", "x", "y"]
-        state = f_cell.state_scalars()
+        assert m.state_scalars() == (1, None, True, False, False, False)
         for tick in range(1, 5):
             sample = self.Reads({"x": -1.0, "y": 0.0, "p": 1.0})
             assert m.step(sample).verdict is UNKNOWN
             assert sample.reads == ["p"]
-        assert f_cell.state_scalars() == state
-        assert g_cell.state_scalars()[0] == 5
+        assert m.state_scalars() == (5, None, True, False, False, False)
         assert m.step({"x": 0.0, "y": 0.0, "p": 1.0}).verdict is TRUE
 
-    def test_shared_atom_is_read_while_one_of_its_cells_is_open(self):
+    def test_shared_atom_is_read_while_one_of_its_readers_is_open(self):
         m = monitor_for("F[0,5] (x - y > 0) | G[0,5] (x - y > 0)")
         sample = self.Reads({"x": -1.0, "y": 0.0})
         assert m.step(sample).verdict is UNKNOWN  # G is now false, F open
@@ -467,14 +510,14 @@ class TestStateBounds:
             m.step({"p": 1.0, "q": 0.0})
             assert m.state_scalar_count() == size
 
-    def test_cell_scalar_budgets(self):
-        # Documented per-cell budgets; a regression here means a cell grew
-        # history it does not need.
-        assert len(EventuallyCell(1, 4).state_scalars()) == 2
-        assert len(AlwaysCell(1, 4).state_scalars()) == 2
-        assert len(UntilCell(1, 4).state_scalars()) == 3
+    def test_scalar_budgets(self):
+        # Documented budgets: the tick and the root latch, then two flags per
+        # operator; a regression here means an operator grew history it does
+        # not need.
+        for text in ("F[1,4] (x > 0)", "G[1,4] (x > 0)", "(p > 0) U[1,4] (q > 0)"):
+            assert monitor_for(text).state_scalar_count() == 2 + 2
         three_ops = "G[0,9] (x > 0) & F[0,9] (y > 0) & ((x >= 0) U[0,9] (y > 0))"
-        assert monitor_for(three_ops).state_scalar_count() == 2 + 2 + 3
+        assert monitor_for(three_ops).state_scalar_count() == 2 + 2 + 2 + 2
 
 
 class TestAgainstOracle:
