@@ -3,7 +3,8 @@ randomized property suite.
 
 Every check compares the streaming monitor against the quantifier oracle (or
 against its explicitly unrolled forms) and reports divergences as replayable
-(formula, trace, tick) failures.
+(formula, trace, tick) failures. A step that raises anything but a flag
+conflict is a `step-error` failure carrying the exception's repr.
 """
 
 from __future__ import annotations
@@ -64,6 +65,21 @@ class Failure:
             "monitor_verdict": self.monitor_verdict,
             "oracle_verdict": self.oracle_verdict,
         }
+
+
+def _step_error(formula: str, trace: Trace, tick: int, error: Exception) -> Failure:
+    """The failure of a step that raised `error`: the monitor gave no verdict."""
+    return Failure("step-error", formula, trace.samples, tick, repr(error), "a verdict record")
+
+
+class _StepError(Exception):
+    """A network of `formula` raised `error` at `tick` of the boolean operand
+    trace `rows`; `failure` replays it."""
+
+    def __init__(self, formula: Formula, rows: Sequence[Sequence[bool]], tick: int, error: Exception):
+        super().__init__(repr(error))
+        trace = bool_trace(rows, len(rows[0]))
+        self.failure = _step_error(render(formula), trace, tick, error)
 
 
 @dataclass
@@ -148,16 +164,18 @@ def first_divergence(
 ) -> tuple[int, str, str] | None:
     """First tick where the monitor and the three-valued oracle disagree.
 
-    Returns (tick, monitor verdict, oracle verdict), or None. Deterministic:
-    replaying the same formula and trace reproduces the same answer.
+    Returns (tick, monitor verdict, oracle verdict), or None; a step that
+    raises gives "conflict" for a flag conflict and the exception's repr for
+    any other. Deterministic: replaying the same formula and trace reproduces
+    the same answer.
     """
     monitor = compile_fn(f)
     for k in range(len(trace)):
         try:
-            record = monitor.step(trace.sample(k))
-            got = record.verdict
-        except FlagConflictError:
-            return (k, "conflict", str(three_valued_eval(f, trace, k)))
+            got = monitor.step(trace.sample(k)).verdict
+        except Exception as exc:
+            got = "conflict" if isinstance(exc, FlagConflictError) else repr(exc)
+            return (k, got, str(three_valued_eval(f, trace, k)))
         want = three_valued_eval(f, trace, k)
         if got is not want:
             return (k, str(got), str(want))
@@ -195,18 +213,14 @@ def differential_sweep(
                         try:
                             got = monitor.step(trace.sample(k)).verdict
                         except FlagConflictError:
-                            got = None
+                            got = "conflict"
+                        except Exception as exc:
+                            failures.append(_step_error(rendered, trace, k, exc))
+                            break
                         want = three_valued_eval(f, trace, k)
                         if got is not want:
                             failures.append(
-                                Failure(
-                                    "verdict-mismatch",
-                                    rendered,
-                                    trace.samples,
-                                    k,
-                                    "conflict" if got is None else str(got),
-                                    str(want),
-                                )
+                                Failure("verdict-mismatch", rendered, trace.samples, k, str(got), str(want))
                             )
                             break
                         if k == upper:
@@ -245,25 +259,28 @@ _ROW_SAMPLES = {
 _WIDENING = {("eventually", "positive"), ("always", "negative"), ("until", "positive")}
 
 
-def _network_factory(kind: str, lower: int, upper: int) -> Callable[[], Callable]:
-    """A function that builds a fresh step function `network(sample, tick)`
-    of `operator_formula(kind, lower, upper)`."""
-    make, bounds, _ = _network_code(operator_formula(kind, lower, upper))
+def _network_factory(f: Formula) -> Callable[[], Callable]:
+    """A function that builds a fresh step function `network(sample)` of `f`."""
+    make, bounds, _ = _network_code(f)
     return lambda: make(*bounds)
 
 
 def check_induction_base(kind: str, lower: int, polarity: str) -> bool:
     """The polarity's flag of the operator over [lower, lower+1] equals the
     unrolled form over that window at every tick from lower + 1 on, over all
-    boolean operand traces."""
+    boolean operand traces. A step that raises raises `_StepError`."""
     num_atoms = 2 if kind == "until" else 1
     flag = _FLAGS[polarity]
-    fresh = _network_factory(kind, lower, lower + 1)
+    formula = operator_formula(kind, lower, lower + 1)
+    fresh = _network_factory(formula)
     for rows in enumerate_traces(num_atoms, lower + 3):
         want = explicit_eval(kind, lower, lower + 1, list(zip(*rows)), polarity)
         network = fresh()
         for k, row in enumerate(rows):
-            got = network(_ROW_SAMPLES[row], k) is flag
+            try:
+                got = network(_ROW_SAMPLES[row]).verdict is flag
+            except Exception as exc:
+                raise _StepError(formula, rows, k, exc) from exc
             if k >= lower + 1 and got != want:
                 return False
     return True
@@ -276,22 +293,30 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bo
 
     For Until the wide flag is also cross-checked against the three-valued
     oracle at tick upper + 1, which reads only the ticks up to upper + 1: it
-    is evaluated once per such prefix, and compared for every trace.
+    is evaluated once per such prefix, and compared for every trace. A step
+    that raises raises `_StepError`.
     """
     num_atoms = 2 if kind == "until" else 1
     wide_formula = operator_formula(kind, lower, upper + 1)
+    narrow_formula = operator_formula(kind, lower, upper)
     flag = _FLAGS[polarity]
     widens = (kind, polarity) in _WIDENING
-    fresh_wide = _network_factory(kind, lower, upper + 1)
-    fresh_narrow = _network_factory(kind, lower, upper)
+    fresh_wide = _network_factory(wide_formula)
+    fresh_narrow = _network_factory(narrow_formula)
     oracle_verdicts: dict[tuple, Trilean] = {}
     for rows in enumerate_traces(num_atoms, upper + 3):
         new_tick = explicit_eval(kind, upper + 1, upper + 1, list(zip(*rows)), polarity)
         wide, narrow = fresh_wide(), fresh_narrow()
         for k, row in enumerate(rows):
             sample = _ROW_SAMPLES[row]
-            got = wide(sample, k) is flag
-            was = narrow(sample, k) is flag
+            try:
+                got = wide(sample).verdict is flag
+            except Exception as exc:
+                raise _StepError(wide_formula, rows, k, exc) from exc
+            try:
+                was = narrow(sample).verdict is flag
+            except Exception as exc:
+                raise _StepError(narrow_formula, rows, k, exc) from exc
             if k < upper + 1:
                 continue
             if got != ((was or new_tick) if widens else (was and new_tick)):
@@ -311,15 +336,25 @@ def induction_suite(
     kinds: Sequence[str] = OPERATOR_KINDS, max_lower: int = 4, max_upper: int = 4
 ) -> ConformanceReport:
     """Base cases for lower in [0, max_lower] and step cases for all
-    0 <= lower < upper <= max_upper, over all kinds and polarities."""
+    0 <= lower < upper <= max_upper, over all kinds and polarities. A case
+    whose network raises is a `step-error` failure."""
     start = time.perf_counter()
     failures: list[Failure] = []
     cases = 0
+
+    def holds(check, *args) -> bool:
+        """`check(*args)`, or True after recording the step error it raised."""
+        try:
+            return check(*args)
+        except _StepError as error:
+            failures.append(error.failure)
+            return True
+
     for kind in kinds:
         for polarity in POLARITIES:
             for lower in range(0, max_lower + 1):
                 cases += 1
-                if not check_induction_base(kind, lower, polarity):
+                if not holds(check_induction_base, kind, lower, polarity):
                     failures.append(
                         Failure(
                             "induction-base",
@@ -333,7 +368,7 @@ def induction_suite(
             for lower in range(0, max_upper):
                 for upper in range(lower + 1, max_upper + 1):
                     cases += 1
-                    if not check_induction_step(kind, lower, upper, polarity):
+                    if not holds(check_induction_step, kind, lower, upper, polarity):
                         failures.append(
                             Failure(
                                 "induction-step",
@@ -428,7 +463,7 @@ def property_suite(
     decided at the horizon and beyond (determination); the verdict agrees
     with the oracle at ticks d-1, d and n-1 (oracle-agreement); and the
     state scalar count is the same with every window widened to 2, 50 and
-    1000 (state-size).
+    1000 (state-size). A step that raises anything else is a step-error.
     """
     start = time.perf_counter()
     rng = random.Random(seed)
@@ -460,6 +495,8 @@ def _check_invariants(
             record = monitor.step(trace.sample(k))
         except FlagConflictError:
             return fail("flag-conflict", k, "conflict", "at most one flag")
+        except Exception as exc:
+            return _step_error(rendered, trace, k, exc)
         verdict = record.verdict
         if verdict not in (TRUE, FALSE, UNKNOWN):
             return fail("completeness", k, repr(verdict), "T, F, or U")

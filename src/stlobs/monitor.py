@@ -1,22 +1,28 @@
 """Online monitor: one generated step function per formula.
 
 `compile_formula` writes the whole observer network as the source of one
-function, `network(s, t) -> verdict`, called with each sample and its tick.
-Each temporal operator is a few inline statements over two flags (pos, neg):
-both latch, unknown is the absence of both, and nothing else is kept per
-operator. The formulas are not nested, so every operator is anchored at tick
-0 and reads the monitor's tick as its clock, against its window's bounds.
-The function steps each operator on its operand, inlined as one expression,
-combines the pairs with the flag-pair algebra of the `_3v` Lustre nodes
-(`a & b` is (pa and pb, na or nb), `a | b` is (pa or pb, na and nb), `a -> b`
-is (na or pb, pa and nb), `!a` swaps the pair) and reads T/F/U off the root
-pair. An operator is stepped, and its operands evaluated, only while
-neither of its flags is set; once the root has decided, the function returns
-its verdict without stepping any operator. Each atom is compiled once to a
-float test that agrees exactly with its rational definition and is inlined:
-one over a single signal as a comparison such as `s['speed'] < 20.0`, one
-over several as one expression that computes the float sum and its error
-bound and calls the exact test only when the bound cannot decide. An atom
+function, `network(s) -> VerdictRecord`, called once per sample: one frame
+does the whole step. It reads each of the formula's signals from the sample
+once, in signal order; a sample that lacks one raises `MissingSignalError`
+naming every missing signal, at every tick, also once the root has decided.
+Presence is membership, so a `defaultdict` or a `Counter` lacks a signal it
+does not hold. The tick is the network's own state, next to its flags, and
+advances only when a record is returned. Each temporal operator is a few
+inline statements over two flags (pos, neg): both latch, unknown is the
+absence of both, and nothing else is kept per operator. The formulas are not
+nested, so every operator is anchored at tick 0 and reads the tick as its
+clock, against its window's bounds. The function steps each operator on its
+operand, inlined as one expression, combines the pairs with the flag-pair
+algebra of the `_3v` Lustre nodes (`a & b` is (pa and pb, na or nb),
+`a | b` is (pa or pb, na and nb), `a -> b` is (na or pb, pa and nb), `!a`
+swaps the pair) and reads T/F/U off the root pair. An operator is stepped,
+and its operands evaluated, only while neither of its flags is set; once the
+root has decided, the function returns its verdict without stepping any
+operator. Each atom is compiled once to a float test that agrees exactly
+with its rational definition and is inlined over the signals' values: one
+over a single signal as a comparison such as `x2 < 20.0`, one over several
+as one expression that computes the float sum and its error bound and calls
+the exact test on the sample only when the bound cannot decide. An atom
 over several signals that more than one operand reads is computed once per
 tick, while some operand that reads it is undecided.
 
@@ -24,13 +30,15 @@ Formula text reaches the generated source only as the `repr` of a `str` (a
 signal name) or of a finite `float` (a threshold, a coefficient or an error
 bound). Windows never reach it: they are the arguments of the network's
 factory, so formulas that differ only in their windows share one network
-code, and compiling a formula again only calls that factory.
+code, and compiling a formula again only calls that factory. `Monitor` is a
+thin handle on the network: its `step` calls it, and its tick and state are
+read from the network's closure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isfinite
 from typing import Callable, Mapping, NamedTuple
 
@@ -94,23 +102,33 @@ def compile_atom(pred: AtomicPredicate) -> Predicate:
     return eval(f"lambda s: {test}", names)
 
 
-def _atom_test(pred: AtomicPredicate, name: str) -> tuple[str, dict[str, Predicate]]:
-    """The atom as the source of one expression of sample `s`, and the
-    globals it reads: none, or, for an atom over several signals, its exact
-    test `pred.evaluate` as `name`, whose float filter keeps its partial
-    results in locals named after it. Works on the atom's integer form,
-    which has the same truth on every sample."""
+def _subscript(signal: str) -> str:
+    """The source of `signal`'s value in sample `s`."""
+    return f"s[{str.__repr__(signal)}]"
+
+
+def _atom_test(
+    pred: AtomicPredicate, name: str, read: Callable[[str], str] = _subscript
+) -> tuple[str, dict[str, Predicate]]:
+    """The atom as the source of one expression, and the globals it reads:
+    none, or, for an atom over several signals, its exact test
+    `pred.evaluate` as `name`, whose float filter keeps its partial results
+    in locals named after it. `read(signal)` is the source of a signal's
+    value; the exact test is called with the sample `s`. Works on the
+    atom's integer form, which has the same truth on every sample."""
     terms, constant = pred.integer_form
     terms = tuple((signal, coef) for signal, coef in terms if coef)
     if not terms:
         return repr(compare_with_zero(constant, pred.comparator)), {}
     if len(terms) == 1:
         ((signal, coef),) = terms
-        return _threshold_test(pred, signal, coef, constant), {}
-    return _filtered_test(pred, terms, constant, name), {name: pred.evaluate}
+        return _threshold_test(pred, signal, coef, constant, read), {}
+    return _filtered_test(pred, terms, constant, name, read), {name: pred.evaluate}
 
 
-def _threshold_test(pred: AtomicPredicate, name: str, coef: int, constant: int) -> str:
+def _threshold_test(
+    pred: AtomicPredicate, name: str, coef: int, constant: int, read: Callable[[str], str]
+) -> str:
     """`coef * value + constant <cmp> 0` as one float comparison of the
     value with d, the float nearest to the threshold -constant / coef.
 
@@ -141,10 +159,12 @@ def _threshold_test(pred: AtomicPredicate, name: str, coef: int, constant: int) 
     elif at_d:
         return "True"
     # The only formula text in generated code: a str name and a finite float.
-    return f"s[{str.__repr__(name)}] {cmp} {float.__repr__(d)}"
+    return f"{read(name)} {cmp} {float.__repr__(d)}"
 
 
-def _filtered_test(pred: AtomicPredicate, terms: tuple, constant: int, name: str) -> str:
+def _filtered_test(
+    pred: AtomicPredicate, terms: tuple, constant: int, name: str, read: Callable[[str], str]
+) -> str:
     """Multi-signal atom: the float sum decides whenever it is finite and
     farther from 0 than its error bound, the exact test `name(s)` otherwise.
 
@@ -176,7 +196,7 @@ def _filtered_test(pred: AtomicPredicate, terms: tuple, constant: int, name: str
     above, below = compare_with_zero(1, cmp), compare_with_zero(-1, cmp)
     # The only formula text in generated code: str names and finite floats.
     products = [
-        f"({name}q{k} := {float.__repr__(coef)} * s[{str.__repr__(signal)}])"
+        f"({name}q{k} := {float.__repr__(coef)} * {read(signal)})"
         for k, ((signal, _), coef) in enumerate(zip(terms, coefs))
     ]
     sizes = [f"abs({name}q{k})" for k in range(len(coefs))]
@@ -191,12 +211,16 @@ def _filtered_test(pred: AtomicPredicate, terms: tuple, constant: int, name: str
 
 # The generated network. Leaf k, a temporal operator or an atom outside every
 # operator, keeps its flags in `pk`, `nk`, locals of `make` that start False;
-# operator k reads its window from `make`'s parameters `lk`, `uk`, and the
-# latched root verdict is `make`'s local `decided`. `network(s, t)` takes the
-# sample and its tick: every operator is anchored at tick 0, so the tick is
-# each operator's clock. Atoms are inlined; an atom over several signals reads
-# its exact test as a global `a0`, `a1`, ..., and one that more than one leaf
-# reads leaves its value in a local `vk`.
+# operator k reads its window from `make`'s parameters `lk`, `uk`, the latched
+# root verdict is `make`'s local `decided` and the tick `make`'s local `t`.
+# `network(s)` takes a sample and returns its `VerdictRecord`: every operator
+# is anchored at tick 0, so the tick is each operator's clock. It first reads
+# each of the formula's signals once, in signal order, into a local `x0`,
+# `x1`, ...; a sample that is not exactly a `dict` is first checked with
+# `present`, which a missing signal also reaches from the `KeyError`. Atoms
+# are inlined over those locals; an atom over several signals reads its exact
+# test as a global `a0`, `a1`, ..., and one that more than one leaf reads
+# leaves its value in a local `vk`.
 
 # Each leaf's body, run only while neither of its flags is set, so each body
 # sets one flag and never clears one. `{0}` and `{1}` are the operands' source.
@@ -246,18 +270,33 @@ def _shape_code(shape: Formula) -> tuple[Callable, tuple[str, ...]]:
         "TRUE": TRUE,
         "FALSE": FALSE,
         "UNKNOWN": UNKNOWN,
+        "VerdictRecord": VerdictRecord,
+        "new": _new_tuple,
+        "present": partial(_present, source.signals),
         **source.atoms,
     }
     exec(compile(source.text, "<stlobs network>", "exec"), namespace)
-    return namespace["make"], signals_of(shape)
+    return namespace["make"], source.signals
+
+
+def _present(signals: tuple[str, ...], sample: Mapping[str, float], tick: int) -> dict[str, float]:
+    """`sample`'s values of `signals`, as a dict; a `MissingSignalError`
+    naming, in order, each of them that `sample` lacks. Presence is `in`, so
+    a `defaultdict` or a `Counter` lacks what it does not hold."""
+    missing = [name for name in signals if name not in sample]
+    if missing:
+        raise MissingSignalError(missing, f"at tick {tick}") from None
+    return {name: sample[name] for name in signals}
 
 
 class _NetworkSource:
-    """The source of `f`'s factory `make` (`text`) and the globals its atoms
-    read (`atoms`). No window is read."""
+    """The source of `f`'s factory `make` (`text`), the globals its atoms
+    read (`atoms`) and the signals it reads (`signals`). No window is read."""
 
     def __init__(self, f: Formula):
         self.atoms: dict[str, Predicate] = {}
+        self.signals = signals_of(f)
+        self._values = {name: f"x{k}" for k, name in enumerate(self.signals)}
         self._lines: list[str] = []
         self._leaves = 0
         self._operators: list[int] = []
@@ -271,6 +310,16 @@ class _NetworkSource:
             if isinstance(atom, Atom) and len(atom.predicate.terms) > 1
         )
         pos, neg = self._pair(f)
+        # Every tick reads every signal, also once the root has decided, so a
+        # sample that lacks one raises at every tick. Only an exact `dict`
+        # is read directly: a `defaultdict` would add the missing key.
+        reads = []
+        if self.signals:
+            reads += ["if type(s) is not dict:", "    s = present(s, t)", "try:"]
+            reads += [f"    {local} = s[{str.__repr__(name)}]" for name, local in self._values.items()]
+            reads += ["except KeyError:", "    present(s, t)"]
+        # Verdicts latch: once the root has decided, no leaf is stepped.
+        reads += ["if decided is not None:", "    t += 1", "    return new(VerdictRecord, (t - 1, decided))"]
         # A shared atom is computed while some leaf that reads it is open.
         lines = []
         for local, (test, readers) in self._shared.items():
@@ -279,26 +328,24 @@ class _NetworkSource:
         lines += self._lines
         # Each operator's pair is checked: the algebra can hide a conflicting
         # pair ((T, T) & (F, F) is (F, T)) but never makes one from consistent
-        # pairs.
+        # pairs. The tick advances only when a record is returned.
         if self._operators:
             lines.append("if " + " or ".join(f"p{k} and n{k}" for k in self._operators) + ":")
             lines.append("    raise FlagConflictError('positive and negative verdict flags are both set')")
-        # Verdicts latch: once the root has decided, no leaf is stepped.
         # (Every distinct formula pays a `compile()`; this form compiles
         # faster than one conditional expression or two returns.)
         lines += [f"if {pos}:", "    decided = TRUE", f"elif {neg}:", "    decided = FALSE"]
-        lines.append("return decided or UNKNOWN")
+        lines += ["t += 1", "return new(VerdictRecord, (t - 1, decided or UNKNOWN))"]
         params = ", ".join(f"l{k}, u{k}" for k in self._operators)
         flags = [f"{flag}{k}" for k in range(self._leaves) for flag in "pn"]
-        body = "".join(f"        {line}\n" for line in lines)
+        body = "".join(f"        {line}\n" for line in reads + lines)
         self.text = (
             f"def make({params}):\n"
+            "    t = 0\n"
             "    decided = None\n"
             f"    {' = '.join(flags)} = False\n"
-            "    def network(s, t):\n"
-            f"        nonlocal decided, {', '.join(flags)}\n"
-            "        if decided is not None:\n"
-            "            return decided\n"
+            "    def network(s):\n"
+            f"        nonlocal t, decided, {', '.join(flags)}\n"
             f"{body}"
             "    return network\n"
         )
@@ -346,7 +393,7 @@ class _NetworkSource:
         one operand reads, the local holding its value."""
         ref = self._refs.get(pred)
         if ref is None:
-            ref, names = _atom_test(pred, f"a{len(self.atoms)}")
+            ref, names = _atom_test(pred, f"a{len(self.atoms)}", self._values.__getitem__)
             self.atoms.update(names)
             if names and self._uses[pred] > 1:
                 local = f"v{len(self._shared)}"
@@ -364,9 +411,7 @@ class Monitor:
     def __init__(self, formula: Formula, network: Callable, signals: tuple[str, ...]):
         self.formula = formula
         self.signals = signals
-        self._signal_set = frozenset(self.signals)
         self._network = network
-        self._tick = 0
 
     @property
     def horizon(self) -> int:
@@ -376,16 +421,10 @@ class Monitor:
     @property
     def tick(self) -> int:
         """Index of the next sample to be consumed."""
-        return self._tick
+        return self.state_scalars()[0]
 
     def step(self, sample: Mapping[str, float]) -> VerdictRecord:
-        if not sample.keys() >= self._signal_set:
-            missing = [name for name in self.signals if name not in sample]
-            raise MissingSignalError(missing, f"at tick {self._tick}")
-        tick = self._tick
-        record = _new_tuple(VerdictRecord, (tick, self._network(sample, tick)))
-        self._tick = tick + 1
-        return record
+        return self._network(sample)
 
     def run(self, trace: Trace, early_stop: bool = False) -> list[VerdictRecord]:
         """Feed every sample of `trace` in order.
@@ -407,7 +446,7 @@ class Monitor:
         order. The windows are constants of the closure, not state."""
         network = self._network
         closure = network.__closure__
-        return (self._tick, *(closure[i].cell_contents for i in _state_slots(network.__code__.co_freevars)))
+        return tuple(closure[i].cell_contents for i in _state_slots(network.__code__.co_freevars))
 
     def state_scalar_count(self) -> int:
         """Number of scalars the monitor keeps; constant over time and
@@ -417,10 +456,10 @@ class Monitor:
 
 @lru_cache(maxsize=256)
 def _state_slots(names: tuple[str, ...]) -> tuple[int, ...]:
-    """Where a network's closure, whose names are `names`, holds `decided`
-    and each leaf's flags, in leaf order."""
+    """Where a network's closure, whose names are `names`, holds the tick,
+    `decided` and each leaf's flags, in leaf order."""
     leaves = sum(name.startswith("p") for name in names)
-    state = ("decided", *(f"{flag}{k}" for k in range(leaves) for flag in "pn"))
+    state = ("t", "decided", *(f"{flag}{k}" for k in range(leaves) for flag in "pn"))
     return tuple(names.index(name) for name in state)
 
 

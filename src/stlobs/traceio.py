@@ -263,12 +263,12 @@ def read_jsonl_stream(
 
     Each line is decoded once. An object whose keys are exactly the declared
     signals, each a JSON float, with a finite sum, is itself the sample, so
-    its keys are in the line's order, not the declared order. Any other
-    object is checked value by value, and a line that is not one JSON value
-    gets the error `json.loads` gives for it.
+    its keys are in the line's order, not the declared order: `_sample_test`
+    tells such an object. Any other object is checked value by value, and a
+    line that is not one JSON value gets the error `json.loads` gives for it.
     """
     declared = _check_signals(tuple(signals), "signal list") if signals is not None else None
-    keys = frozenset(declared) if declared is not None else None
+    is_sample = _sample_test(declared) if declared is not None else _no_sample
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -276,20 +276,14 @@ def read_jsonl_stream(
             continue
         # The stripped line has no whitespace to skip at either end, so a
         # scan that ends at its end read what `json.loads` reads; a scan
-        # that finds no value raises StopIteration. The sum of finite floats
-        # is finite unless it overflows, and a nan or an infinity makes it
-        # non-finite; any other object is checked value by value below.
+        # that finds no value raises StopIteration. An object that is not a
+        # sample as it is gets checked value by value below.
         try:
             obj, end = _scan_once(line, 0)
         except (StopIteration, ValueError):
             end = -1
         if end == len(line):
-            if (
-                type(obj) is dict
-                and obj.keys() == keys
-                and {*map(type, obj.values())} == _FLOAT_ONLY
-                and isfinite(sum(obj.values()))
-            ):
+            if is_sample(obj):
                 yield obj
                 continue
         else:  # not one JSON value: `json.loads` raises the line's error
@@ -303,7 +297,7 @@ def read_jsonl_stream(
             raise TraceFormatError(f"line {lineno}: expected a JSON object")
         if declared is None:
             declared = _check_signals(tuple(sorted(obj)), f"line {lineno}")
-            keys = frozenset(declared)
+            is_sample = _sample_test(declared)
         missing = [name for name in declared if name not in obj]
         if missing:
             raise MissingSignalError(missing, f"line {lineno}")
@@ -332,7 +326,36 @@ def read_jsonl_stream(
 
 # The scanner `json.JSONDecoder.raw_decode` calls: one value from an index.
 _scan_once = json.JSONDecoder().scan_once
-_FLOAT_ONLY = frozenset({float})
+
+
+def _sample_test(signals: tuple[str, ...]) -> Callable[[object], bool]:
+    """One function, generated for `signals`, that tells whether a decoded
+    JSON value is a sample as it is: a dict of exactly one float per signal,
+    with a finite sum. A dict of as many keys as signals, each of which
+    `get` finds, has no other key. The sum of finite floats is finite unless
+    it overflows, and a nan or an infinity makes it non-finite.
+
+    Signal names reach the source only as `str.__repr__` literals."""
+    values = [f"v{k}" for k in range(len(signals))]
+    lines = [
+        "def is_sample(obj):",
+        f"    if type(obj) is not dict or len(obj) != {len(signals)}:",
+        "        return False",
+        *(f"    {v} = obj.get({str.__repr__(name)})" for name, v in zip(signals, values)),
+        "    return (",
+        *(f"        type({v}) is float and" for v in values),
+        f"        isfinite({' + '.join(values)})",
+        "    )",
+    ]
+    source = "".join(line + "\n" for line in lines)
+    namespace = {"isfinite": isfinite}
+    exec(compile(source, "<stlobs jsonl sample>", "exec"), namespace)
+    return namespace["is_sample"]
+
+
+def _no_sample(obj: object) -> bool:
+    """The sample test before any signal is declared."""
+    return False
 
 
 def read_jsonl(

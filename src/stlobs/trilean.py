@@ -18,6 +18,11 @@ class Trilean(Enum):
     FALSE = "F"
     UNKNOWN = "U"
 
+    # Members are singletons compared by identity, so they hash by identity
+    # too: `Enum.__hash__` hashes the name in a Python-level call, which a
+    # lookup keyed by verdict, once per verdict line, would pay.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import re
+
 import pytest
 
 from stlobs import monitor
@@ -15,3 +17,18 @@ def fresh_networks():
     yield
     monitor._network_code.cache_clear()
     monitor._shape_code.cache_clear()
+
+
+class Unguarded(monitor._NetworkSource):
+    """The network without the `if not (pk or nk):` guard: every body runs
+    at every tick, so an operator that has decided can set its other flag."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.text = re.sub(r"(?m)^( +)if not \((p\d+) or (n\d+)\):$", r"\1if True:", self.text)
+
+
+@pytest.fixture
+def unguarded_networks(monkeypatch, fresh_networks):
+    """Networks built from `Unguarded` for the length of the test."""
+    monkeypatch.setattr(monitor, "_NetworkSource", Unguarded)

@@ -199,6 +199,37 @@ class TestInductionCanaries:
         assert not differential_sweep(kinds=(kind,), max_upper=3).passed
 
 
+# Raises TypeError when F's window closes without a witness.
+EVENTUALLY_BROKEN_AT_UPPER = "if t >= l{k} and {0}:\n    p{k} = True\nelif t >= u{k}:\n    n{k} = None + 1"
+
+
+class TestStepErrors:
+    """A network that raises is a replayable `step-error` failure in every
+    suite, not a crash of the suite."""
+
+    def assert_replayable(self, failures):
+        assert failures and {f.check for f in failures} == {"step-error"}
+        for failure in failures:
+            assert failure.monitor_verdict.startswith("TypeError(")
+            f = parse(failure.formula, ("p", "q"))
+            trace = Trace(("p", "q")[: len(failure.trace[0])], failure.trace)
+            assert first_divergence(f, trace)[:2] == (failure.tick, failure.monitor_verdict)
+
+    def test_every_suite_reports_it(self, monkeypatch, fresh_networks):
+        monkeypatch.setitem(monitor._CELLS, Eventually, EVENTUALLY_BROKEN_AT_UPPER)
+        self.assert_replayable(differential_sweep(kinds=("eventually",), max_upper=2).failures)
+        self.assert_replayable(induction_suite(kinds=("eventually",), max_lower=1, max_upper=2).failures)
+        properties = property_suite(seed=3, cases=100)
+        assert "step-error" in {f.check for f in properties.failures}
+
+    def test_selfcheck_exits_false(self, monkeypatch, fresh_networks, capsys):
+        from stlobs import cli
+
+        monkeypatch.setitem(monitor._CELLS, Eventually, EVENTUALLY_BROKEN_AT_UPPER)
+        assert cli.main(["selfcheck", "--max-b", "2", "--cases", "20"]) == cli.EXIT_FALSE
+        assert "[step-error]" in capsys.readouterr().out
+
+
 class TestPropertySuite:
     def test_passes_on_real_implementation(self):
         report = property_suite(seed=11, cases=300)
@@ -295,9 +326,10 @@ class TestPropertySuite:
     def test_catches_a_shared_atom_guard_without_all_its_readers(self, monkeypatch, fresh_networks):
         """A shared atom's guard that lists only its first reader leaves the
         atom's local unset once that reader has decided, while another reader
-        is still open: the network raises on reading it. The suite's random
-        formulas share multi-signal atoms between operands, and between an
-        operand and an anchored atom, so it reaches that case."""
+        is still open: the network raises on reading it, and the suite
+        reports that as a replayable step error. The suite's random formulas
+        share multi-signal atoms between operands, and between an operand and
+        an anchored atom, so it reaches that case."""
 
         class FirstReaderOnly(monitor._NetworkSource):
             def __init__(self, f):
@@ -309,8 +341,16 @@ class TestPropertySuite:
         f = parse("x - y > 0 & F[0,3] (x - y > 0)", ("x", "y"))
         assert "        if not (p0 or n0):\n            v0 = " in FirstReaderOnly(f).text
         monkeypatch.setattr(monitor, "_NetworkSource", FirstReaderOnly)
-        with pytest.raises(UnboundLocalError):
-            property_suite(seed=42, cases=2000)
+        report = property_suite(seed=42, cases=2000)
+        assert not report.passed
+        assert {f.check for f in report.failures} == {"step-error"}
+        failure = report.failures[0]
+        assert failure.monitor_verdict.startswith("UnboundLocalError(")
+        assert failure.trace and failure.tick >= 1
+        assert first_divergence(parse(failure.formula, ("x", "y")), Trace(("x", "y"), failure.trace))[:2] == (
+            failure.tick,
+            failure.monitor_verdict,
+        )
 
     def test_catches_atoms_shared_by_their_signals(self, monkeypatch, fresh_networks):
         """A network that takes every multi-signal atom over the same

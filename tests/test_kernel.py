@@ -3,7 +3,6 @@ temporal operator's body in the generated network, and its state footprint."""
 
 import itertools
 import random
-import re
 
 import pytest
 
@@ -220,17 +219,7 @@ def test_flags_latch_on_every_trace(kind):
         assert unlatched_flag(kind, lower, upper) is None, (lower, upper)
 
 
-class Unguarded(monitor._NetworkSource):
-    """The network without the `if not (pk or nk):` guard: every body runs
-    at every tick, so an operator that has decided can set its other flag."""
-
-    def __init__(self, f):
-        super().__init__(f)
-        self.text = re.sub(r"(?m)^( +)if not \((p\d+) or (n\d+)\):$", r"\1if True:", self.text)
-
-
-def test_flag_latch_check_catches_a_network_without_the_guard(monkeypatch, fresh_networks):
-    monkeypatch.setattr(monitor, "_NetworkSource", Unguarded)
+def test_flag_latch_check_catches_a_network_without_the_guard(unguarded_networks):
     assert "if True:" in monitor._NetworkSource(operator_formula("until", 0, 2)).text
     for kind in KINDS:
         found = {window: unlatched_flag(kind, *window) for window in WINDOWS}

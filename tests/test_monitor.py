@@ -1,13 +1,15 @@
 """Streaming monitor: verdict sequences, structure, and state bounds."""
 
 import random
+from collections import Counter, defaultdict
+from types import MappingProxyType
 
 import pytest
 
 from stlobs import monitor
 from stlobs.conformance import random_formula
 from stlobs.errors import FlagConflictError, InvalidFormulaError, MissingSignalError
-from stlobs.formula import Always, Eventually, Interval, signal_atom
+from stlobs.formula import Always, Eventually, Interval, linear_atom, signal_atom
 from stlobs.monitor import Monitor, VerdictRecord, compile_formula
 from stlobs.oracle import three_valued_eval
 from stlobs.parser import parse
@@ -228,14 +230,24 @@ class TestShapeCache:
 class TestNetworkText:
     # The generated source of the benchmark's two formulas, pinned: a change
     # to it moves `Monitor.step` on every benchmark workload.
+    # Each tick reads every signal once, in signal order, and checks the
+    # sample's presence on the way, also once the root has decided.
     HEAD = (
         "def make(l0, u0, l1, u1, l2, u2):\n"
+        "    t = 0\n"
         "    decided = None\n"
         "    p0 = n0 = p1 = n1 = p2 = n2 = False\n"
-        "    def network(s, t):\n"
-        "        nonlocal decided, p0, n0, p1, n1, p2, n2\n"
+        "    def network(s):\n"
+        "        nonlocal t, decided, p0, n0, p1, n1, p2, n2\n"
+        "        if type(s) is not dict:\n"
+        "            s = present(s, t)\n"
+        "        try:\n"
+        "{reads}"
+        "        except KeyError:\n"
+        "            present(s, t)\n"
         "        if decided is not None:\n"
-        "            return decided\n"
+        "            t += 1\n"
+        "            return new(VerdictRecord, (t - 1, decided))\n"
     )
     TAIL = (
         "        if p0 and n0 or p1 and n1 or p2 and n2:\n"
@@ -244,31 +256,35 @@ class TestNetworkText:
         "            decided = TRUE\n"
         "        elif {neg}:\n"
         "            decided = FALSE\n"
-        "        return decided or UNKNOWN\n"
+        "        t += 1\n"
+        "        return new(VerdictRecord, (t - 1, decided or UNKNOWN))\n"
         "    return network\n"
     )
 
     @pytest.mark.parametrize(
-        "text,signals,operators,pos,neg",
+        "text,signals,reads,operators,pos,neg",
         [
             (
                 "G[0,199999] (speed < 20 | brake > 0) & F[0,199999] (gear >= 6) "
                 "& ((speed >= 0) U[0,199999] (gear >= 6))",
                 ("speed", "brake", "gear"),
+                "            x0 = s['brake']\n"
+                "            x1 = s['gear']\n"
+                "            x2 = s['speed']\n",
                 "        if not (p0 or n0):\n"
-                "            if t >= l0 and not (s['speed'] < 20.0 or s['brake'] > 0.0):\n"
+                "            if t >= l0 and not (x2 < 20.0 or x0 > 0.0):\n"
                 "                n0 = True\n"
                 "            elif t >= u0:\n"
                 "                p0 = True\n"
                 "        if not (p1 or n1):\n"
-                "            if t >= l1 and s['gear'] >= 6.0:\n"
+                "            if t >= l1 and x1 >= 6.0:\n"
                 "                p1 = True\n"
                 "            elif t >= u1:\n"
                 "                n1 = True\n"
                 "        if not (p2 or n2):\n"
-                "            if not s['speed'] >= 0.0:\n"
+                "            if not x2 >= 0.0:\n"
                 "                n2 = True\n"
-                "            elif t >= l2 and s['gear'] >= 6.0:\n"
+                "            elif t >= l2 and x1 >= 6.0:\n"
                 "                p2 = True\n"
                 "            elif t >= u2:\n"
                 "                n2 = True\n",
@@ -279,10 +295,13 @@ class TestNetworkText:
                 "(F[0,100000] (x - y > 100) | ((x + y >= -100) U[50,100000] (x - y > 100))) "
                 "-> G[10,199999] (2*x - 3/10*y + 1/3 <= z)",
                 ("x", "y", "z"),
+                "            x0 = s['x']\n"
+                "            x1 = s['y']\n"
+                "            x2 = s['z']\n",
                 # x - y > 100 is shared: computed while F or U is open.
                 "        if not (p0 or n0) or not (p1 or n1):\n"
-                "            v0 = (True if (a0t := -100.0 + (a0q0 := 1.0 * s['x']) "
-                "+ (a0q1 := -1.0 * s['y'])) > (a0b := 6.661338147750939e-16 "
+                "            v0 = (True if (a0t := -100.0 + (a0q0 := 1.0 * x0) "
+                "+ (a0q1 := -1.0 * x1)) > (a0b := 6.661338147750939e-16 "
                 "* (100.0 + abs(a0q0) + abs(a0q1)) + 7e-323) else False if a0t < -a0b else a0(s))\n"
                 "        if not (p0 or n0):\n"
                 "            if t >= l0 and v0:\n"
@@ -290,8 +309,8 @@ class TestNetworkText:
                 "            elif t >= u0:\n"
                 "                n0 = True\n"
                 "        if not (p1 or n1):\n"
-                "            if not (True if (a1t := 100.0 + (a1q0 := 1.0 * s['x']) "
-                "+ (a1q1 := 1.0 * s['y'])) > (a1b := 6.661338147750939e-16 "
+                "            if not (True if (a1t := 100.0 + (a1q0 := 1.0 * x0) "
+                "+ (a1q1 := 1.0 * x1)) > (a1b := 6.661338147750939e-16 "
                 "* (100.0 + abs(a1q0) + abs(a1q1)) + 7e-323) else False if a1t < -a1b else a1(s)):\n"
                 "                n1 = True\n"
                 "            elif t >= l1 and v0:\n"
@@ -299,8 +318,8 @@ class TestNetworkText:
                 "            elif t >= u1:\n"
                 "                n1 = True\n"
                 "        if not (p2 or n2):\n"
-                "            if t >= l2 and not (False if (a2t := 10.0 + (a2q0 := 60.0 * s['x']) "
-                "+ (a2q1 := -9.0 * s['y']) + (a2q2 := -30.0 * s['z'])) > (a2b := 7.771561172376096e-16 "
+                "            if t >= l2 and not (False if (a2t := 10.0 + (a2q0 := 60.0 * x0) "
+                "+ (a2q1 := -9.0 * x1) + (a2q2 := -30.0 * x2)) > (a2b := 7.771561172376096e-16 "
                 "* (10.0 + abs(a2q0) + abs(a2q1) + abs(a2q2)) + 1.047e-321) "
                 "else True if a2t < -a2b else a2(s)):\n"
                 "                n2 = True\n"
@@ -312,36 +331,47 @@ class TestNetworkText:
         ],
         ids=["csv-wide", "jsonl-latch"],
     )
-    def test_benchmark_formulas(self, text, signals, operators, pos, neg):
+    def test_benchmark_formulas(self, text, signals, reads, operators, pos, neg):
         source = monitor._NetworkSource(parse(text, signals))
-        assert source.text == self.HEAD + operators + self.TAIL.format(pos=pos, neg=neg)
+        head = self.HEAD.format(reads=reads)
+        assert source.text == head + operators + self.TAIL.format(pos=pos, neg=neg)
 
     def test_anchored_atoms(self):
         # An atom outside every operator is decided at tick 0, where its
-        # guard is open: it reads the sample once, and caches nothing. With
-        # no operator there is no window to take and no pair to check.
+        # guard is open: it reads the signals' locals, and caches nothing.
+        # With no operator there is no window to take and no pair to check.
         source = monitor._NetworkSource(parse("x - y > 0 & !(x > 1)", ("x", "y")))
         assert source.text == (
             "def make():\n"
+            "    t = 0\n"
             "    decided = None\n"
             "    p0 = n0 = p1 = n1 = False\n"
-            "    def network(s, t):\n"
-            "        nonlocal decided, p0, n0, p1, n1\n"
+            "    def network(s):\n"
+            "        nonlocal t, decided, p0, n0, p1, n1\n"
+            "        if type(s) is not dict:\n"
+            "            s = present(s, t)\n"
+            "        try:\n"
+            "            x0 = s['x']\n"
+            "            x1 = s['y']\n"
+            "        except KeyError:\n"
+            "            present(s, t)\n"
             "        if decided is not None:\n"
-            "            return decided\n"
+            "            t += 1\n"
+            "            return new(VerdictRecord, (t - 1, decided))\n"
             "        if not (p0 or n0):\n"
-            "            p0 = (True if (a0t := 0.0 + (a0q0 := 1.0 * s['x']) "
-            "+ (a0q1 := -1.0 * s['y'])) > (a0b := 6.661338147750939e-16 "
+            "            p0 = (True if (a0t := 0.0 + (a0q0 := 1.0 * x0) "
+            "+ (a0q1 := -1.0 * x1)) > (a0b := 6.661338147750939e-16 "
             "* (0.0 + abs(a0q0) + abs(a0q1)) + 7e-323) else False if a0t < -a0b else a0(s))\n"
             "            n0 = not p0\n"
             "        if not (p1 or n1):\n"
-            "            p1 = s['x'] > 1.0\n"
+            "            p1 = x0 > 1.0\n"
             "            n1 = not p1\n"
             "        if (p0 and n1):\n"
             "            decided = TRUE\n"
             "        elif (n0 or p1):\n"
             "            decided = FALSE\n"
-            "        return decided or UNKNOWN\n"
+            "        t += 1\n"
+            "        return new(VerdictRecord, (t - 1, decided or UNKNOWN))\n"
             "    return network\n"
         )
 
@@ -367,6 +397,43 @@ class TestStepErrors:
                 m.step({"y": 1.0} if tick == 1 else {})
             assert info.value.names == (("x",) if tick == 1 else ("x", "y"))
             m.step({"x": 0.0, "y": 0.0})
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [dict, lambda items: defaultdict(float, items), Counter, MappingProxyType],
+        ids=["dict", "defaultdict", "Counter", "Mapping"],
+    )
+    def test_presence_is_membership_before_and_after_the_decision(self, mapping):
+        # A `defaultdict` or a `Counter` gives a value for any key, but a
+        # signal it does not hold is missing, and the sample is left as it
+        # was; a non-dict Mapping is read through its own methods.
+        m = monitor_for("F[0,3] (x > 0) & G[0,3] (y > 0)")
+        for tick, verdict in ((0, UNKNOWN), (1, FALSE)):
+            sample = mapping({"y": 1.0})
+            with pytest.raises(MissingSignalError, match=f"at tick {tick}: x$") as info:
+                m.step(sample)
+            assert info.value.names == ("x",) and dict(sample) == {"y": 1.0}
+            assert m.step(mapping({"x": 0.0, "y": 1.0 - tick})).verdict is verdict
+        assert m.step(mapping({"x": 0.0, "y": 1.0, "z": 2.0})).verdict is FALSE
+
+    def test_an_error_leaves_the_tick_and_the_state(self):
+        m = monitor_for("F[0,3] (x > 0) & G[0,3] (y > 0)")
+        m.step({"x": 0.0, "y": 1.0})
+        state = m.state_scalars()
+        for sample in ({}, {"x": 1.0}, Counter({"y": 1.0})):
+            with pytest.raises(MissingSignalError, match="at tick 1"):
+                m.step(sample)
+            assert m.tick == 1 and m.state_scalars() == state
+        assert m.step({"x": 1.0, "y": 1.0}) == (1, UNKNOWN)
+        assert m.tick == 2
+
+    def test_a_formula_without_signals_compiles(self):
+        # `validate` refuses an atom that reads no signal, but its network
+        # still compiles, with no read of the sample.
+        make, signals = monitor._shape_code(Eventually(None, linear_atom({}, "<", -1)))
+        assert signals == ()
+        step = make(0, 2)
+        assert [step({}) for _ in range(2)] == [(0, TRUE), (1, TRUE)]
 
     def test_extra_signals_tolerated(self):
         m = monitor_for("x > 0")
@@ -417,6 +484,14 @@ class TestFlagConflicts:
         assert m.step({"x": 1.0, "y": 0.0}).verdict is UNKNOWN
         with pytest.raises(FlagConflictError):
             m.step({"x": 1.0, "y": y})
+        # The conflict is state: the tick stays, and each later step raises
+        # again without changing a scalar.
+        state = m.state_scalars()
+        assert m.tick == state[0] == 1
+        for _ in range(2):
+            with pytest.raises(FlagConflictError):
+                m.step({"x": 1.0, "y": y})
+            assert m.state_scalars() == state
 
 
 class TestDecidedRoot:
@@ -438,40 +513,66 @@ class TestDecidedRoot:
         assert m.state_scalars()[1:] == state[1:]
 
 
+class Counted(float):
+    """A sample value that logs its signal's name each time it is compared
+    or multiplied: a network reads every signal once per tick, and the log
+    shows which operands it evaluates."""
+
+    def __new__(cls, value, name, log):
+        self = super().__new__(cls, value)
+        self.name, self.log = name, log
+        return self
+
+    def _logged(op):
+        def method(self, other):
+            self.log.append(self.name)
+            return op(self, other)
+
+        return method
+
+    __lt__, __le__ = _logged(float.__lt__), _logged(float.__le__)
+    __gt__, __ge__ = _logged(float.__gt__), _logged(float.__ge__)
+    __mul__, __rmul__ = _logged(float.__mul__), _logged(float.__rmul__)
+    del _logged
+
+
+def counted(log, **values):
+    """A sample of `Counted` values that log into `log`."""
+    return {name: Counted(value, name, log) for name, value in values.items()}
+
+
 class TestDecidedOperator:
     """An operator whose flags are set is not stepped again, and the
     operands only it reads are not evaluated, while the root is still open."""
 
-    class Reads(dict):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.reads = []
-
-        def __getitem__(self, name):
-            self.reads.append(name)
-            return super().__getitem__(name)
-
-    def test_decided_operator_and_its_operand_are_skipped(self):
+    def check_decided_operator_and_its_operand_are_skipped(self):
         m = monitor_for("F[0,5] (x - y > 0) & G[0,5] (p > 0)")
-        sample = self.Reads({"x": 1.0, "y": 0.0, "p": 1.0})
-        assert m.step(sample).verdict is UNKNOWN
-        assert sorted(sample.reads) == ["p", "x", "y"]
+        log = []
+        assert m.step(counted(log, x=1.0, y=0.0, p=1.0)).verdict is UNKNOWN
+        assert sorted(log) == ["p", "x", "y"]
         assert m.state_scalars() == (1, None, True, False, False, False)
         for tick in range(1, 5):
-            sample = self.Reads({"x": -1.0, "y": 0.0, "p": 1.0})
-            assert m.step(sample).verdict is UNKNOWN
-            assert sample.reads == ["p"]
+            log = []
+            assert m.step(counted(log, x=-1.0, y=0.0, p=1.0)).verdict is UNKNOWN
+            assert log == ["p"]
         assert m.state_scalars() == (5, None, True, False, False, False)
         assert m.step({"x": 0.0, "y": 0.0, "p": 1.0}).verdict is TRUE
 
+    def test_decided_operator_and_its_operand_are_skipped(self):
+        self.check_decided_operator_and_its_operand_are_skipped()
+
+    def test_the_check_sees_a_network_without_the_guard(self, unguarded_networks):
+        # Unguarded, F's body runs on after F has decided: it evaluates
+        # `x - y > 0` at every tick, and changes no flag doing so.
+        with pytest.raises(AssertionError, match="'x'"):
+            self.check_decided_operator_and_its_operand_are_skipped()
+
     def test_shared_atom_is_read_while_one_of_its_readers_is_open(self):
         m = monitor_for("F[0,5] (x - y > 0) | G[0,5] (x - y > 0)")
-        sample = self.Reads({"x": -1.0, "y": 0.0})
-        assert m.step(sample).verdict is UNKNOWN  # G is now false, F open
-        assert sorted(sample.reads) == ["x", "y"]
-        sample = self.Reads({"x": -1.0, "y": 0.0})
-        assert m.step(sample).verdict is UNKNOWN
-        assert sorted(sample.reads) == ["x", "y"]
+        for _ in range(2):  # G is false from tick 0 on, F stays open
+            log = []
+            assert m.step(counted(log, x=-1.0, y=0.0)).verdict is UNKNOWN
+            assert sorted(log) == ["x", "y"]
 
 
 class TestEarlyStop:

@@ -392,6 +392,29 @@ def _jsonl_line(draw) -> str:
     return line + draw(st.sampled_from(["\n", "\r\n", ""]))
 
 
+# Floats, among them NaN, the infinities and values whose sums overflow,
+# and JSON values of every other kind: ints, bools, null and strings.
+_SAMPLE_FLOATS = st.floats() | st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -0.0, 5e-324])
+_SAMPLE_VALUES = _SAMPLE_FLOATS | st.integers(-(2**70), 2**70) | st.booleans() | st.none() | st.text(max_size=3)
+
+
+@st.composite
+def _sample_object(draw):
+    """A declared signal set and a decoded JSON value: mostly an object over
+    the declared keys, in any order, with some missing or one extra, and
+    all floats in half the draws; now and then a list of its values."""
+    declared = draw(st.sampled_from([("x",), ("x", "y"), ("y", "x", "z"), ("a'b", "é", "if")]))
+    keys = [key for key in declared if draw(st.integers(0, 5))]
+    if not draw(st.integers(0, 4)):
+        keys.append("w")
+    keys = draw(st.permutations(keys))
+    values = _SAMPLE_FLOATS if draw(st.booleans()) else _SAMPLE_VALUES
+    obj = {key: draw(values) for key in keys}
+    if not draw(st.integers(0, 9)):
+        obj = list(obj.values())
+    return declared, obj
+
+
 def _jsonl_value_by_value(lines: list[str], signals) -> tuple[list, tuple[str, str] | None]:
     """The samples of JSONL lines decoded with `json.loads` and checked one
     value at a time, and the type and message of the first error (None if
@@ -489,6 +512,39 @@ class TestJsonlFastPath:
     def test_lines_on_and_off_the_fast_path(self, line, expected):
         samples, error = _jsonl_drain([line], ("x", "y"))
         assert (samples[0] if samples else error[1]) == expected
+
+    @given(_sample_object())
+    @settings(max_examples=500)
+    def test_generated_test_agrees_with_the_three_checks(self, case):
+        # The test before it was generated: exact keys, float values, and a
+        # finite sum in the object's order. The generated one sums in the
+        # declared order, so where a partial sum overflows in one order only
+        # the two differ; the line is then read value by value, to the same
+        # sample.
+        declared, obj = case
+        old = (
+            type(obj) is dict
+            and obj.keys() == frozenset(declared)
+            and {*map(type, obj.values())} == {float}
+            and math.isfinite(sum(obj.values()))
+        )
+        new = traceio._sample_test(declared)(obj)
+        if new != old:
+            assert obj.keys() == set(declared)
+            assert all(type(v) is float and math.isfinite(v) for v in obj.values())
+            assert math.isfinite(sum(obj[name] for name in declared)) is new
+        line = json.dumps(obj)
+        assert _jsonl_drain([line], declared) == _jsonl_value_by_value([line], declared)
+
+    @pytest.mark.parametrize("order", ["xyz", "zxy", "yzx"])
+    def test_sum_that_overflows_in_one_order(self, order):
+        # 1e308 + 1e308 overflows, 1e308 - 1e308 + 1e308 does not: by the
+        # declared order x, y, z the generated test refuses the line, and
+        # the value-by-value reading accepts it with the same values.
+        values = {"x": 1e308, "y": 1e308, "z": -1e308}
+        line = json.dumps({key: values[key] for key in order})
+        assert not traceio._sample_test(("x", "y", "z"))(json.loads(line))
+        assert _jsonl_drain([line], ("x", "y", "z")) == ([values], None)
 
     def test_fast_path_sample_equals_the_value_by_value_one(self):
         line = '{"y": -0.0, "x": 0.1}'
