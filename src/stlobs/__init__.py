@@ -22,20 +22,7 @@ from .errors import (
     TraceFormatError,
     UnknownSignalError,
 )
-from .trilean import (
-    FALSE,
-    TRUE,
-    UNKNOWN,
-    FlagPair,
-    Trilean,
-    and3,
-    from_flags,
-    implies3,
-    not3,
-    or3,
-    to_flags,
-    verdict_from_bools,
-)
+from .trilean import FALSE, TRUE, UNKNOWN, Trilean, and3, implies3, not3, or3
 from .formula import (
     Always,
     And,
@@ -58,15 +45,7 @@ from .formula import (
 from .parser import parse
 from .trace import Trace
 from .monitor import Monitor, VerdictRecord, compile_formula
-from .traceio import (
-    VerdictWriter,
-    read_csv,
-    read_jsonl,
-    read_trace,
-    read_verdicts,
-    write_csv,
-    write_verdicts,
-)
+from .traceio import VerdictWriter
 
 # `check` loads only the modules above. The oracle, the conformance checks
 # and the Lustre emitter, with what they import, load on first use of one
@@ -123,7 +102,6 @@ __all__ = [
     "Eventually",
     "FALSE",
     "FlagConflictError",
-    "FlagPair",
     "Formula",
     "FormulaError",
     "FormulaSyntaxError",
@@ -156,7 +134,6 @@ __all__ = [
     "emit_operator_nodes",
     "emit_proof_node",
     "emit_units",
-    "from_flags",
     "horizon",
     "identity_check",
     "implies3",
@@ -168,19 +145,11 @@ __all__ = [
     "parse",
     "property_suite",
     "random_formula",
-    "read_csv",
-    "read_jsonl",
-    "read_trace",
-    "read_verdicts",
     "render",
     "run_kind2",
     "signal_atom",
     "signals_of",
     "three_valued_eval",
-    "to_flags",
     "validate",
-    "verdict_from_bools",
-    "write_csv",
     "write_units",
-    "write_verdicts",
 ]

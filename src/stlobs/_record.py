@@ -1,15 +1,15 @@
 """`record`: frozen value classes without the `dataclasses` module.
 
 `@record` gives a class with annotated fields what `@dataclass(frozen=True)`
-gave the AST nodes, `FlagPair`, `Trace` and the parser's tokens: an
-`__init__` taking the fields by position or keyword (then `__post_init__`,
-if the class has one), `__eq__` between instances of the same class only,
-the dataclass `__repr__`, `__match_args__`, and `AttributeError` on
-assignment or deletion. `cached_property` still works, because it writes
-the instance `__dict__` directly. Two things differ: the hash of the fields
-is computed once per instance and kept, and `__reduce__` rebuilds an
-instance from its fields, so a copy or an unpickled node never carries a
-hash from another process.
+gave the AST nodes, `Trace` and the parser's tokens: an `__init__` taking
+the fields by position or keyword (then `__post_init__`, if the class has
+one), `__eq__` between instances of the same class only, the dataclass
+`__repr__`, `__match_args__`, and `AttributeError` on assignment or
+deletion. `cached_property` still works, because it writes the instance
+`__dict__` directly. Two things differ: the hash of the fields is computed
+once per instance and kept, and `__reduce__` rebuilds an instance from its
+fields, so a copy or an unpickled node never carries a hash from another
+process.
 
 Importing `dataclasses` loads `inspect`, `ast` and `dis`, and each class it
 builds compiles its methods with `exec`; a monitor started for one check

@@ -23,6 +23,7 @@ import logging
 import os
 import sys
 from contextlib import nullcontext
+from math import isfinite
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -36,6 +37,7 @@ from .traceio import (
     TRACE_FORMATS,
     VERDICT_FORMATS,
     VerdictWriter,
+    _check_signals,
     hooks_reads,
     opened,
     read_jsonl_stream,
@@ -72,6 +74,16 @@ def _positive_int(value: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
     return number
+
+
+def _positive_seconds(value: str) -> float:
+    try:
+        seconds = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not (isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {value}")
+    return seconds
 
 
 def _signals_arg(value: str) -> tuple[str, ...]:
@@ -184,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     emit.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_seconds,
         default=60.0,
         help="checker timeout in seconds per unit (default: 60)",
     )
@@ -196,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_formula_text(args) -> str:
     if args.formula is not None:
         return args.formula
-    return Path(args.formula_file).read_text(encoding="utf-8")
+    # A byte that is not utf-8 reads as a lone surrogate, as in a trace
+    # file, and the parser rejects it as it does the same text given by -f.
+    return Path(args.formula_file).read_text(encoding="utf-8", errors="surrogateescape")
 
 
 def _trace_source(args) -> str | Iterable[str]:
@@ -263,7 +277,9 @@ def _read_front(
     """Read the trace's header, or its first JSONL object, from `lines`,
     then parse the formula against the signals found there or declared:
     the formula, the trace's signal names and an iterator of its samples,
-    none of them read yet beyond the first JSONL object."""
+    none of them read yet beyond the first JSONL object. A declared list
+    obeys the name rule of a header, in either format, checked once the
+    formula has parsed."""
     fmt = args.trace_format
     if fmt == "auto":
         fmt, lines = sniff_lines(lines)
@@ -280,6 +296,8 @@ def _read_front(
             samples = itertools.chain([first], samples)
         names = parse_signals
     f = parse(formula_text, parse_signals)
+    if declared is not None:
+        _check_signals(declared, "signal list")
     _require_signals(f, names)
     return f, names, samples
 

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import EnumerationCapError, FlagConflictError
 from .formula import (
@@ -157,29 +157,6 @@ def bool_trace(rows: Sequence[Sequence[bool]], num_atoms: int) -> Trace:
         _SIGNALS[:num_atoms],
         tuple(tuple(1.0 if v else 0.0 for v in row) for row in rows),
     )
-
-
-def first_divergence(
-    f: Formula, trace: Trace, compile_fn: CompileFn = compile_formula
-) -> tuple[int, str, str] | None:
-    """First tick where the monitor and the three-valued oracle disagree.
-
-    Returns (tick, monitor verdict, oracle verdict), or None; a step that
-    raises gives "conflict" for a flag conflict and the exception's repr for
-    any other. Deterministic: replaying the same formula and trace reproduces
-    the same answer.
-    """
-    monitor = compile_fn(f)
-    for k in range(len(trace)):
-        try:
-            got = monitor.step(trace.sample(k)).verdict
-        except Exception as exc:
-            got = "conflict" if isinstance(exc, FlagConflictError) else repr(exc)
-            return (k, got, str(three_valued_eval(f, trace, k)))
-        want = three_valued_eval(f, trace, k)
-        if got is not want:
-            return (k, str(got), str(want))
-    return None
 
 
 def differential_sweep(

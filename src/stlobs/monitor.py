@@ -57,14 +57,12 @@ from .formula import (
     Until,
     children,
     compare_with_zero,
-    horizon,
     signals_of,
     validate,
     walk,
     with_windows,
 )
-from .trace import Trace
-from .trilean import FALSE, TRUE, UNKNOWN, FlagPair, Trilean, to_flags
+from .trilean import FALSE, TRUE, UNKNOWN, Trilean
 
 Predicate = Callable[[Mapping[str, float]], bool]
 
@@ -74,11 +72,6 @@ class VerdictRecord(NamedTuple):
 
     tick: int
     verdict: Trilean
-
-    @property
-    def flags(self) -> FlagPair:
-        """The verdict as its (positive, negative) flag pair."""
-        return to_flags(self.verdict)
 
 
 # Builds a record without the keyword handling of `VerdictRecord.__new__`.
@@ -414,31 +407,12 @@ class Monitor:
         self._network = network
 
     @property
-    def horizon(self) -> int:
-        """Ticks after the anchor needed to decide the verdict."""
-        return horizon(self.formula)
-
-    @property
     def tick(self) -> int:
         """Index of the next sample to be consumed."""
         return self.state_scalars()[0]
 
     def step(self, sample: Mapping[str, float]) -> VerdictRecord:
         return self._network(sample)
-
-    def run(self, trace: Trace, early_stop: bool = False) -> list[VerdictRecord]:
-        """Feed every sample of `trace` in order.
-
-        With `early_stop` the run halts right after the first decisive
-        verdict; by default the full trace is consumed.
-        """
-        records: list[VerdictRecord] = []
-        for k in range(len(trace)):
-            record = self.step(trace.sample(k))
-            records.append(record)
-            if early_stop and record.verdict is not Trilean.UNKNOWN:
-                break
-        return records
 
     def state_scalars(self) -> tuple:
         """The state the network rebinds, read from its closure: the tick, the

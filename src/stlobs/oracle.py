@@ -149,34 +149,6 @@ def _tv(f: Formula, trace: Trace, tau: int) -> Trilean:
     return TRUE if _prop_truth(f, trace, 0) else FALSE
 
 
-def stated_unknown_eval(
-    kind: str, lower: int, upper: int, operands: Sequence[Sequence[bool]], tau: int
-) -> bool:
-    """Direct evaluation of the quantified "still open" conditions.
-
-    The monitor never computes these; it derives unknown as "neither flag".
-    This function exists so tests can confirm the two characterizations agree.
-    """
-    _check_kind(kind)
-    if kind == "until":
-        row1, row2 = (list(operands[0]), list(operands[1]))
-        if tau < lower:
-            return all(row1[t] for t in range(0, tau + 1))
-        if tau < upper:
-            return all(row1[t] for t in range(0, tau + 1)) and all(
-                not row2[t] for t in range(lower, tau + 1)
-            )
-        return False
-    row = list(operands[0])
-    if tau < lower:
-        return True
-    if tau >= upper:
-        return False
-    if kind == "eventually":
-        return all(not row[t] for t in range(lower, tau + 1))
-    return all(row[t] for t in range(lower, tau + 1))
-
-
 def explicit_eval(
     kind: str,
     lower: int,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from ._record import record
 from .errors import TraceFormatError
 
@@ -29,15 +27,8 @@ class Trace:
                     f"tick {k}: expected {width} values, got {len(row)}"
                 )
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.signals)}
-
     def __len__(self) -> int:
         return len(self.samples)
-
-    def value(self, signal: str, tick: int) -> float:
-        return self.samples[tick][self._index[signal]]
 
     def sample(self, tick: int) -> dict[str, float]:
         """The sample at `tick` as a mapping, for feeding a monitor."""

@@ -1,9 +1,15 @@
-"""Trace input and verdict output.
+"""Trace input and verdict output, a sample and a line at a time.
 
 Traces are positional: tick k is row k, and the sampling period is implicit.
 CSV files carry the signal names in the header row; JSONL files carry them as
-object keys. Names that look like timestamps are rejected in either, so
-nobody mistakes a value column for a time axis.
+object keys. One name rule (`_check_signals`) covers a CSV header, a first
+JSONL object and a declared signal list: names that look like timestamps are
+rejected, so nobody mistakes a value column for a time axis.
+
+`opened` gives a source's lines, `sniff_lines` their format, and
+`stream_csv` and `read_jsonl_stream` their samples; `VerdictWriter` writes
+one verdict line per record. The command line's `_read_front` is what
+chooses a reader and a trace's signal names.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import itertools
 import json
 import logging
 import math
-import re
 import sys
 from contextlib import contextmanager
 from math import isfinite
@@ -23,8 +28,7 @@ from typing import IO, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .errors import MissingSignalError, TraceFormatError
 from .monitor import VerdictRecord
-from .trace import Trace
-from .trilean import FALSE, TRUE, UNKNOWN, Trilean
+from .trilean import FALSE, TRUE, UNKNOWN
 
 logger = logging.getLogger(__name__)
 
@@ -240,15 +244,6 @@ def _row_converter(signals: tuple[str, ...]) -> Callable[[list[str]], dict[str, 
     return namespace["convert"]
 
 
-def read_csv(source: str | Path | Iterable[str]) -> Trace:
-    """Load a CSV trace. The header row names the signals; each following
-    row is one tick, in order."""
-    with opened(source) as stream:
-        signals, samples = stream_csv(stream)
-        rows = tuple(tuple(sample[name] for name in signals) for sample in samples)
-    return Trace(signals, rows)
-
-
 def read_jsonl_stream(
     lines: Iterable[str], signals: Sequence[str] | None = None
 ) -> Iterator[dict[str, float]]:
@@ -358,41 +353,6 @@ def _no_sample(obj: object) -> bool:
     return False
 
 
-def read_jsonl(
-    source: str | Path | Iterable[str], signals: Sequence[str] | None = None
-) -> Trace:
-    """Load a JSONL trace. With `signals` given and no lines it is empty."""
-    with opened(source) as stream:
-        samples = list(read_jsonl_stream(stream, signals))
-    names = tuple(sorted(samples[0])) if signals is None else tuple(signals)
-    return Trace(names, tuple(tuple(s[n] for n in names) for s in samples))
-
-
-def read_trace(
-    source: str | Path | Iterable[str],
-    trace_format: str = "auto",
-    signals: Sequence[str] | None = None,
-) -> Trace:
-    """Load a trace from a path or from lines, in `trace_format` or, with
-    "auto", in the format `sniff_lines` finds."""
-    with opened(source) as lines:
-        fmt = trace_format
-        if fmt == "auto":
-            fmt, lines = sniff_lines(lines)
-        if fmt == "csv":
-            return read_csv(lines)
-        if fmt == "jsonl":
-            return read_jsonl(lines, signals)
-    raise TraceFormatError(f"unknown trace format {fmt!r}")
-
-
-def write_csv(trace: Trace, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(trace.signals)
-    for row in trace.samples:
-        writer.writerow([repr(value) for value in row])
-
-
 class VerdictWriter:
     """Writes verdict records one at a time.
 
@@ -442,92 +402,3 @@ _LINES = {
     },
 }
 
-
-def write_verdicts(
-    records: Iterable[VerdictRecord], stream: IO[str] | BinaryIO, fmt: str = "text"
-) -> None:
-    """Write `records` to `stream` with a `VerdictWriter`. A binary stream
-    is flushed at the end, so there too every line has left its buffer on
-    return; a text stream was flushed line by line."""
-    writer = VerdictWriter(stream, fmt)
-    for record in records:
-        writer.write(record)
-    if isinstance(stream, io.BufferedIOBase):
-        stream.flush()
-
-
-_TEXT_LINE = re.compile(r"tick=(\d+) verdict=([TFU]) pos=([01]) neg=([01])$")
-_VERDICTS = {str(v): v for v in Trilean}
-
-
-def read_verdicts(lines: Iterable[str], fmt: str = "text") -> list[VerdictRecord]:
-    """Parse verdict output back into records (for round-trips and tools).
-
-    The verdict letter must agree with the pos/neg flags on its line. A
-    malformed line raises TraceFormatError naming its line number."""
-    if fmt not in VERDICT_FORMATS:
-        raise ValueError(f"unknown verdict format {fmt!r}")
-    records: list[VerdictRecord] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if fmt == "text":
-            match = _TEXT_LINE.match(line)
-            if not match:
-                raise TraceFormatError(f"line {lineno}: malformed verdict line")
-            tick, letter, pos, neg = match.groups()
-        elif fmt == "csv":
-            if lineno == 1 and line == "tick,verdict,pos,neg":
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise TraceFormatError(f"line {lineno}: malformed verdict row")
-            tick, letter, pos, neg = parts
-        else:
-            tick, letter, pos, neg = _jsonl_verdict_fields(line, lineno)
-        tick = _tick(tick, lineno)
-        flags = (_flag(pos, "pos", lineno), _flag(neg, "neg", lineno))
-        verdict = _VERDICTS.get(letter) if isinstance(letter, str) else None
-        if verdict is None:
-            raise TraceFormatError(f"line {lineno}: unknown verdict {letter!r}")
-        if (verdict is TRUE, verdict is FALSE) != flags:
-            raise TraceFormatError(
-                f"line {lineno}: verdict {letter} does not match pos={pos} neg={neg}"
-            )
-        records.append(VerdictRecord(tick, verdict))
-    return records
-
-
-def _tick(value, lineno: int) -> int:
-    """A tick: decimal digits in text and csv lines, a JSON integer in jsonl."""
-    if isinstance(value, str) and _DIGITS.fullmatch(value):
-        return int(value)
-    if type(value) is int and value >= 0:
-        return value
-    raise TraceFormatError(f"line {lineno}: tick {value!r} is not a tick number")
-
-
-def _flag(value, name: str, lineno: int) -> bool:
-    """A flag: 0 or 1 in text and csv lines, a JSON boolean in jsonl."""
-    if value is True or value is False:
-        return value
-    if isinstance(value, str) and value in ("0", "1"):
-        return value == "1"
-    raise TraceFormatError(f"line {lineno}: flag {name}={value!r} is not 0/1 or a boolean")
-
-
-_DIGITS = re.compile(r"[0-9]+")
-
-
-def _jsonl_verdict_fields(line: str, lineno: int) -> tuple:
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
-        raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise TraceFormatError(f"line {lineno}: expected a JSON object")
-    missing = [key for key in ("tick", "verdict", "pos", "neg") if key not in obj]
-    if missing:
-        raise TraceFormatError(f"line {lineno}: verdict object lacks {', '.join(missing)}")
-    return obj["tick"], obj["verdict"], obj["pos"], obj["neg"]

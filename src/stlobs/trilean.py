@@ -1,16 +1,14 @@
-"""Strong Kleene three-valued logic and the two-flag verdict encoding.
+"""Strong Kleene three-valued logic over the verdicts T, F and U.
 
-A verdict is either a `Trilean` or, equivalently, a pair of latching boolean
-flags (positive, negative) where "unknown" is the absence of both. The flag
-pair with both booleans set does not encode anything and is rejected.
+The monitor keeps each verdict as a pair of latching boolean flags
+(positive, negative), locals of its generated network: "unknown" is the
+absence of both, and a pair with both set is a `FlagConflictError`. The
+network reads a `Trilean` off its root pair.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-
-from ._record import record
-from .errors import FlagConflictError
 
 
 class Trilean(Enum):
@@ -30,18 +28,6 @@ class Trilean(Enum):
 TRUE = Trilean.TRUE
 FALSE = Trilean.FALSE
 UNKNOWN = Trilean.UNKNOWN
-
-
-@record
-class FlagPair:
-    """Latched verdict flags; at most one may be set."""
-
-    positive: bool
-    negative: bool
-
-    def __post_init__(self) -> None:
-        if self.positive and self.negative:
-            raise FlagConflictError("positive and negative verdict flags are both set")
 
 
 def and3(a: Trilean, b: Trilean) -> Trilean:
@@ -78,23 +64,3 @@ def implies3(a: Trilean, b: Trilean) -> Trilean:
     """
     return or3(not3(a), b)
 
-
-def verdict_from_bools(positive: bool, negative: bool) -> Trilean:
-    """Decode raw observer flags without allocating a FlagPair."""
-    if positive:
-        if negative:
-            raise FlagConflictError("positive and negative verdict flags are both set")
-        return TRUE
-    if negative:
-        return FALSE
-    return UNKNOWN
-
-
-def from_flags(flags: FlagPair) -> Trilean:
-    """Decode a flag pair; unknown is derived as neither flag set."""
-    return verdict_from_bools(flags.positive, flags.negative)
-
-
-def to_flags(value: Trilean) -> FlagPair:
-    """Inverse of `from_flags` on the three legal flag pairs."""
-    return FlagPair(value is TRUE, value is FALSE)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import stlobs
 from stlobs import cli
-from stlobs.traceio import read_verdicts
+
+from readback import read_verdicts
 
 CSV_TRACE = "x,y\n1,0\n2,0\n3,0\n"
 
@@ -536,6 +537,54 @@ class TestOracle:
         )
         assert code == cli.EXIT_DATA
         assert "z" in capsys.readouterr().err
+
+
+class TestDeclaredSignals:
+    """A declared signal list obeys the name rule of a CSV header in either
+    trace format: checked once the formula has parsed, before the first
+    row, with the same message from `check` and `oracle`."""
+
+    TRACES = {"csv": "x\n1\n", "jsonl": '{"x": 1}\n'}
+
+    @pytest.mark.parametrize(
+        "formula,signals,exit_code,err",
+        [
+            ("x > 0", "x,x", cli.EXIT_DATA, "trace error: signal list: duplicate signal name\n"),
+            ("x > 0", "x,time", cli.EXIT_DATA,
+             "trace error: signal list: 'time' looks like a time axis; traces are "
+             "positional (row k is tick k), so every name must be a signal\n"),
+            ("x >", "x,x", cli.EXIT_USAGE,
+             "formula error: expected a number or signal name, found 'end of input' (column 4)\n"),
+        ],
+        ids=["duplicate", "time-axis", "formula-error-first"],
+    )
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    @pytest.mark.parametrize("trace_format", ["csv", "jsonl"])
+    def test_bad_list_stops_before_the_first_row(
+        self, tmp_path, capsys, trace_format, command, formula, signals, exit_code, err
+    ):
+        path = tmp_path / f"trace.{trace_format}"
+        path.write_text(self.TRACES[trace_format])
+        code = cli.main([command, "-f", formula, "--signals", signals, "--trace", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (exit_code, "", err)
+
+
+class TestFormulaFile:
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    def test_bytes_that_are_not_utf8_read_as_with_f(self, tmp_path, csv_path, command):
+        # Both reach the parser as the same text, a lone surrogate in place
+        # of the byte, which it rejects with exit 64.
+        data = b"x > 0 & x > \xff"
+        formula = tmp_path / "f.stl"
+        formula.write_bytes(data)
+        results = []
+        for args in (["-f", os.fsdecode(data)], ["--formula-file", str(formula)]):
+            proc = spawn_cli(command, *args, "--trace", csv_path)
+            out, err = proc.communicate(b"", timeout=60)
+            results.append((proc.returncode, out, err))
+        assert results[0] == results[1]
+        assert results[0] == (cli.EXIT_USAGE, b"", b"formula error: unexpected character '\\udcff' (column 13)\n")
 
 
 class TestSameBytesFromFileAndStdin:

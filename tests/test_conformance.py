@@ -17,13 +17,12 @@ from stlobs.conformance import (
     check_induction_step,
     differential_sweep,
     enumerate_traces,
-    first_divergence,
     induction_suite,
     operator_formula,
     property_suite,
     random_formula,
 )
-from stlobs.errors import EnumerationCapError
+from stlobs.errors import EnumerationCapError, FlagConflictError
 from stlobs.formula import (
     Always,
     And,
@@ -37,9 +36,32 @@ from stlobs.formula import (
     walk,
 )
 from stlobs.monitor import VerdictRecord, compile_formula
+from stlobs.oracle import three_valued_eval
 from stlobs.parser import parse
 from stlobs.trace import Trace
-from stlobs.trilean import FALSE, TRUE, UNKNOWN, FlagPair
+from stlobs.trilean import FALSE, TRUE, UNKNOWN
+
+
+def first_divergence(f, trace, compile_fn=compile_formula) -> tuple[int, str, str] | None:
+    """First tick where the monitor and the three-valued oracle disagree,
+    replaying a reported failure.
+
+    Returns (tick, monitor verdict, oracle verdict), or None; a step that
+    raises gives "conflict" for a flag conflict and the exception's repr for
+    any other. Deterministic: replaying the same formula and trace reproduces
+    the same answer.
+    """
+    monitor = compile_fn(f)
+    for k in range(len(trace)):
+        try:
+            got = monitor.step(trace.sample(k)).verdict
+        except Exception as exc:
+            got = "conflict" if isinstance(exc, FlagConflictError) else repr(exc)
+            return (k, got, str(three_valued_eval(f, trace, k)))
+        want = three_valued_eval(f, trace, k)
+        if got is not want:
+            return (k, str(got), str(want))
+    return None
 
 
 class TestEnumerateTraces:
@@ -267,7 +289,7 @@ class TestPropertySuite:
             def step(self, sample):
                 record = self._inner.step(sample)
                 if record.tick >= 1:
-                    FlagPair(True, True)
+                    raise FlagConflictError("positive and negative verdict flags are both set")
                 return record
 
             def state_scalar_count(self):

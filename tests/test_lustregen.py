@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from stlobs import cli
 from stlobs.errors import CheckerError
 from stlobs.lustregen import (
     BASIC_NODE_NAMES,
@@ -178,3 +179,34 @@ class TestRunKind2:
         report = run_kind2(units, checker=checker, work_dir=tmp_path)
         assert report.ran
         assert counter.read_text().count("run") == len(units)
+
+
+class TestEmitLustreTimeout:
+    """`emit-lustre --timeout` takes a finite number of seconds above 0. Any
+    other value is a usage error before a unit is written or the checker
+    runs."""
+
+    def run(self, tmp_path, value):
+        calls = tmp_path / "calls"
+        checker = _stub_checker(tmp_path, f"echo \"$@\" >> {calls}\necho 'p : valid'\n")
+        out_dir = tmp_path / "lus"
+        argv = ["emit-lustre", "--out-dir", str(out_dir), "--run-checker",
+                "--checker-path", checker, f"--timeout={value}"]
+        return cli.main(argv), out_dir, calls
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "-1", "0", "-0.0", "soon"])
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            self.run(tmp_path, value)
+        assert excinfo.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "argument --timeout: " in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "lus").exists() and not (tmp_path / "calls").exists()
+
+    def test_positive_value_reaches_the_checker(self, tmp_path, capsys):
+        code, out_dir, calls = self.run(tmp_path, "0.5")
+        assert code == cli.EXIT_TRUE
+        assert len(list(out_dir.glob("*.lus"))) == 4
+        runs = calls.read_text().splitlines()
+        assert len(runs) == 4 and all(" --timeout 0.5 " in run for run in runs)

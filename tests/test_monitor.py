@@ -9,12 +9,12 @@ import pytest
 from stlobs import monitor
 from stlobs.conformance import random_formula
 from stlobs.errors import FlagConflictError, InvalidFormulaError, MissingSignalError
-from stlobs.formula import Always, Eventually, Interval, linear_atom, signal_atom
+from stlobs.formula import Always, Eventually, Interval, horizon, linear_atom, signal_atom
 from stlobs.monitor import Monitor, VerdictRecord, compile_formula
 from stlobs.oracle import three_valued_eval
 from stlobs.parser import parse
 from stlobs.trace import Trace
-from stlobs.trilean import FALSE, TRUE, UNKNOWN, FlagPair, from_flags
+from stlobs.trilean import FALSE, TRUE, UNKNOWN
 
 SIGNALS = ("x", "y", "p", "q")
 
@@ -31,8 +31,19 @@ def pq_trace(ps, qs) -> Trace:
     return Trace(("p", "q"), tuple((float(a), float(b)) for a, b in zip(ps, qs)))
 
 
+def run(monitor: Monitor, trace: Trace, early_stop: bool = False) -> list[VerdictRecord]:
+    """Step `monitor` through `trace` as `check` does: every sample in
+    order, or, with `early_stop`, up to the first decided verdict."""
+    records = []
+    for k in range(len(trace)):
+        records.append(monitor.step(trace.sample(k)))
+        if early_stop and records[-1].verdict is not UNKNOWN:
+            break
+    return records
+
+
 def verdicts(monitor: Monitor, trace: Trace):
-    return [r.verdict for r in monitor.run(trace)]
+    return [r.verdict for r in run(monitor, trace)]
 
 
 class TestVerdictSequences:
@@ -113,9 +124,10 @@ class TestVerdictSequences:
 
     def test_negation_swaps_flags(self):
         m = monitor_for("!G[0,1] (x > 0)")
-        records = m.run(x_trace(1, 1))
+        records = run(m, x_trace(1, 1))
         assert records[-1].verdict is FALSE
-        assert records[-1].flags == FlagPair(False, True)
+        # G's own pair is (pos, neg) = (True, False); the root reads it swapped.
+        assert m.state_scalars() == (2, FALSE, True, False)
 
 
 class TestStructure:
@@ -142,7 +154,7 @@ class TestStructure:
 
     def test_horizon_and_signals_exposed(self):
         m = monitor_for("G[0,5](x>0) & F[0,9](y>0)")
-        assert m.horizon == 9
+        assert horizon(m.formula) == 9
         assert m.signals == ("x", "y")
 
 
@@ -458,14 +470,6 @@ class TestStepErrors:
                 compile_formula(bad)
         assert bad == Always(Interval(1, 2), atom) and hash(bad) == hash(Always(Interval(1, 2), atom))
 
-    def test_verdict_record_must_be_consistent(self):
-        # The record stores only the verdict; its flags are derived from it,
-        # so the two cannot disagree.
-        for verdict in (TRUE, FALSE, UNKNOWN):
-            record = VerdictRecord(0, verdict)
-            assert from_flags(record.flags) is verdict
-        assert VerdictRecord(0, TRUE).flags == FlagPair(True, False)
-
 
 # A broken G body that sets both flags from tick 1 on.
 CONFLICTING_ALWAYS = "p{k} = n{k} = t >= 1"
@@ -578,12 +582,12 @@ class TestDecidedOperator:
 class TestEarlyStop:
     def test_early_stop_halts_after_decision(self):
         m = monitor_for("F[0,5] (x > 0)")
-        records = m.run(x_trace(0, 0, 1, 0, 0, 0), early_stop=True)
+        records = run(m, x_trace(0, 0, 1, 0, 0, 0), early_stop=True)
         assert [r.verdict for r in records] == [UNKNOWN, UNKNOWN, TRUE]
 
     def test_early_stop_consumes_everything_while_unknown(self):
         m = monitor_for("F[0,5] (x > 0)")
-        records = m.run(x_trace(0, 0, 0), early_stop=True)
+        records = run(m, x_trace(0, 0, 0), early_stop=True)
         assert len(records) == 3
 
 

@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 from stlobs.conformance import bool_trace, enumerate_traces, operator_formula, random_formula
 from stlobs.errors import ShortTraceError
 from stlobs.formula import Interval, Not, Or, Until, signal_atom, signals_of
-from stlobs.oracle import (
-    explicit_eval,
-    identity_check,
-    offline_eval,
-    stated_unknown_eval,
-    three_valued_eval,
-)
+from stlobs.oracle import _check_kind, explicit_eval, identity_check, offline_eval, three_valued_eval
 from stlobs.parser import parse
 from stlobs.trace import Trace
 from stlobs.trilean import FALSE, TRUE, UNKNOWN
@@ -150,6 +144,32 @@ class TestExplicitForms:
             explicit_eval("sometime", 0, 1, [[True, True]], "positive")
         with pytest.raises(ValueError):
             explicit_eval("eventually", 0, 1, [[True, True]], "maybe")
+
+
+def stated_unknown_eval(kind: str, lower: int, upper: int, operands, tau: int) -> bool:
+    """Direct evaluation of the quantified "still open" conditions.
+
+    The monitor and the oracle never compute these; both derive unknown as
+    "neither decided". The test below confirms the two characterizations
+    agree."""
+    _check_kind(kind)
+    if kind == "until":
+        row1, row2 = (list(operands[0]), list(operands[1]))
+        if tau < lower:
+            return all(row1[t] for t in range(0, tau + 1))
+        if tau < upper:
+            return all(row1[t] for t in range(0, tau + 1)) and all(
+                not row2[t] for t in range(lower, tau + 1)
+            )
+        return False
+    row = list(operands[0])
+    if tau < lower:
+        return True
+    if tau >= upper:
+        return False
+    if kind == "eventually":
+        return all(not row[t] for t in range(lower, tau + 1))
+    return all(row[t] for t in range(lower, tau + 1))
 
 
 class TestStatedUnknown:

@@ -1,24 +1,10 @@
-"""Three-valued connectives and the two-flag verdict encoding."""
+"""Three-valued connectives."""
 
 import itertools
 
 import pytest
 
-from stlobs.errors import FlagConflictError
-from stlobs.trilean import (
-    FALSE,
-    TRUE,
-    UNKNOWN,
-    FlagPair,
-    Trilean,
-    and3,
-    from_flags,
-    implies3,
-    not3,
-    or3,
-    to_flags,
-    verdict_from_bools,
-)
+from stlobs.trilean import FALSE, TRUE, UNKNOWN, Trilean, and3, implies3, not3, or3
 
 T, F, U = TRUE, FALSE, UNKNOWN
 VALUES = (T, F, U)
@@ -106,26 +92,6 @@ def test_implies_matches_definition():
 def test_str_values():
     assert str(T) == "T" and str(F) == "F" and str(U) == "U"
     assert [v.value for v in (T, F, U)] == ["T", "F", "U"]
-
-
-def test_flag_roundtrip():
-    for value in VALUES:
-        assert from_flags(to_flags(value)) is value
-    for flags in (FlagPair(False, False), FlagPair(True, False), FlagPair(False, True)):
-        assert to_flags(from_flags(flags)) == flags
-
-
-def test_verdict_from_bools():
-    assert verdict_from_bools(True, False) is T
-    assert verdict_from_bools(False, True) is F
-    assert verdict_from_bools(False, False) is U
-
-
-def test_conflicting_flags_rejected():
-    with pytest.raises(FlagConflictError):
-        FlagPair(True, True)
-    with pytest.raises(FlagConflictError):
-        verdict_from_bools(True, True)
 
 
 def test_trilean_is_exactly_three_values():
