@@ -72,16 +72,6 @@ def _step_error(formula: str, trace: Trace, tick: int, error: Exception) -> Fail
     return Failure("step-error", formula, trace.samples, tick, repr(error), "a verdict record")
 
 
-class _StepError(Exception):
-    """A network of `formula` raised `error` at `tick` of the boolean operand
-    trace `rows`; `failure` replays it."""
-
-    def __init__(self, formula: Formula, rows: Sequence[Sequence[bool]], tick: int, error: Exception):
-        super().__init__(repr(error))
-        trace = bool_trace(rows, len(rows[0]))
-        self.failure = _step_error(render(formula), trace, tick, error)
-
-
 @dataclass
 class ConformanceReport:
     cases: int
@@ -159,6 +149,21 @@ def bool_trace(rows: Sequence[Sequence[bool]], num_atoms: int) -> Trace:
     )
 
 
+def _prefix_oracle(f: Formula, num_atoms: int) -> Callable[[tuple, int], Trilean]:
+    """`verdict(rows, k)`: the three-valued oracle's verdict of `f` at tick k
+    of the boolean operand rows. A verdict at tick k reads no later tick, so
+    the oracle gets only rows[:k + 1], once per distinct such prefix."""
+    verdicts: dict[tuple, Trilean] = {}
+
+    def verdict(rows: tuple, k: int) -> Trilean:
+        prefix = rows[: k + 1]
+        if prefix not in verdicts:
+            verdicts[prefix] = three_valued_eval(f, bool_trace(prefix, num_atoms), k)
+        return verdicts[prefix]
+
+    return verdict
+
+
 def differential_sweep(
     kinds: Sequence[str] = OPERATOR_KINDS,
     max_upper: int = 4,
@@ -181,6 +186,7 @@ def differential_sweep(
             for upper in range(lower + 1, max_upper + 1):
                 f = operator_formula(kind, lower, upper)
                 rendered = render(f)
+                oracle = _prefix_oracle(f, num_atoms)
                 length = upper + 3
                 for rows in enumerate_traces(num_atoms, length, cap=cap):
                     trace = bool_trace(rows, num_atoms)
@@ -194,7 +200,7 @@ def differential_sweep(
                         except Exception as exc:
                             failures.append(_step_error(rendered, trace, k, exc))
                             break
-                        want = three_valued_eval(f, trace, k)
+                        want = oracle(rows, k)
                         if got is not want:
                             failures.append(
                                 Failure("verdict-mismatch", rendered, trace.samples, k, str(got), str(want))
@@ -242,10 +248,11 @@ def _network_factory(f: Formula) -> Callable[[], Callable]:
     return lambda: make(*bounds)
 
 
-def check_induction_base(kind: str, lower: int, polarity: str) -> bool:
+def check_induction_base(kind: str, lower: int, polarity: str) -> Failure | None:
     """The polarity's flag of the operator over [lower, lower+1] equals the
     unrolled form over that window at every tick from lower + 1 on, over all
-    boolean operand traces. A step that raises raises `_StepError`."""
+    boolean operand traces. Returns the `induction-base` failure, or the
+    `step-error` failure of a step that raises, or None."""
     num_atoms = 2 if kind == "until" else 1
     flag = _FLAGS[polarity]
     formula = operator_formula(kind, lower, lower + 1)
@@ -257,21 +264,26 @@ def check_induction_base(kind: str, lower: int, polarity: str) -> bool:
             try:
                 got = network(_ROW_SAMPLES[row]).verdict is flag
             except Exception as exc:
-                raise _StepError(formula, rows, k, exc) from exc
+                return _step_error(render(formula), bool_trace(rows, num_atoms), k, exc)
             if k >= lower + 1 and got != want:
-                return False
-    return True
+                return Failure(
+                    "induction-base",
+                    f"{kind}/{polarity} window [{lower},{lower + 1}]",
+                    (),
+                    lower + 1,
+                    "operator",
+                    "unrolled form",
+                )
+    return None
 
 
-def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bool:
+def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> Failure | None:
     """The polarity's flag of the operator over [lower, upper+1] equals that
     flag of the operator over [lower, upper] joined with the unrolled form
-    over the new tick upper + 1 alone, from tick upper + 1 on.
-
-    For Until the wide flag is also cross-checked against the three-valued
-    oracle at tick upper + 1, which reads only the ticks up to upper + 1: it
-    is evaluated once per such prefix, and compared for every trace. A step
-    that raises raises `_StepError`.
+    over the new tick upper + 1 alone, from tick upper + 1 on. For Until the
+    wide flag is also cross-checked against the three-valued oracle at tick
+    upper + 1. Returns the `induction-step` failure, or the `step-error`
+    failure of a step that raises, or None.
     """
     num_atoms = 2 if kind == "until" else 1
     wide_formula = operator_formula(kind, lower, upper + 1)
@@ -280,7 +292,7 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bo
     widens = (kind, polarity) in _WIDENING
     fresh_wide = _network_factory(wide_formula)
     fresh_narrow = _network_factory(narrow_formula)
-    oracle_verdicts: dict[tuple, Trilean] = {}
+    oracle = _prefix_oracle(wide_formula, num_atoms)
     for rows in enumerate_traces(num_atoms, upper + 3):
         new_tick = explicit_eval(kind, upper + 1, upper + 1, list(zip(*rows)), polarity)
         wide, narrow = fresh_wide(), fresh_narrow()
@@ -289,75 +301,44 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> bo
             try:
                 got = wide(sample).verdict is flag
             except Exception as exc:
-                raise _StepError(wide_formula, rows, k, exc) from exc
+                return _step_error(render(wide_formula), bool_trace(rows, num_atoms), k, exc)
             try:
                 was = narrow(sample).verdict is flag
             except Exception as exc:
-                raise _StepError(narrow_formula, rows, k, exc) from exc
+                return _step_error(render(narrow_formula), bool_trace(rows, num_atoms), k, exc)
             if k < upper + 1:
                 continue
-            if got != ((was or new_tick) if widens else (was and new_tick)):
-                return False
-            if kind == "until" and k == upper + 1:
-                prefix = rows[: k + 1]
-                if prefix not in oracle_verdicts:
-                    oracle_verdicts[prefix] = three_valued_eval(
-                        wide_formula, bool_trace(prefix, num_atoms), k
-                    )
-                if got != (oracle_verdicts[prefix] is flag):
-                    return False
-    return True
+            if got != ((was or new_tick) if widens else (was and new_tick)) or (
+                kind == "until" and k == upper + 1 and got != (oracle(rows, k) is flag)
+            ):
+                return Failure(
+                    "induction-step",
+                    f"{kind}/{polarity} window [{lower},{upper}] -> [{lower},{upper + 1}]",
+                    (),
+                    upper + 1,
+                    "operator",
+                    "combination",
+                )
+    return None
 
 
 def induction_suite(
     kinds: Sequence[str] = OPERATOR_KINDS, max_lower: int = 4, max_upper: int = 4
 ) -> ConformanceReport:
     """Base cases for lower in [0, max_lower] and step cases for all
-    0 <= lower < upper <= max_upper, over all kinds and polarities. A case
-    whose network raises is a `step-error` failure."""
+    0 <= lower < upper <= max_upper, over all kinds and polarities."""
     start = time.perf_counter()
-    failures: list[Failure] = []
-    cases = 0
-
-    def holds(check, *args) -> bool:
-        """`check(*args)`, or True after recording the step error it raised."""
-        try:
-            return check(*args)
-        except _StepError as error:
-            failures.append(error.failure)
-            return True
-
+    results: list[Failure | None] = []
     for kind in kinds:
         for polarity in POLARITIES:
-            for lower in range(0, max_lower + 1):
-                cases += 1
-                if not holds(check_induction_base, kind, lower, polarity):
-                    failures.append(
-                        Failure(
-                            "induction-base",
-                            f"{kind}/{polarity} window [{lower},{lower + 1}]",
-                            (),
-                            lower + 1,
-                            "operator",
-                            "unrolled form",
-                        )
-                    )
-            for lower in range(0, max_upper):
-                for upper in range(lower + 1, max_upper + 1):
-                    cases += 1
-                    if not holds(check_induction_step, kind, lower, upper, polarity):
-                        failures.append(
-                            Failure(
-                                "induction-step",
-                                f"{kind}/{polarity} window [{lower},{upper}] -> "
-                                f"[{lower},{upper + 1}]",
-                                (),
-                                upper + 1,
-                                "operator",
-                                "combination",
-                            )
-                        )
-    return ConformanceReport(cases, failures, time.perf_counter() - start)
+            results += [check_induction_base(kind, lower, polarity) for lower in range(max_lower + 1)]
+            results += [
+                check_induction_step(kind, lower, upper, polarity)
+                for lower in range(max_upper)
+                for upper in range(lower + 1, max_upper + 1)
+            ]
+    failures = [failure for failure in results if failure is not None]
+    return ConformanceReport(len(results), failures, time.perf_counter() - start)
 
 
 # Randomized property suite.

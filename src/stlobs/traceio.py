@@ -165,34 +165,33 @@ def stream_csv(
     Blank lines before the header are skipped with a warning, as blank rows
     are."""
     lines = iter(stream)
-    header_line = 0
+    skipped = 0
     for first in lines:
-        header_line += 1
         if first.strip():
             break
-        logger.warning("skipping blank line %d", header_line)
+        skipped += 1
+        logger.warning("skipping blank line %d", skipped)
     else:
         raise TraceFormatError("empty trace: missing header row")
-    # The header is read from its own reader, which takes from `lines` only
-    # the lines of the header record; the rows' reader reads `lines` itself.
-    # A reader's `line_num` counts the lines it has taken, so a `csv.Error`
+    # One reader takes the header record and then every row. Its `line_num`
+    # counts the lines it has taken, so after the skipped ones, every message
+    # names the last line of the record just read, or the line a `csv.Error`
     # (a field over the size limit, a NUL before Python 3.11, a line break
-    # inside a line of a source split only at "\n") names the line it met.
-    header_reader = csv.reader(itertools.chain((first,), lines))
+    # inside a line of a source split only at "\n") met, also after a quoted
+    # field that spans lines.
+    reader = csv.reader(itertools.chain((first,), lines))
     try:
-        header = next(header_reader)
+        header = next(reader)
     except csv.Error as exc:
-        raise TraceFormatError(f"line {header_line - 1 + header_reader.line_num}: {exc}") from None
-    before_rows = header_line - 1 + header_reader.line_num
-    signals = _check_signals(tuple(name.strip() for name in header), f"line {header_line}")
-    reader = csv.reader(lines)
+        raise TraceFormatError(f"line {skipped + reader.line_num}: {exc}") from None
+    signals = _check_signals(tuple(name.strip() for name in header), f"line {skipped + reader.line_num}")
 
     convert = _row_converter(signals)
 
     def rows() -> Iterator[dict[str, float]]:
         width = len(signals)
         try:
-            for lineno, raw in enumerate(reader, start=header_line + 1):
+            for raw in reader:
                 try:
                     sample = convert(raw)
                 except ValueError:
@@ -201,6 +200,7 @@ def stream_csv(
                     # read value by value, which finds its first bad value
                     # or accepts it (its values were finite, but their sum
                     # overflowed).
+                    lineno = skipped + reader.line_num
                     if len(raw) != width:
                         if not raw:
                             logger.warning("skipping blank line %d", lineno)
@@ -214,7 +214,7 @@ def stream_csv(
                     }
                 yield sample
         except csv.Error as exc:
-            raise TraceFormatError(f"line {before_rows + reader.line_num}: {exc}") from None
+            raise TraceFormatError(f"line {skipped + reader.line_num}: {exc}") from None
 
     return signals, rows()
 
@@ -295,7 +295,7 @@ def read_jsonl_stream(
             is_sample = _sample_test(declared)
         missing = [name for name in declared if name not in obj]
         if missing:
-            raise MissingSignalError(missing, f"line {lineno}")
+            raise MissingSignalError(missing, f"at line {lineno}")
         sample: dict[str, float] = {}
         for name in declared:
             value = obj[name]

@@ -212,6 +212,17 @@ class TestErrorExits:
         assert code == cli.EXIT_DATA
         assert "too large" in capsys.readouterr().err
 
+    def test_jsonl_missing_signal_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"x": 1, "y": 2}\n{"x": 3}\n')
+        code = cli.main(["check", "-f", "x > 0 & y > 0", "--trace", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            cli.EXIT_DATA,
+            "tick=0 verdict=T pos=1 neg=0\n",
+            "trace error: missing signal value(s) at line 2: y\n",
+        )
+
     def test_missing_file(self, tmp_path, capsys):
         code = cli.main(
             ["check", "-f", "x > 0", "--trace", str(tmp_path / "nope.csv")]
@@ -553,10 +564,14 @@ class TestDeclaredSignals:
             ("x > 0", "x,time", cli.EXIT_DATA,
              "trace error: signal list: 'time' looks like a time axis; traces are "
              "positional (row k is tick k), so every name must be a signal\n"),
+            ("x > 0", "x,", cli.EXIT_DATA, "trace error: signal list: empty signal name\n"),
+            # Every atom reads a signal, so no formula parses against an
+            # empty list: the formula error comes first.
+            ("x > 0", "", cli.EXIT_USAGE, "formula error: unknown signal 'x' (column 1)\n"),
             ("x >", "x,x", cli.EXIT_USAGE,
              "formula error: expected a number or signal name, found 'end of input' (column 4)\n"),
         ],
-        ids=["duplicate", "time-axis", "formula-error-first"],
+        ids=["duplicate", "time-axis", "empty-part", "empty-list", "formula-error-first"],
     )
     @pytest.mark.parametrize("command", ["check", "oracle"])
     @pytest.mark.parametrize("trace_format", ["csv", "jsonl"])

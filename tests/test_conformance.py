@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from stlobs import monitor
+from stlobs import conformance, monitor
 from stlobs.conformance import (
     ConformanceReport,
     Failure,
@@ -128,6 +128,22 @@ class TestDifferentialSweep:
         assert replay[0] == failure.tick
         assert replay == first_divergence(f, trace, compile_fn=sabotaged)
 
+    def test_oracle_once_per_prefix_on_the_prefix_alone(self, monkeypatch):
+        # A verdict at tick k reads no later tick: the sweep asks the oracle
+        # once per distinct prefix of the enumerated traces, and hands it
+        # only that prefix, so an oracle that read a later tick would fail.
+        calls = []
+
+        def counted(f, trace, tau):
+            calls.append((len(trace), tau))
+            return three_valued_eval(f, trace, tau)
+
+        monkeypatch.setattr(conformance, "three_valued_eval", counted)
+        report = differential_sweep(max_upper=3)
+        assert report.passed and report.cases == 15136
+        assert len(calls) == 20512
+        assert all(length == tau + 1 for length, tau in calls)
+
     def test_correct_monitor_has_no_divergence(self):
         f = operator_formula("until", 1, 3)
         trace = bool_trace(((True,) * 2, (False,) * 2, (True,) * 2, (False,) * 2), 2)
@@ -139,14 +155,14 @@ class TestInduction:
     @pytest.mark.parametrize("polarity", ["positive", "negative"])
     def test_base_case(self, kind, polarity):
         for lower in range(0, 3):
-            assert check_induction_base(kind, lower, polarity)
+            assert check_induction_base(kind, lower, polarity) is None
 
     @pytest.mark.parametrize("kind", ["eventually", "always", "until"])
     @pytest.mark.parametrize("polarity", ["positive", "negative"])
     def test_step_case(self, kind, polarity):
         for lower in range(0, 2):
             for upper in range(lower + 1, 3):
-                assert check_induction_step(kind, lower, upper, polarity)
+                assert check_induction_step(kind, lower, upper, polarity) is None
 
     def test_suite_report(self):
         report = induction_suite(kinds=("eventually",), max_lower=1, max_upper=2)

@@ -136,6 +136,30 @@ class TestReadCsv:
         with pytest.raises(TraceFormatError, match=f"^line {line}: new-line character"):
             list(stream_csv(lines)[1])
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            ["x,y\n", '"1\n', '",2\n'],  # a two-line row, line 3 its last
+            ['"x\n', '",y\n', "1,2\n"],  # a two-line header, then a row
+        ],
+        ids=["after-a-two-line-row", "after-a-two-line-header"],
+    )
+    @pytest.mark.parametrize(
+        "tail,message,warnings",
+        [
+            (["a,3\n"], "line 4, column 1: not a number: 'a'", []),
+            (["1,2,3\n"], "line 4: expected 2 values, got 3", []),
+            (["\n", "3,4\n", "b,3\n"], "line 6, column 1: not a number: 'b'", ["skipping blank line 4"]),
+        ],
+        ids=["value", "width", "blank-line"],
+    )
+    def test_row_messages_name_the_file_line(self, caplog, head, tail, message, warnings):
+        with caplog.at_level(logging.WARNING, logger="stlobs.traceio"):
+            with pytest.raises(TraceFormatError) as error:
+                list(stream_csv(head + tail)[1])
+        assert str(error.value) == message
+        assert [r.getMessage() for r in caplog.records] == warnings
+
     def test_only_blank_lines_is_an_empty_trace(self):
         with pytest.raises(TraceFormatError, match="missing header"):
             read_csv(io.StringIO("\n \n"))
@@ -444,7 +468,7 @@ def _jsonl_value_by_value(lines: list[str], signals) -> tuple[list, tuple[str, s
                 return samples, ("TraceFormatError", f"line {lineno}: no signal names")
         missing = [name for name in declared if name not in obj]
         if missing:
-            return samples, ("MissingSignalError", str(MissingSignalError(missing, f"line {lineno}")))
+            return samples, ("MissingSignalError", str(MissingSignalError(missing, f"at line {lineno}")))
         sample = {}
         for name in declared:
             value = obj[name]
