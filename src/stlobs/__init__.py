@@ -43,14 +43,14 @@ from .formula import (
     validate,
 )
 from .parser import parse
-from .trace import Trace
 from .monitor import Monitor, VerdictRecord, compile_formula
 from .traceio import VerdictWriter
 
-# `check` loads only the modules above. The oracle, the conformance checks
-# and the Lustre emitter, with what they import, load on first use of one
-# of their names (PEP 562).
+# `check` loads only the modules above. The recorded `Trace`, the oracle,
+# the conformance checks and the Lustre emitter, with what they import, load
+# on first use of one of their names (PEP 562).
 _LAZY = {
+    "Trace": "trace",
     "identity_check": "oracle",
     "offline_eval": "oracle",
     "three_valued_eval": "oracle",
@@ -72,12 +72,13 @@ _LAZY_MODULES = frozenset(_LAZY.values())
 
 
 def __getattr__(name: str):
+    # `from stlobs import cli` asks here before it imports the submodule.
+    if name not in _LAZY and name not in _LAZY_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
     if name in _LAZY_MODULES:
         return import_module(f"{__name__}.{name}")
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     globals()[name] = value
     return value

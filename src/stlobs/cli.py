@@ -18,21 +18,17 @@ from __future__ import annotations
 import argparse
 import io
 import itertools
-import json
-import logging
 import os
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from math import isfinite
-from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from . import __version__
-from .errors import FormulaError, MissingSignalError, StlObsError, TraceError
+from . import __version__, traceio
+from .errors import FormulaError, MissingSignalError, StlObsError, TraceError, TraceFormatError
 from .formula import Formula, signals_of
 from .monitor import VerdictRecord, compile_formula
 from .parser import parse
-from .trace import Trace
 from .traceio import (
     TRACE_FORMATS,
     VERDICT_FORMATS,
@@ -209,7 +205,8 @@ def _load_formula_text(args) -> str:
         return args.formula
     # A byte that is not utf-8 reads as a lone surrogate, as in a trace
     # file, and the parser rejects it as it does the same text given by -f.
-    return Path(args.formula_file).read_text(encoding="utf-8", errors="surrogateescape")
+    with open(args.formula_file, encoding="utf-8", errors="surrogateescape") as file:
+        return file.read()
 
 
 def _trace_source(args) -> str | Iterable[str]:
@@ -240,7 +237,7 @@ def _verdict_exit(last: Trilean | None) -> int:
 HELD_BYTES = 1024
 
 
-def _held_stdout(source: object) -> BinaryIO | None:
+def _held_stdout(source: object) -> io.BufferedWriter | None:
     """A binary stream on stdout's descriptor that holds up to HELD_BYTES,
     when `check` may hold its output: its reads of `source` are hooked to
     flush the stream first (`hooks_reads`), and stdout is the interpreter's
@@ -277,12 +274,16 @@ def _read_front(
     then parse the formula against the signals found there or declared:
     the formula, the trace's signal names and an iterator of its samples,
     none of them read yet beyond the first JSONL object. A declared list
-    obeys the name rule of a header, in either format, checked once the
-    formula has parsed."""
+    obeys the name rule of a header, in either format: an empty name is
+    refused before anything is read, the rest is checked once the formula
+    has parsed. (Against a list of empty names no formula parses, and its
+    unknown-signal error would hide the list's.)"""
+    declared = args.signals
+    if declared is not None and "" in declared:
+        raise TraceFormatError("signal list: empty signal name")
     fmt = args.trace_format
     if fmt == "auto":
         fmt, lines = sniff_lines(lines)
-    declared = args.signals
     if fmt == "csv":
         names, samples = stream_csv(lines)
         parse_signals = declared if declared is not None else names
@@ -324,6 +325,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from .oracle import three_valued_eval
+    from .trace import Trace
 
     formula_text = _load_formula_text(args)
     with opened(_trace_source(args)) as lines:
@@ -345,6 +347,8 @@ def _cmd_selfcheck(args) -> int:
     induction = induction_suite(max_lower=args.max_b, max_upper=args.max_b)
     properties = property_suite(args.seed, args.cases)
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -391,8 +395,17 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _log_to_stderr() -> None:
+    """Print warnings to stderr as `LEVEL: message`, unless logging is set
+    up already. Run before the first warning, so a check that logs none
+    does not load `logging`."""
+    import logging
+
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    traceio.before_first_warning = _log_to_stderr
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

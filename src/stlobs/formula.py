@@ -8,16 +8,16 @@ boolean combinations of linear predicates over signals. Boolean combinations
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator, Mapping
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Union
 
 from ._record import record
 
 COMPARATORS = (">", ">=", "<", "<=", "=", "!=")
 
-Rational = Union[int, Fraction, str]
+Rational = int | Fraction | str
 
 # Sums and products of finite decimals never round at the largest precision
 # and exponent range; Inexact is trapped so that a rounding could not pass

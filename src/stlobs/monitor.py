@@ -37,10 +37,10 @@ read from the network's closure.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable, Mapping
 from functools import lru_cache, partial
 from math import isfinite
-from typing import Callable, Mapping, NamedTuple
 
 from .errors import FlagConflictError, InvalidFormulaError, MissingSignalError
 from .formula import (
@@ -62,16 +62,13 @@ from .formula import (
     walk,
     with_windows,
 )
-from .trilean import FALSE, TRUE, UNKNOWN, Trilean
+from .trilean import FALSE, TRUE, UNKNOWN
 
 Predicate = Callable[[Mapping[str, float]], bool]
 
 
-class VerdictRecord(NamedTuple):
-    """Monitor output for one tick."""
-
-    tick: int
-    verdict: Trilean
+VerdictRecord = namedtuple("VerdictRecord", ("tick", "verdict"))
+VerdictRecord.__doc__ = "Monitor output for one tick: `tick`, an int, and its `verdict`, a `Trilean`."
 
 
 # Builds a record without the keyword handling of `VerdictRecord.__new__`.

@@ -26,8 +26,8 @@ expressions inside atoms are written without parentheses.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from ._record import record
 from .errors import (

@@ -10,6 +10,9 @@ rejected, so nobody mistakes a value column for a time axis.
 `stream_csv` and `read_jsonl_stream` their samples; `VerdictWriter` writes
 one verdict line per record. The command line's `_read_front` is what
 chooses a reader and a trace's signal names.
+
+A CSV check loads neither `json` nor `logging`: `json` loads at the first
+JSONL line, `logging` at the first warning (`_warn_blank`).
 """
 
 from __future__ import annotations
@@ -17,20 +20,16 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
-import logging
 import math
+import os
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from math import isfinite
-from pathlib import Path
-from typing import IO, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .errors import MissingSignalError, TraceFormatError
 from .monitor import VerdictRecord
 from .trilean import FALSE, TRUE, UNKNOWN
-
-logger = logging.getLogger(__name__)
 
 TIMESTAMP_NAMES = frozenset({"time", "timestamp", "tick"})
 VERDICT_FORMATS = ("text", "csv", "jsonl")
@@ -39,7 +38,7 @@ TRACE_FORMATS = ("csv", "jsonl")
 
 @contextmanager
 def opened(
-    source: str | Path | Iterable[str], before_read: Callable[[], object] | None = None
+    source: str | os.PathLike | Iterable[str], before_read: Callable[[], object] | None = None
 ) -> Iterator[Iterable[str]]:
     """The lines of a file path or of the interpreter's stdin, opened for
     reading, or `source` itself.
@@ -59,7 +58,7 @@ def opened(
     if not hooks_reads(source):
         yield source
         return
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         file, closefd, encoding, errors = source, True, "utf-8", "surrogateescape"
     else:
         file, closefd, encoding, errors = source.fileno(), False, source.encoding, source.errors
@@ -84,7 +83,7 @@ def hooks_reads(source: object) -> bool:
     """Whether `opened(source)` reads `source` through its own stream, which
     calls `before_read` before each read: for a path, and for the
     interpreter's own stdin."""
-    return isinstance(source, (str, Path)) or (
+    return isinstance(source, (str, os.PathLike)) or (
         source is sys.__stdin__ and source is not None
     )
 
@@ -94,7 +93,7 @@ class _HookedReads(io.FileIO):
     `before_read`."""
 
     def __init__(
-        self, file: str | Path | int, before_read: Callable[[], object], closefd: bool = True
+        self, file: str | os.PathLike | int, before_read: Callable[[], object], closefd: bool = True
     ):
         super().__init__(file, "r", closefd)
         self._before_read = before_read
@@ -126,6 +125,23 @@ def _check_signals(names: tuple[str, ...], where: str) -> tuple[str, ...]:
     if len(set(names)) != len(names):
         raise TraceFormatError(f"{where}: duplicate signal name")
     return names
+
+
+# Called before the first warning that `_warn_blank` logs, then dropped:
+# the command line sets it to send warnings to stderr.
+before_first_warning: Callable[[], object] | None = None
+
+
+def _warn_blank(lineno: int) -> None:
+    """Log that blank line `lineno` is skipped, the readers' only warning.
+    `logging` loads here, after `before_first_warning` has run."""
+    global before_first_warning
+    hook, before_first_warning = before_first_warning, None
+    if hook is not None:
+        hook()
+    import logging
+
+    logging.getLogger(__name__).warning("skipping blank line %d", lineno)
 
 
 def sniff_lines(lines: Iterable[str]) -> tuple[str, Iterator[str]]:
@@ -170,7 +186,7 @@ def stream_csv(
         if first.strip():
             break
         skipped += 1
-        logger.warning("skipping blank line %d", skipped)
+        _warn_blank(skipped)
     else:
         raise TraceFormatError("empty trace: missing header row")
     # One reader takes the header record and then every row. Its `line_num`
@@ -203,7 +219,7 @@ def stream_csv(
                     lineno = skipped + reader.line_num
                     if len(raw) != width:
                         if not raw:
-                            logger.warning("skipping blank line %d", lineno)
+                            _warn_blank(lineno)
                             continue
                         raise TraceFormatError(
                             f"line {lineno}: expected {width} values, got {len(raw)}"
@@ -267,7 +283,7 @@ def read_jsonl_stream(
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
-            logger.warning("skipping blank line %d", lineno)
+            _warn_blank(lineno)
             continue
         # The stripped line has no whitespace to skip at either end, so a
         # scan that ends at its end read what `json.loads` reads; a scan
@@ -282,6 +298,8 @@ def read_jsonl_stream(
                 yield obj
                 continue
         else:  # not one JSON value: `json.loads` raises the line's error
+            import json
+
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -319,8 +337,15 @@ def read_jsonl_stream(
         raise TraceFormatError("empty trace: no samples")
 
 
-# The scanner `json.JSONDecoder.raw_decode` calls: one value from an index.
-_scan_once = json.JSONDecoder().scan_once
+def _scan_once(string: str, index: int) -> tuple[object, int]:
+    """The scanner `json.JSONDecoder.raw_decode` calls: one value from an
+    index. This first call loads `json` and puts its scanner in this
+    function's place, where each later line finds it."""
+    global _scan_once
+    from json import JSONDecoder
+
+    _scan_once = JSONDecoder().scan_once
+    return _scan_once(string, index)
 
 
 def _sample_test(signals: tuple[str, ...]) -> Callable[[object], bool]:
@@ -364,7 +389,7 @@ class VerdictWriter:
     `write` takes every byte) gets the line's ASCII bytes and no flush: when
     they go out is left to the stream's owner."""
 
-    def __init__(self, stream: IO[str] | BinaryIO, fmt: str = "text"):
+    def __init__(self, stream: io.TextIOBase | io.BufferedIOBase, fmt: str = "text"):
         if fmt not in VERDICT_FORMATS:
             raise ValueError(f"unknown verdict format {fmt!r}")
         self._lines = _LINES[fmt]

@@ -552,8 +552,9 @@ class TestOracle:
 
 class TestDeclaredSignals:
     """A declared signal list obeys the name rule of a CSV header in either
-    trace format: checked once the formula has parsed, before the first
-    row, with the same message from `check` and `oracle`."""
+    trace format, with the same message from `check` and `oracle`: an empty
+    name is refused before the formula parses, the rest of the rule is
+    checked once it has parsed, and all of it before the first row."""
 
     TRACES = {"csv": "x\n1\n", "jsonl": '{"x": 1}\n'}
 
@@ -565,13 +566,18 @@ class TestDeclaredSignals:
              "trace error: signal list: 'time' looks like a time axis; traces are "
              "positional (row k is tick k), so every name must be a signal\n"),
             ("x > 0", "x,", cli.EXIT_DATA, "trace error: signal list: empty signal name\n"),
-            # Every atom reads a signal, so no formula parses against an
-            # empty list: the formula error comes first.
-            ("x > 0", "", cli.EXIT_USAGE, "formula error: unknown signal 'x' (column 1)\n"),
+            # No formula parses against a list of empty names, and the
+            # formula's unknown-signal error would hide the list's.
+            ("x > 0", "", cli.EXIT_DATA, "trace error: signal list: empty signal name\n"),
+            ("x > 0", ",", cli.EXIT_DATA, "trace error: signal list: empty signal name\n"),
+            ("x >", "x,", cli.EXIT_DATA, "trace error: signal list: empty signal name\n"),
             ("x >", "x,x", cli.EXIT_USAGE,
              "formula error: expected a number or signal name, found 'end of input' (column 4)\n"),
         ],
-        ids=["duplicate", "time-axis", "empty-part", "empty-list", "formula-error-first"],
+        ids=[
+            "duplicate", "time-axis", "empty-part", "empty-list", "two-empty-parts",
+            "empty-name-before-formula-error", "formula-error-first",
+        ],
     )
     @pytest.mark.parametrize("command", ["check", "oracle"])
     @pytest.mark.parametrize("trace_format", ["csv", "jsonl"])
@@ -583,6 +589,56 @@ class TestDeclaredSignals:
         code = cli.main([command, "-f", formula, "--signals", signals, "--trace", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (exit_code, "", err)
+
+
+class TestBlankLineWarnings:
+    """A skipped blank line is one `WARNING: skipping blank line N` line on
+    stderr, from `check` and `oracle`, on a path and on stdin, though
+    `logging` loads only at the first warning; the verdicts and the exit
+    code are those of the trace without the blank lines."""
+
+    TRACES = {
+        "blank-rows.csv": ("x\n1\n\n2\n\n", [3, 5]),
+        "blank-head.csv": ("\n\nx\n1\n2\n", [1, 2]),
+        "blank-line.jsonl": ('{"x": 1}\n\n{"x": 2}\n', [2]),
+    }
+    OUT = "tick=0 verdict=T pos=1 neg=0\ntick=1 verdict=T pos=1 neg=0\n"
+
+    @staticmethod
+    def warnings(lines: list[int]) -> str:
+        return "".join(f"WARNING: skipping blank line {n}\n" for n in lines)
+
+    @pytest.mark.parametrize("name", TRACES)
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_each_blank_line_is_one_warning(self, tmp_path, name, command, source):
+        text, lines = self.TRACES[name]
+        path = tmp_path / name
+        path.write_text(text)
+        trace, stdin = (str(path), b"") if source == "path" else ("-", text.encode())
+        proc = spawn_cli(command, "-f", "x > 0", "--trace", trace)
+        out, err = proc.communicate(stdin, timeout=60)
+        assert (proc.returncode, out.decode(), err.decode()) == (cli.EXIT_TRUE, self.OUT, self.warnings(lines))
+
+    def test_calls_in_one_process_print_each_warning_once(self, tmp_path):
+        paths, expected = [], ""
+        for name, (text, lines) in self.TRACES.items():
+            (tmp_path / name).write_text(text)
+            for command in ("check", "oracle"):
+                paths += [command, str(tmp_path / name)]
+                expected += self.warnings(lines)
+        code = (
+            "import sys\n"
+            "from stlobs import cli\n"
+            "args = sys.argv[1:]\n"
+            "for command, path in zip(args[::2], args[1::2]):\n"
+            "    assert cli.main([command, '-f', 'x > 0', '--trace', path]) == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(stlobs.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *paths], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, self.OUT * len(paths[::2]), expected)
 
 
 class TestFormulaFile:
@@ -683,32 +739,60 @@ class TestSameBytesFromFileAndStdin:
 
 
 class TestImports:
-    """`check` loads only the monitoring path; the oracle, conformance and
-    Lustre modules, and `dataclasses` with `inspect`, load on first use."""
+    """`check` loads only what a check runs: the oracle, conformance and
+    Lustre modules, `dataclasses` with `inspect`, `Trace`, `typing` and
+    `pathlib` load on first use, `json` at the first JSONL line and
+    `logging` at the first warning."""
 
     DEFERRED = ("dataclasses", "inspect", "stlobs.conformance", "stlobs.lustregen", "stlobs.oracle")
+    UNUSED_BY_CSV = ("json", "logging", "pathlib", "typing", "stlobs.trace", *DEFERRED)
 
     def loaded_by(self, statement: str) -> set[str]:
         """Modules that `statement` loads in a fresh interpreter beyond those
         its standard-library imports load there anyway (the set varies
-        between Python versions)."""
+        between Python versions). `-S` keeps site hooks from loading any
+        module before the statement runs."""
         code = (
             "import sys\n"
-            "import argparse, csv, decimal, fractions, json, logging\n"
+            "import argparse, csv, decimal, fractions\n"
             "before = set(sys.modules)\n"
             f"{statement}\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(stlobs.__file__).resolve().parent.parent))
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
         )
-        return set(proc.stdout.split())
+        return set(proc.stdout.splitlines()[-1].split())
+
+    def loaded_by_check(self, tmp_path, name: str, text: str) -> set[str]:
+        """Modules that a whole `check` of the trace `text`, named `name`,
+        loads, as `loaded_by` counts them."""
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["check", "-f", "x > 0", "--trace", str(path)]
+        return self.loaded_by(f"import stlobs.cli; assert stlobs.cli.main({argv!r}) == 0")
 
     def test_cli_import_defers_the_other_subcommands(self):
         loaded = self.loaded_by("import stlobs.cli")
         assert "stlobs.monitor" in loaded
-        assert loaded.isdisjoint(self.DEFERRED)
+        assert loaded.isdisjoint(self.UNUSED_BY_CSV)
+
+    def test_csv_check_loads_only_what_it_runs(self, tmp_path):
+        loaded = self.loaded_by_check(tmp_path, "trace.csv", "x,y\n1,2\n3,4\n")
+        assert {"stlobs.monitor", "stlobs.traceio"} <= loaded
+        assert loaded.isdisjoint(self.UNUSED_BY_CSV)
+
+    def test_jsonl_check_loads_json(self, tmp_path):
+        loaded = self.loaded_by_check(tmp_path, "trace.jsonl", '{"x": 1}\n{"x": 2}\n')
+        assert "json" in loaded
+        assert loaded.isdisjoint({"logging", "pathlib", "typing", "stlobs.trace", *self.DEFERRED})
+
+    @pytest.mark.parametrize(
+        "name,text", [("trace.csv", "x\n1\n\n2\n"), ("trace.jsonl", '{"x": 1}\n\n{"x": 2}\n')]
+    )
+    def test_a_blank_line_loads_logging(self, tmp_path, name, text):
+        assert "logging" in self.loaded_by_check(tmp_path, name, text)
 
     def test_first_use_of_a_lazy_name_loads_its_module(self):
         loaded = self.loaded_by("import stlobs; stlobs.three_valued_eval")
@@ -716,8 +800,9 @@ class TestImports:
         assert loaded.isdisjoint({"stlobs.conformance", "stlobs.lustregen"})
 
     def test_lazy_names_resolve(self):
-        from stlobs import conformance, lustregen, oracle
+        from stlobs import conformance, lustregen, oracle, trace
 
+        assert stlobs.Trace is trace.Trace
         assert stlobs.differential_sweep is conformance.differential_sweep
         assert stlobs.emit_units is lustregen.emit_units
         assert stlobs.three_valued_eval is oracle.three_valued_eval
