@@ -210,6 +210,8 @@ def _load_formula_text(args) -> str:
 
 
 def _trace_source(args) -> str | Iterable[str]:
+    if args.trace == "-" and sys.stdin is None:  # started with stdin closed
+        raise OSError("stdin is not open")
     return sys.stdin if args.trace == "-" else args.trace
 
 
@@ -343,28 +345,19 @@ def _cmd_oracle(args) -> int:
 def _cmd_selfcheck(args) -> int:
     from .conformance import differential_sweep, induction_suite, property_suite
 
-    sweep = differential_sweep(max_upper=args.max_b)
-    induction = induction_suite(max_lower=args.max_b, max_upper=args.max_b)
-    properties = property_suite(args.seed, args.cases)
+    reports = {
+        "sweep": differential_sweep(max_upper=args.max_b),
+        "induction": induction_suite(max_lower=args.max_b, max_upper=args.max_b),
+        "properties": property_suite(args.seed, args.cases),
+    }
     if args.json:
         import json
 
-        print(
-            json.dumps(
-                {
-                    "sweep": sweep.to_dict(),
-                    "induction": induction.to_dict(),
-                    "properties": properties.to_dict(),
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({name: report.to_dict() for name, report in reports.items()}, indent=2))
     else:
-        print(f"differential sweep: {sweep.to_text()}")
-        print(f"induction checks:   {induction.to_text()}")
-        print(f"property suite:     {properties.to_text()}")
-    passed = sweep.passed and induction.passed and properties.passed
-    return EXIT_TRUE if passed else EXIT_FALSE
+        for label, report in zip(("differential sweep:", "induction checks:  ", "property suite:    "), reports.values()):
+            print(label, report.to_text())
+    return EXIT_TRUE if all(report.passed for report in reports.values()) else EXIT_FALSE
 
 
 def _cmd_emit_lustre(args) -> int:

@@ -13,7 +13,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -35,7 +35,7 @@ from .formula import (
     signals_of,
     with_windows,
 )
-from .monitor import Monitor, _network_code, compile_formula
+from .monitor import Monitor, compile_formula
 from .oracle import OPERATOR_KINDS, POLARITIES, explicit_eval, offline_eval, three_valued_eval
 from .trace import Trace
 from .trilean import FALSE, TRUE, UNKNOWN, Trilean
@@ -57,14 +57,7 @@ class Failure:
     oracle_verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "formula": self.formula,
-            "trace": [list(row) for row in self.trace],
-            "tick": self.tick,
-            "monitor_verdict": self.monitor_verdict,
-            "oracle_verdict": self.oracle_verdict,
-        }
+        return dict(vars(self), trace=[list(row) for row in self.trace])
 
 
 def _step_error(formula: str, trace: Trace, tick: int, error: Exception) -> Failure:
@@ -83,11 +76,7 @@ class ConformanceReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "cases": self.cases,
-            "failures": [f.to_dict() for f in self.failures],
-            "wall_time_s": self.wall_time_s,
-        }
+        return dict(vars(self), failures=[f.to_dict() for f in self.failures])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -117,13 +106,18 @@ def enumerate_traces(
     Deterministic order. Refuses (before yielding anything) when the count
     (2**num_atoms)**length would exceed `cap`.
     """
+    return itertools.product(_rows(num_atoms, length, cap), repeat=length)
+
+
+def _rows(num_atoms: int, length: int, cap: int) -> tuple[tuple[bool, ...], ...]:
+    """The boolean rows of `num_atoms` atoms, in enumeration order; raises
+    `EnumerationCapError` when the traces of `length` such rows exceed `cap`."""
     total = (2**num_atoms) ** length
     if total > cap:
         raise EnumerationCapError(
             f"{total} traces for {num_atoms} atoms x {length} ticks exceeds cap {cap}"
         )
-    ticks = list(itertools.product((False, True), repeat=num_atoms))
-    return itertools.product(ticks, repeat=length)
+    return tuple(itertools.product((False, True), repeat=num_atoms))
 
 
 _SIGNALS = ("p", "q")
@@ -147,6 +141,15 @@ def bool_trace(rows: Sequence[Sequence[bool]], num_atoms: int) -> Trace:
         _SIGNALS[:num_atoms],
         tuple(tuple(1.0 if v else 0.0 for v in row) for row in rows),
     )
+
+
+# The sample of each boolean operand row, over p (and q), as the sweep and
+# the induction checks step it.
+_ROW_SAMPLES = {
+    row: dict(zip(_SIGNALS, map(float, row)))
+    for arity in (1, 2)
+    for row in itertools.product((False, True), repeat=arity)
+}
 
 
 def _prefix_oracle(f: Formula, num_atoms: int) -> Callable[[tuple, int], Trilean]:
@@ -176,6 +179,12 @@ def differential_sweep(
     every boolean operand trace of length upper + 3, the monitor verdict must
     match the three-valued oracle at every tick; at the horizon tick the
     decided verdict must additionally match the two-valued offline semantics.
+
+    A verdict at tick k reads no later tick, so each window's formula is
+    compiled once and its traces' prefixes walked as a tree: a prefix is one
+    step of a fork of its parent's monitor and one oracle call on it. A
+    prefix that fails is one failure, with the first full trace under it;
+    each full trace checked or under a failure is one case.
     """
     start = time.perf_counter()
     failures: list[Failure] = []
@@ -185,42 +194,50 @@ def differential_sweep(
         for lower in range(0, max_upper):
             for upper in range(lower + 1, max_upper + 1):
                 f = operator_formula(kind, lower, upper)
-                rendered = render(f)
-                oracle = _prefix_oracle(f, num_atoms)
                 length = upper + 3
-                for rows in enumerate_traces(num_atoms, length, cap=cap):
-                    trace = bool_trace(rows, num_atoms)
-                    cases += 1
-                    monitor = compile_fn(f)
-                    for k in range(length):
-                        try:
-                            got = monitor.step(trace.sample(k)).verdict
-                        except FlagConflictError:
-                            got = "conflict"
-                        except Exception as exc:
-                            failures.append(_step_error(rendered, trace, k, exc))
-                            break
-                        want = oracle(rows, k)
-                        if got is not want:
-                            failures.append(
-                                Failure("verdict-mismatch", rendered, trace.samples, k, str(got), str(want))
-                            )
-                            break
-                        if k == upper:
-                            decided = offline_eval(f, trace, 0)
-                            if (got is TRUE) != decided:
-                                failures.append(
-                                    Failure(
-                                        "horizon-offline",
-                                        rendered,
-                                        trace.samples,
-                                        k,
-                                        str(got),
-                                        "T" if decided else "F",
-                                    )
-                                )
-                                break
+                rows = _rows(num_atoms, length, cap)
+                cases += _sweep_window(f, compile_fn(f), rows, upper, length, failures)
     return ConformanceReport(cases, failures, time.perf_counter() - start)
+
+
+def _sweep_window(f: Formula, monitor: Monitor, rows: tuple, upper: int, length: int, failures: list) -> int:
+    """`differential_sweep` of `f`, its monitor at tick 0, over the traces of `length` of the
+    boolean `rows`, depth first: adds its failures to `failures` and returns its cases."""
+    rendered, num_atoms = render(f), len(rows[0])
+
+    def check(monitor: Monitor, node: tuple) -> Failure | None:
+        """Steps `monitor` on the prefix `node`'s last row; a failure carries the prefix."""
+        k = len(node) - 1
+        trace = bool_trace(node, num_atoms)
+        try:
+            got = monitor.step(_ROW_SAMPLES[node[k]]).verdict
+        except FlagConflictError:
+            got = "conflict"
+        except Exception as exc:
+            return _step_error(rendered, trace, k, exc)
+        want = three_valued_eval(f, trace, k)
+        if got is not want:
+            return Failure("verdict-mismatch", rendered, trace.samples, k, str(got), str(want))
+        if k == upper and (got is TRUE) != (decided := offline_eval(f, trace, 0)):
+            return Failure("horizon-offline", rendered, trace.samples, k, str(got), "T" if decided else "F")
+        return None
+
+    def visit(parent: Monitor, prefix: tuple) -> int:
+        """Checks each prefix one row longer than `prefix`, and the tree
+        under it unless it fails; returns the full traces under them."""
+        cases = 0
+        for row in rows:
+            node, monitor = prefix + (row,), parent.fork()
+            failure = check(monitor, node)
+            if failure is None:
+                cases += visit(monitor, node) if len(node) < length else 1
+            else:  # reported with the first full trace under the prefix
+                full = node + rows[:1] * (length - len(node))
+                failures.append(replace(failure, trace=bool_trace(full, num_atoms).samples))
+                cases += len(rows) ** (length - len(node))
+        return cases
+
+    return visit(monitor, ())
 
 
 # Induction checks: each flag of a single-operator network must agree with
@@ -231,21 +248,9 @@ def differential_sweep(
 # root's, so its positive flag is a T verdict and its negative one an F.
 
 _FLAGS = {"positive": TRUE, "negative": FALSE}
-# The sample of each boolean operand row, over p (and q).
-_ROW_SAMPLES = {
-    row: dict(zip(_SIGNALS, map(float, row)))
-    for arity in (1, 2)
-    for row in itertools.product((False, True), repeat=arity)
-}
 # The flags a wider window can only set; the step joins them with the new
 # tick's form by `or`, and the others by `and`.
 _WIDENING = {("eventually", "positive"), ("always", "negative"), ("until", "positive")}
-
-
-def _network_factory(f: Formula) -> Callable[[], Callable]:
-    """A function that builds a fresh step function `network(sample)` of `f`."""
-    make, bounds, _ = _network_code(f)
-    return lambda: make(*bounds)
 
 
 def check_induction_base(kind: str, lower: int, polarity: str) -> Failure | None:
@@ -256,13 +261,13 @@ def check_induction_base(kind: str, lower: int, polarity: str) -> Failure | None
     num_atoms = 2 if kind == "until" else 1
     flag = _FLAGS[polarity]
     formula = operator_formula(kind, lower, lower + 1)
-    fresh = _network_factory(formula)
+    at_zero = compile_formula(formula)
     for rows in enumerate_traces(num_atoms, lower + 3):
         want = explicit_eval(kind, lower, lower + 1, list(zip(*rows)), polarity)
-        network = fresh()
+        monitor = at_zero.fork()
         for k, row in enumerate(rows):
             try:
-                got = network(_ROW_SAMPLES[row]).verdict is flag
+                got = monitor.step(_ROW_SAMPLES[row]).verdict is flag
             except Exception as exc:
                 return _step_error(render(formula), bool_trace(rows, num_atoms), k, exc)
             if k >= lower + 1 and got != want:
@@ -290,20 +295,19 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> Fa
     narrow_formula = operator_formula(kind, lower, upper)
     flag = _FLAGS[polarity]
     widens = (kind, polarity) in _WIDENING
-    fresh_wide = _network_factory(wide_formula)
-    fresh_narrow = _network_factory(narrow_formula)
+    wide_at_zero, narrow_at_zero = compile_formula(wide_formula), compile_formula(narrow_formula)
     oracle = _prefix_oracle(wide_formula, num_atoms)
     for rows in enumerate_traces(num_atoms, upper + 3):
         new_tick = explicit_eval(kind, upper + 1, upper + 1, list(zip(*rows)), polarity)
-        wide, narrow = fresh_wide(), fresh_narrow()
+        wide, narrow = wide_at_zero.fork(), narrow_at_zero.fork()
         for k, row in enumerate(rows):
             sample = _ROW_SAMPLES[row]
             try:
-                got = wide(sample).verdict is flag
+                got = wide.step(sample).verdict is flag
             except Exception as exc:
                 return _step_error(render(wide_formula), bool_trace(rows, num_atoms), k, exc)
             try:
-                was = narrow(sample).verdict is flag
+                was = narrow.step(sample).verdict is flag
             except Exception as exc:
                 return _step_error(render(narrow_formula), bool_trace(rows, num_atoms), k, exc)
             if k < upper + 1:

@@ -7,9 +7,10 @@ once, in signal order; a sample that lacks one raises `MissingSignalError`
 naming every missing signal, at every tick, also once the root has decided.
 Presence is membership, so a `defaultdict` or a `Counter` lacks a signal it
 does not hold. The tick is the network's own state, next to its flags, and
-advances only when a record is returned. Each temporal operator is a few
-inline statements over two flags (pos, neg): both latch, unknown is the
-absence of both, and nothing else is kept per operator. The formulas are not
+advances only when a record is returned; the network's factory takes that
+state as arguments, and its `state()` returns it. Each temporal operator is
+a few inline statements over two flags (pos, neg): both latch, unknown is
+the absence of both, and nothing else is kept per operator. The formulas are not
 nested, so every operator is anchored at tick 0 and reads the tick as its
 clock, against its window's bounds. The function steps each operator on its
 operand, inlined as one expression, combines the pairs with the flag-pair
@@ -31,8 +32,8 @@ signal name) or of a finite `float` (a threshold, a coefficient or an error
 bound). Windows never reach it: they are the arguments of the network's
 factory, so formulas that differ only in their windows share one network
 code, and compiling a formula again only calls that factory. `Monitor` is a
-thin handle on the network: its `step` calls it, and its tick and state are
-read from the network's closure.
+thin handle on the network: its `step` calls it, its tick and state are the
+network's `state()`, and `fork()` starts a second network at that state.
 """
 
 from __future__ import annotations
@@ -199,10 +200,11 @@ def _filtered_test(
     )
 
 
-# The generated network. Leaf k, a temporal operator or an atom outside every
-# operator, keeps its flags in `pk`, `nk`, locals of `make` that start False;
-# operator k reads its window from `make`'s parameters `lk`, `uk`, the latched
-# root verdict is `make`'s local `decided` and the tick `make`'s local `t`.
+# The generated network. Operator k reads its window from `make`'s parameters
+# `lk`, `uk`. The state follows them, by default that of tick 0: the tick `t`,
+# the latched root verdict `decided`, then the flags `pk`, `nk` of leaf k, a
+# temporal operator or an atom outside every operator. `network.state()`
+# returns it in that order.
 # `network(s)` takes a sample and returns its `VerdictRecord`: every operator
 # is anchored at tick 0, so the tick is each operator's clock. It first reads
 # each of the formula's signals once, in signal order, into a local `x0`,
@@ -210,7 +212,8 @@ def _filtered_test(
 # `present`, which a missing signal also reaches from the `KeyError`. Atoms
 # are inlined over those locals; an atom over several signals reads its exact
 # test as a global `a0`, `a1`, ..., and one that more than one leaf reads
-# leaves its value in a local `vk`.
+# leaves its value in a local `vk`. A `vk` is not state: it is assigned in
+# the tick that reads it, while any leaf that reads it is open.
 
 # Each leaf's body, run only while neither of its flags is set, so each body
 # sets one flag and never clears one. `{0}` and `{1}` are the operands' source.
@@ -237,9 +240,10 @@ _OPERANDS = {And: "({l} and {r})", Or: "({l} or {r})", Implies: "(not {l} or {r}
 
 @lru_cache(maxsize=256)
 def _network_code(f: Formula) -> tuple[Callable, tuple[int, ...], tuple[str, ...]]:
-    """The factory `make(l0, u0, ...) -> network` of `f`'s step function, the
-    window bounds it is called with, and `f`'s signals. The factory is its
-    shape's; a pre-order walk meets the temporal nodes in leaf order."""
+    """The factory `make(l0, u0, ..., t=0, decided=None, p0=False, ...) ->
+    network` of `f`'s step function, the window bounds it is called with,
+    and `f`'s signals. The factory is its shape's; a pre-order walk meets
+    the temporal nodes in leaf order."""
     make, signals = _shape_code(with_windows(f, lambda window: None))
     bounds = tuple(
         bound
@@ -326,17 +330,18 @@ class _NetworkSource:
         # faster than one conditional expression or two returns.)
         lines += [f"if {pos}:", "    decided = TRUE", f"elif {neg}:", "    decided = FALSE"]
         lines += ["t += 1", "return new(VerdictRecord, (t - 1, decided or UNKNOWN))"]
-        params = ", ".join(f"l{k}, u{k}" for k in self._operators)
-        flags = [f"{flag}{k}" for k in range(self._leaves) for flag in "pn"]
+        state = ["t", "decided", *(f"{flag}{k}" for k in range(self._leaves) for flag in "pn")]
+        params = [f"l{k}, u{k}" for k in self._operators]
+        params += ["t=0", "decided=None", *(f"{name}=False" for name in state[2:])]
         body = "".join(f"        {line}\n" for line in reads + lines)
         self.text = (
-            f"def make({params}):\n"
-            "    t = 0\n"
-            "    decided = None\n"
-            f"    {' = '.join(flags)} = False\n"
+            f"def make({', '.join(params)}):\n"
             "    def network(s):\n"
-            f"        nonlocal t, decided, {', '.join(flags)}\n"
+            f"        nonlocal {', '.join(state)}\n"
             f"{body}"
+            "    def state():\n"
+            f"        return {', '.join(state)}\n"
+            "    network.state = state\n"
             "    return network\n"
         )
 
@@ -396,42 +401,37 @@ class _NetworkSource:
 
 
 class Monitor:
-    """Stepwise evaluator for one formula, anchored at tick 0."""
+    """Stepwise evaluator for one formula: the network `start(*state)`, at
+    tick 0 when `state` is empty."""
 
-    def __init__(self, formula: Formula, network: Callable, signals: tuple[str, ...]):
+    def __init__(self, formula: Formula, start: Callable, signals: tuple[str, ...], state: tuple = ()):
         self.formula = formula
         self.signals = signals
-        self._network = network
+        self._start = start
+        self._network = start(*state)
 
     @property
     def tick(self) -> int:
         """Index of the next sample to be consumed."""
-        return self.state_scalars()[0]
+        return self._network.state()[0]
 
     def step(self, sample: Mapping[str, float]) -> VerdictRecord:
         return self._network(sample)
 
     def state_scalars(self) -> tuple:
-        """The state the network rebinds, read from its closure: the tick, the
-        latched root verdict, then each leaf's flags (pos, neg) in formula
-        order. The windows are constants of the closure, not state."""
-        network = self._network
-        closure = network.__closure__
-        return tuple(closure[i].cell_contents for i in _state_slots(network.__code__.co_freevars))
+        """The state the network rebinds, as its `state()` returns it: the
+        tick, the latched root verdict, then each leaf's flags (pos, neg) in
+        formula order. The windows are constants of the network, not state."""
+        return self._network.state()
 
     def state_scalar_count(self) -> int:
         """Number of scalars the monitor keeps; constant over time and
         independent of window widths."""
-        return len(self.state_scalars())
+        return len(self._network.state())
 
-
-@lru_cache(maxsize=256)
-def _state_slots(names: tuple[str, ...]) -> tuple[int, ...]:
-    """Where a network's closure, whose names are `names`, holds the tick,
-    `decided` and each leaf's flags, in leaf order."""
-    leaves = sum(name.startswith("p") for name in names)
-    state = ("t", "decided", *(f"{flag}{k}" for k in range(leaves) for flag in "pn"))
-    return tuple(names.index(name) for name in state)
+    def fork(self) -> Monitor:
+        """A second monitor at this one's state; each steps on its own."""
+        return Monitor(self.formula, self._start, self.signals, self._network.state())
 
 
 def compile_formula(f: Formula) -> Monitor:
@@ -440,4 +440,4 @@ def compile_formula(f: Formula) -> Monitor:
     if violations:
         raise InvalidFormulaError(violations)
     make, bounds, signals = _network_code(f)
-    return Monitor(f, make(*bounds), signals)
+    return Monitor(f, partial(make, *bounds), signals)

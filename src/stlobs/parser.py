@@ -281,7 +281,10 @@ class _Parser:
 
 
 def _number(tok: _Token) -> Fraction:
-    return Fraction(tok.text.replace(" ", ""))
+    try:
+        return Fraction(tok.text.replace(" ", ""))
+    except ZeroDivisionError:
+        raise FormulaSyntaxError(f"number {tok.text} has a zero denominator", tok.column) from None
 
 
 def _find_temporal(f: Formula) -> Formula | None:

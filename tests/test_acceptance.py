@@ -94,6 +94,8 @@ def test_criterion_1_truth_tables(capsys):
 def test_criterion_2_exhaustive_operator_conformance(full_sweep, capsys):
     mismatches = [f for f in full_sweep.failures if f.check == "verdict-mismatch"]
     assert mismatches == []
+    # 3 operators x (sum over the 10 windows of 2**(b+3) traces, 4**(b+3) for U).
+    assert full_sweep.cases == 81696
     assert full_sweep.wall_time_s < 60.0
     _announce(
         capsys,

@@ -230,6 +230,29 @@ class TestErrorExits:
         assert code == cli.EXIT_NOINPUT
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    @pytest.mark.parametrize(
+        "formula,message",
+        [
+            ("x > 1/0", "number 1/0 has a zero denominator (column 5)"),
+            ("0/0*x > 1", "number 0/0 has a zero denominator (column 1)"),
+            ("G[0,1/0] x > 0", "number 1/0 has a zero denominator (column 5)"),
+        ],
+    )
+    def test_zero_denominator(self, csv_path, capsys, command, formula, message):
+        code = cli.main([command, "-f", formula, "--trace", csv_path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", f"formula error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    def test_no_stdin(self, monkeypatch, capsys, command):
+        # Started with its stdin closed (`<&-`), Python sets both to None.
+        monkeypatch.setattr(sys, "stdin", None)
+        monkeypatch.setattr(sys, "__stdin__", None)
+        code = cli.main([command, "-f", "x > 0", "--trace", "-"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_NOINPUT, "", "input error: stdin is not open\n")
+
     def test_output_closed_by_its_reader(self):
         # As `stlobs check ... | head -1`: the reader takes one verdict line
         # and closes the pipe, so the verdict of the next row cannot be

@@ -32,6 +32,7 @@ from stlobs.formula import (
     TEMPORAL_NODES,
     Until,
     horizon,
+    render,
     validate,
     walk,
 )
@@ -127,6 +128,38 @@ class TestDifferentialSweep:
         assert replay is not None
         assert replay[0] == failure.tick
         assert replay == first_divergence(f, trace, compile_fn=sabotaged)
+
+    def test_one_failure_per_failing_prefix(self):
+        # The sweep walks the traces' prefixes and stops at one that fails:
+        # it reports that prefix once, with the first full trace that
+        # extends it, where a replay of each full trace finds the same
+        # prefixes. Every full trace under them still counts as a case.
+        def sabotaged(f):
+            node = next(n for n in walk(f) if isinstance(n, TEMPORAL_NODES))
+            return compile_formula(Eventually(Interval(node.window.lower, node.window.upper + 1), node.child))
+
+        report = differential_sweep(kinds=("eventually",), max_upper=3, compile_fn=sabotaged)
+        windows = [(lower, upper) for lower in range(3) for upper in range(lower + 1, 4)]
+        assert report.cases == sum(2 ** (upper + 3) for _, upper in windows) == 272
+        replayed = set()
+        for lower, upper in windows:
+            f = operator_formula("eventually", lower, upper)
+            for rows in enumerate_traces(1, upper + 3):
+                trace = bool_trace(rows, 1)
+                divergence = first_divergence(f, trace, compile_fn=sabotaged)
+                if divergence is not None:
+                    replayed.add((render(f), trace.samples[: divergence[0] + 1]))
+        reported = [(failure.formula, failure.trace[: failure.tick + 1]) for failure in report.failures]
+        assert len(reported) == len(set(reported)) == len(replayed) > 0
+        assert set(reported) == replayed
+        for failure in report.failures:
+            assert failure.check == "verdict-mismatch"
+            assert set(failure.trace[failure.tick + 1 :]) <= {(0.0,)}
+            trace = Trace(("p",), failure.trace)
+            assert first_divergence(parse(failure.formula, ("p",)), trace, compile_fn=sabotaged)[:2] == (
+                failure.tick,
+                failure.monitor_verdict,
+            )
 
     def test_oracle_once_per_prefix_on_the_prefix_alone(self, monkeypatch):
         # A verdict at tick k reads no later tick: the sweep asks the oracle

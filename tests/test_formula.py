@@ -195,6 +195,15 @@ class TestParseErrors:
         with pytest.raises(FormulaSyntaxError):
             p("")
 
+    @pytest.mark.parametrize(
+        "text,column",
+        [("x > 1/0", 5), ("0/0*x > 1", 1), ("G[0,1/0] x > 0", 5), ("x > 2 / 0", 5)],
+    )
+    def test_zero_denominator(self, text, column):
+        with pytest.raises(FormulaSyntaxError, match="zero denominator") as info:
+            p(text)
+        assert info.value.column == column
+
 
 class TestValidate:
     def test_parser_output_is_valid(self):

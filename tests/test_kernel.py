@@ -10,7 +10,7 @@ from stlobs import monitor
 from stlobs.conformance import operator_formula
 from stlobs.errors import FlagConflictError, InvalidFormulaError
 from stlobs.formula import Always, And, Interval, Or, signal_atom
-from stlobs.monitor import Monitor, compile_formula
+from stlobs.monitor import compile_formula
 from stlobs.trilean import Trilean
 
 KINDS = ("eventually", "always", "until")
@@ -30,11 +30,10 @@ def runs(kind, lower, upper, open_root=False):
     if open_root:
         keep = Always(Interval(0, upper + 3), signal_atom("r", ">"))
         f = Or(And(f, keep), keep)
-    compile_formula(f)  # rejects a bad window
-    make, bounds, signals = monitor._network_code(f)
+    at_zero = compile_formula(f)  # rejects a bad window
 
     def start():
-        m = Monitor(f, make(*bounds), signals)
+        m = at_zero.fork()
 
         def step(*values):
             m.step({"p": float(values[0]), "q": float(values[-1]), "r": 1.0})

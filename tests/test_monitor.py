@@ -6,10 +6,10 @@ from types import MappingProxyType
 
 import pytest
 
-from stlobs import monitor
+from stlobs import conformance, monitor
 from stlobs.conformance import random_formula
 from stlobs.errors import FlagConflictError, InvalidFormulaError, MissingSignalError
-from stlobs.formula import Always, Eventually, Interval, horizon, linear_atom, signal_atom
+from stlobs.formula import Always, Eventually, Interval, horizon, linear_atom, signal_atom, signals_of
 from stlobs.monitor import Monitor, VerdictRecord, compile_formula
 from stlobs.oracle import three_valued_eval
 from stlobs.parser import parse
@@ -173,19 +173,25 @@ class TestRepeatedAtoms:
         for name in source.atoms:
             assert source.text.count(f"{name}(") == 1, source.text
 
+    @classmethod
+    def random_trace(cls, rng: random.Random) -> Trace:
+        """1 to 10 samples, each at, just off or far from both atoms'
+        boundaries."""
+        rows = []
+        for _ in range(rng.randrange(1, 11)):
+            y = rng.randrange(-600, 600) / 10
+            x = round(y + rng.choice((99.9, 100.0, 100.1, 0.0)), 1)
+            z = round(2 * x - 0.3 * y + rng.choice((-0.1, 0.3, 0.4)), 1)
+            rows.append((x, y, z))
+        return Trace(cls.SIGNALS, tuple(rows))
+
     def test_verdicts_match_the_oracle(self):
         f = parse(self.FORMULA, self.SIGNALS)
         rng = random.Random(5)
         for _ in range(150):
-            rows = []
-            for _ in range(rng.randrange(1, 11)):
-                y = rng.randrange(-600, 600) / 10
-                x = round(y + rng.choice((99.9, 100.0, 100.1, 0.0)), 1)
-                z = round(2 * x - 0.3 * y + rng.choice((-0.1, 0.3, 0.4)), 1)
-                rows.append((x, y, z))
-            trace = Trace(self.SIGNALS, tuple(rows))
+            trace = self.random_trace(rng)
             m = compile_formula(f)
-            for k in range(len(rows)):
+            for k in range(len(trace)):
                 assert m.step(trace.sample(k)).verdict is three_valued_eval(f, trace, k)
 
 
@@ -244,11 +250,10 @@ class TestNetworkText:
     # to it moves `Monitor.step` on every benchmark workload.
     # Each tick reads every signal once, in signal order, and checks the
     # sample's presence on the way, also once the root has decided.
+    # `make` takes the windows, then the state at tick 0.
     HEAD = (
-        "def make(l0, u0, l1, u1, l2, u2):\n"
-        "    t = 0\n"
-        "    decided = None\n"
-        "    p0 = n0 = p1 = n1 = p2 = n2 = False\n"
+        "def make(l0, u0, l1, u1, l2, u2, t=0, decided=None, "
+        "p0=False, n0=False, p1=False, n1=False, p2=False, n2=False):\n"
         "    def network(s):\n"
         "        nonlocal t, decided, p0, n0, p1, n1, p2, n2\n"
         "        if type(s) is not dict:\n"
@@ -270,6 +275,9 @@ class TestNetworkText:
         "            decided = FALSE\n"
         "        t += 1\n"
         "        return new(VerdictRecord, (t - 1, decided or UNKNOWN))\n"
+        "    def state():\n"
+        "        return t, decided, p0, n0, p1, n1, p2, n2\n"
+        "    network.state = state\n"
         "    return network\n"
     )
 
@@ -354,10 +362,7 @@ class TestNetworkText:
         # With no operator there is no window to take and no pair to check.
         source = monitor._NetworkSource(parse("x - y > 0 & !(x > 1)", ("x", "y")))
         assert source.text == (
-            "def make():\n"
-            "    t = 0\n"
-            "    decided = None\n"
-            "    p0 = n0 = p1 = n1 = False\n"
+            "def make(t=0, decided=None, p0=False, n0=False, p1=False, n1=False):\n"
             "    def network(s):\n"
             "        nonlocal t, decided, p0, n0, p1, n1\n"
             "        if type(s) is not dict:\n"
@@ -384,6 +389,9 @@ class TestNetworkText:
             "            decided = FALSE\n"
             "        t += 1\n"
             "        return new(VerdictRecord, (t - 1, decided or UNKNOWN))\n"
+            "    def state():\n"
+            "        return t, decided, p0, n0, p1, n1\n"
+            "    network.state = state\n"
             "    return network\n"
         )
 
@@ -623,6 +631,49 @@ class TestStateBounds:
             assert monitor_for(text).state_scalar_count() == 2 + 2
         three_ops = "G[0,9] (x > 0) & F[0,9] (y > 0) & ((x >= 0) U[0,9] (y > 0))"
         assert monitor_for(three_ops).state_scalar_count() == 2 + 2 + 2 + 2
+
+
+class TestFork:
+    """A network's state is all it carries from one tick to the next:
+    `Monitor.fork()` starts a second network at the first one's state, and
+    each then steps on its own."""
+
+    def check_forks(self, f, trace: Trace):
+        """Fork at every tick of `trace`: each fork must finish the trace
+        with the unforked run's verdicts and state, and leave the monitor it
+        was forked from as it was."""
+        samples = [trace.sample(k) for k in range(len(trace))]
+        whole = compile_formula(f)
+        want = [whole.step(sample).verdict for sample in samples]
+        final = whole.state_scalars()
+        m = compile_formula(f)
+        for k in range(len(samples) + 1):
+            fork = m.fork()
+            assert fork.tick == k and fork.state_scalars() == m.state_scalars()
+            assert [fork.step(sample).verdict for sample in samples[k:]] == want[k:], (f, k)
+            assert fork.state_scalars() == final
+            if k < len(samples):
+                assert m.step(samples[k]).verdict is want[k]
+
+    def test_fork_at_every_tick_of_property_suite_traces(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            f = random_formula(rng)
+            self.check_forks(f, conformance._random_trace(rng, signals_of(f), rng.randrange(0, 51)))
+
+    def test_a_shared_atom_local_is_not_state(self):
+        # F and U share `x - y > 100` through the local `v0`. It is assigned
+        # in each tick that reads it, before any open reader reads it, so it
+        # is not state: the state is the tick, the root latch and three flag
+        # pairs, and a fork finishes as the unforked run, also where F has
+        # decided at tick 0 or 1 and U, which reads it from tick 2, is open.
+        f = parse(TestRepeatedAtoms.FORMULA, TestRepeatedAtoms.SIGNALS)
+        m = compile_formula(f)
+        assert m.state_scalar_count() == 2 + 2 * 3
+        assert "v0" in m._network.__code__.co_varnames
+        rng = random.Random(6)
+        for _ in range(150):
+            self.check_forks(f, TestRepeatedAtoms.random_trace(rng))
 
 
 class TestAgainstOracle:
