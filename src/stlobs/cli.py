@@ -6,6 +6,9 @@ Subcommands:
   selfcheck    run the built-in conformance checks
   emit-lustre  write Lustre observer (and optional proof) units
 
+The command line is read against the option table of `.options`, without
+argparse; `main` runs the handler of the command it names (`_handler`).
+
 Exit codes follow the final verdict for check/oracle: 0 true, 1 false,
 2 still unknown. 64 flags a usage or formula error, 65 bad trace data,
 66 a missing input file, 70 an internal failure, and 74 an output closed
@@ -15,23 +18,20 @@ stops without a message.
 
 from __future__ import annotations
 
-import argparse
 import io
 import itertools
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
-from math import isfinite
 
-from . import __version__, traceio
+from . import traceio
 from .errors import FormulaError, MissingSignalError, StlObsError, TraceError, TraceFormatError
 from .formula import Formula, signals_of
 from .monitor import VerdictRecord, compile_formula
+from .options import EXIT_USAGE, parse_args
 from .parser import parse
 from .traceio import (
-    TRACE_FORMATS,
-    VERDICT_FORMATS,
     VerdictWriter,
     _check_signals,
     hooks_reads,
@@ -45,159 +45,12 @@ from .trilean import FALSE, TRUE, UNKNOWN, Trilean
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_UNKNOWN = 2
-EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_NOINPUT = 66
 EXIT_INTERNAL = 70
 EXIT_IOERR = 74
 
 _VERDICT_EXITS = {TRUE: EXIT_TRUE, FALSE: EXIT_FALSE, UNKNOWN: EXIT_UNKNOWN}
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; remap to the sysexits code."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _positive_int(value: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
-    return number
-
-
-def _positive_seconds(value: str) -> float:
-    try:
-        seconds = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
-    if not (isfinite(seconds) and seconds > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {value}")
-    return seconds
-
-
-def _signals_arg(value: str) -> tuple[str, ...]:
-    """Every stripped part of the list, empty ones too: the name rule, not
-    the argument parser, judges them."""
-    return tuple(part.strip() for part in value.split(","))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="stlobs",
-        description="Online monitoring of bounded temporal formulas with "
-        "three-valued verdicts.",
-    )
-    parser.add_argument("--version", action="version", version=f"stlobs {__version__}")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    formula_parent = _ArgumentParser(add_help=False)
-    group = formula_parent.add_mutually_exclusive_group(required=True)
-    group.add_argument("-f", "--formula", help="formula text")
-    group.add_argument("--formula-file", help="file containing the formula text")
-
-    trace_parent = _ArgumentParser(add_help=False)
-    trace_parent.add_argument(
-        "--trace", required=True, help="trace file path, or - for stdin"
-    )
-    trace_parent.add_argument(
-        "--signals",
-        type=_signals_arg,
-        default=None,
-        help="comma-separated signal names (default: from the trace header "
-        "or the first JSONL object)",
-    )
-    trace_parent.add_argument(
-        "--trace-format",
-        choices=("auto",) + TRACE_FORMATS,
-        default="auto",
-        help="trace input format (default: auto)",
-    )
-    trace_parent.add_argument(
-        "--format",
-        choices=VERDICT_FORMATS,
-        default="text",
-        help="verdict output format (default: text)",
-    )
-
-    check = subparsers.add_parser(
-        "check",
-        parents=[formula_parent, trace_parent],
-        help="stream a trace through the online monitor",
-    )
-    check.add_argument(
-        "--early-stop",
-        action="store_true",
-        help="stop reading input once the verdict is decided",
-    )
-    check.set_defaults(handler=_cmd_check)
-
-    oracle = subparsers.add_parser(
-        "oracle",
-        parents=[formula_parent, trace_parent],
-        help="evaluate the reference semantics tick by tick over a recorded trace",
-    )
-    oracle.set_defaults(handler=_cmd_oracle)
-
-    selfcheck = subparsers.add_parser(
-        "selfcheck", help="run the built-in conformance checks"
-    )
-    selfcheck.add_argument(
-        "--max-b",
-        type=_positive_int,
-        default=3,
-        help="largest window upper bound for the exhaustive checks (default: 3)",
-    )
-    selfcheck.add_argument(
-        "--cases",
-        type=_positive_int,
-        default=200,
-        help="number of randomized property cases (default: 200)",
-    )
-    selfcheck.add_argument(
-        "--seed", type=int, default=42, help="randomized-check seed (default: 42)"
-    )
-    selfcheck.add_argument(
-        "--json", action="store_true", help="print reports as JSON"
-    )
-    selfcheck.set_defaults(handler=_cmd_selfcheck)
-
-    emit = subparsers.add_parser(
-        "emit-lustre", help="write Lustre observer units for external checking"
-    )
-    emit.add_argument(
-        "--out-dir", default="lustre", help="output directory (default: lustre)"
-    )
-    emit.add_argument(
-        "--with-proofs",
-        action="store_true",
-        help="also write the window-extension proof units",
-    )
-    emit.add_argument(
-        "--run-checker",
-        action="store_true",
-        help="run the model checker over the emitted units",
-    )
-    emit.add_argument(
-        "--checker-path",
-        default=None,
-        help="checker executable (default: $STLOBS_CHECKER, then kind2 on PATH)",
-    )
-    emit.add_argument(
-        "--timeout",
-        type=_positive_seconds,
-        default=60.0,
-        help="checker timeout in seconds per unit (default: 60)",
-    )
-    emit.set_defaults(handler=_cmd_emit_lustre)
-
-    return parser
 
 
 def _load_formula_text(args) -> str:
@@ -397,12 +250,18 @@ def _log_to_stderr() -> None:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
 
 
+def _handler(command: str):
+    """The function that runs `command`, found by its name, so that the
+    option table (`options.COMMANDS`) is the one list of commands: `_cmd_`
+    and the command's name with `_` for `-`."""
+    return globals()["_cmd_" + command.replace("-", "_")]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     traceio.before_first_warning = _log_to_stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.handler(args)
+        code = _handler(args.command)(args)
         sys.stdout.flush()  # a closed output fails here, not at exit
         return code
     except FormulaError as exc:

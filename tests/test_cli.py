@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stlobs
-from stlobs import cli
+from stlobs import cli, options
 
 from readback import read_verdicts
 
@@ -307,6 +307,58 @@ class TestErrorExits:
             cli.main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.startswith("stlobs ")
+
+
+def test_every_command_has_a_handler():
+    handlers = {name for name in vars(cli) if name.startswith("_cmd_")}
+    assert {cli._handler(name).__name__ for name in options.COMMANDS} == handlers
+
+
+class TestFormulaWithLeadingMinus:
+    """A value option takes the next word unless that word names one of the
+    command's options or begins with `--`, so a formula may begin with a
+    single `-`."""
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    @pytest.mark.parametrize("formula", ["-x>0", "-1*x>0", "-x > 0"])
+    def test_runs_as_the_attached_form(self, tmp_path, capsys, command, formula):
+        path = tmp_path / "t.csv"
+        path.write_text("x\n-1\n2\n-3\n")
+        results = []
+        for argv in (["-f", formula], [f"--formula={formula}"], [f"-f{formula}"]):
+            code = cli.main([command, *argv, "--trace", str(path)])
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1] == results[2]
+        code, captured = results[0]
+        assert (code, captured.err) == (cli.EXIT_TRUE, "")
+        # x is -1 at tick 0, where an atom is decided.
+        assert captured.out.splitlines() == [f"tick={tick} verdict=T pos=1 neg=0" for tick in range(3)]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--trace", "--format", "csv"], "argument --trace: expected one argument"),
+            (["--trace", "-h"], "argument --trace: expected one argument"),
+            (["--trace", "t.csv", "-f", "--formula-file", "f"], "argument -f/--formula: expected one argument"),
+            (["--trace", "t.csv", "-f", "--"], "argument -f/--formula: expected one argument"),
+            (["--trace", "--sginals", "x"], "argument --trace: expected one argument"),
+        ],
+    )
+    def test_a_word_that_names_an_option_is_no_value(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["check", "-f", "x > 0", *argv])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"stlobs check: error: {message}\n")
+
+    def test_a_mistyped_long_option_is_no_value(self, tmp_path, capsys, monkeypatch):
+        # Were it a value, the units would be written to a directory named
+        # after the mistyped option.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["emit-lustre", "--out-dir", "--wiht-proofs"])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.endswith("stlobs emit-lustre: error: argument --out-dir: expected one argument\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def read_lines(fd: int, count: int, timeout: float) -> bytes:
@@ -765,10 +817,21 @@ class TestImports:
     """`check` loads only what a check runs: the oracle, conformance and
     Lustre modules, `dataclasses` with `inspect`, `Trace`, `typing` and
     `pathlib` load on first use, `json` at the first JSONL line and
-    `logging` at the first warning."""
+    `logging` at the first warning. The command line is read without an
+    argument parser, so neither `argparse` nor what it loads (`gettext`,
+    `locale`, `shutil`) loads at all, and help text loads only to be
+    printed."""
 
-    DEFERRED = ("dataclasses", "inspect", "stlobs.conformance", "stlobs.lustregen", "stlobs.oracle")
-    UNUSED_BY_CSV = ("json", "logging", "pathlib", "typing", "stlobs.trace", *DEFERRED)
+    DEFERRED = (
+        "dataclasses",
+        "inspect",
+        "stlobs.conformance",
+        "stlobs.helptext",
+        "stlobs.lustregen",
+        "stlobs.oracle",
+    )
+    ARGUMENT_PARSER = ("argparse", "gettext", "locale", "shutil")
+    UNUSED_BY_CSV = ("json", "logging", "pathlib", "typing", "stlobs.trace", *DEFERRED, *ARGUMENT_PARSER)
 
     def loaded_by(self, statement: str) -> set[str]:
         """Modules that `statement` loads in a fresh interpreter beyond those
@@ -777,7 +840,7 @@ class TestImports:
         module before the statement runs."""
         code = (
             "import sys\n"
-            "import argparse, csv, decimal, fractions\n"
+            "import csv, decimal, fractions\n"
             "before = set(sys.modules)\n"
             f"{statement}\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n"
@@ -809,7 +872,9 @@ class TestImports:
     def test_jsonl_check_loads_json(self, tmp_path):
         loaded = self.loaded_by_check(tmp_path, "trace.jsonl", '{"x": 1}\n{"x": 2}\n')
         assert "json" in loaded
-        assert loaded.isdisjoint({"logging", "pathlib", "typing", "stlobs.trace", *self.DEFERRED})
+        assert loaded.isdisjoint(
+            {"logging", "pathlib", "typing", "stlobs.trace", *self.DEFERRED, *self.ARGUMENT_PARSER}
+        )
 
     @pytest.mark.parametrize(
         "name,text", [("trace.csv", "x\n1\n\n2\n"), ("trace.jsonl", '{"x": 1}\n\n{"x": 2}\n')]
