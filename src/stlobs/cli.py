@@ -10,10 +10,12 @@ The command line is read against the option table of `.options`, without
 argparse; `main` runs the handler of the command it names (`_handler`).
 
 Exit codes follow the final verdict for check/oracle: 0 true, 1 false,
-2 still unknown. 64 flags a usage or formula error, 65 bad trace data,
-66 a missing input file, 70 an internal failure, and 74 an output closed
-by its reader (say `stlobs check ... | head -1`), after which the command
-stops without a message.
+2 still unknown. 64 flags a usage or formula error (and a `selfcheck
+--max-b` too large to enumerate), 65 bad trace data, 66 a missing input
+file, 70 an internal failure, 73 an `emit-lustre` output directory that
+cannot be made or written, and 74 an output closed by its reader (say
+`stlobs check ... | head -1`), after which the command stops without a
+message.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 
 from . import traceio
-from .errors import FormulaError, MissingSignalError, StlObsError, TraceError, TraceFormatError
+from .errors import EnumerationCapError, FormulaError, MissingSignalError, StlObsError, TraceError, TraceFormatError
 from .formula import Formula, signals_of
 from .monitor import VerdictRecord, compile_formula
 from .options import EXIT_USAGE, parse_args
@@ -48,6 +50,7 @@ EXIT_UNKNOWN = 2
 EXIT_DATA = 65
 EXIT_NOINPUT = 66
 EXIT_INTERNAL = 70
+EXIT_CANTCREAT = 73
 EXIT_IOERR = 74
 
 _VERDICT_EXITS = {TRUE: EXIT_TRUE, FALSE: EXIT_FALSE, UNKNOWN: EXIT_UNKNOWN}
@@ -198,11 +201,15 @@ def _cmd_oracle(args) -> int:
 def _cmd_selfcheck(args) -> int:
     from .conformance import differential_sweep, induction_suite, property_suite
 
-    reports = {
-        "sweep": differential_sweep(max_upper=args.max_b),
-        "induction": induction_suite(max_lower=args.max_b, max_upper=args.max_b),
-        "properties": property_suite(args.seed, args.cases),
-    }
+    try:  # a window too long to enumerate is refused before any suite runs
+        reports = {
+            "sweep": differential_sweep(max_upper=args.max_b),
+            "induction": induction_suite(max_lower=args.max_b, max_upper=args.max_b),
+            "properties": property_suite(args.seed, args.cases),
+        }
+    except EnumerationCapError as exc:
+        print(f"stlobs selfcheck: error: argument --max-b: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.json:
         import json
 
@@ -217,7 +224,11 @@ def _cmd_emit_lustre(args) -> int:
     from .lustregen import emit_units, run_kind2, write_units
 
     units = emit_units(with_proofs=args.with_proofs)
-    paths = write_units(units, args.out_dir)
+    try:
+        paths = write_units(units, args.out_dir)
+    except OSError as exc:
+        print(f"cannot write {args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     for path in paths:
         print(f"wrote {path}")
     if args.run_checker:

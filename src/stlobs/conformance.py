@@ -3,8 +3,10 @@ randomized property suite.
 
 Every check compares the streaming monitor against the quantifier oracle (or
 against its explicitly unrolled forms) and reports divergences as replayable
-(formula, trace, tick) failures. A step that raises anything but a flag
-conflict is a `step-error` failure carrying the exception's repr.
+(formula, trace, tick) failures. The exhaustive checks walk one tree of
+boolean trace prefixes (`_walk`). A step that raises is a `step-error`
+failure carrying the exception's repr, except a flag conflict in the sweep
+(the verdict "conflict") and in the property suite (`flag-conflict`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from .errors import EnumerationCapError, FlagConflictError
@@ -60,9 +63,9 @@ class Failure:
         return dict(vars(self), trace=[list(row) for row in self.trace])
 
 
-def _step_error(formula: str, trace: Trace, tick: int, error: Exception) -> Failure:
+def _step_error(formula: str, samples: tuple, tick: int, error: Exception) -> Failure:
     """The failure of a step that raised `error`: the monitor gave no verdict."""
-    return Failure("step-error", formula, trace.samples, tick, repr(error), "a verdict record")
+    return Failure("step-error", formula, samples, tick, repr(error), "a verdict record")
 
 
 @dataclass
@@ -143,8 +146,8 @@ def bool_trace(rows: Sequence[Sequence[bool]], num_atoms: int) -> Trace:
     )
 
 
-# The sample of each boolean operand row, over p (and q), as the sweep and
-# the induction checks step it.
+# The sample of each boolean operand row, over p (and q), as the exhaustive
+# checks step it.
 _ROW_SAMPLES = {
     row: dict(zip(_SIGNALS, map(float, row)))
     for arity in (1, 2)
@@ -152,26 +155,65 @@ _ROW_SAMPLES = {
 }
 
 
-def _prefix_oracle(f: Formula, num_atoms: int) -> Callable[[tuple, int], Trilean]:
-    """`verdict(rows, k)`: the three-valued oracle's verdict of `f` at tick k
-    of the boolean operand rows. A verdict at tick k reads no later tick, so
-    the oracle gets only rows[:k + 1], once per distinct such prefix."""
-    verdicts: dict[tuple, Trilean] = {}
+def _walk(
+    formulas: Sequence[Formula],
+    compile_fn: CompileFn,
+    length: int,
+    compare: Callable[[tuple, list], Failure | None],
+    conflict: str | None = None,
+) -> tuple[list[Failure], int]:
+    """Checks each of `formulas`' networks on every boolean operand trace of
+    `length` ticks, walking the tree of their prefixes depth first. A
+    verdict at tick k reads no later tick, so a prefix is one step of a
+    fork of each of its parent's monitors on its last row, then
+    `compare(prefix, verdicts)`: a failure at the prefix's last tick, whose
+    trace the walk fills in, or None. A step that raises is a `step-error`,
+    except that a flag conflict is the verdict `conflict` when one is given.
+    A prefix that fails is one failure, carrying the first full trace under
+    it, and is not walked below. Returns the failures, in trace order, and
+    the full traces, each checked or under a failure."""
+    rendered = [render(f) for f in formulas]
+    rows = _rows(len(signals_of(formulas[0])), length, DEFAULT_ENUMERATION_CAP)
+    failures: list[Failure] = []
 
-    def verdict(rows: tuple, k: int) -> Trilean:
-        prefix = rows[: k + 1]
-        if prefix not in verdicts:
-            verdicts[prefix] = three_valued_eval(f, bool_trace(prefix, num_atoms), k)
-        return verdicts[prefix]
+    def check(monitors: list[Monitor], prefix: tuple) -> Failure | None:
+        sample, verdicts = _ROW_SAMPLES[prefix[-1]], []
+        for text, monitor in zip(rendered, monitors):
+            try:
+                verdicts.append(monitor.step(sample).verdict)
+            except Exception as exc:
+                if conflict is None or not isinstance(exc, FlagConflictError):
+                    return _step_error(text, (), len(prefix) - 1, exc)
+                verdicts.append(conflict)
+        return compare(prefix, verdicts)
 
-    return verdict
+    def visit(parents: list[Monitor], prefix: tuple) -> int:
+        """Checks each prefix one row longer than `prefix`, and the tree
+        under it unless it fails; returns the full traces under them."""
+        cases = 0
+        for row in rows:
+            node, monitors = prefix + (row,), [parent.fork() for parent in parents]
+            failure = check(monitors, node)
+            if failure is None:
+                cases += visit(monitors, node) if len(node) < length else 1
+            else:
+                full = node + rows[:1] * (length - len(node))
+                failures.append(replace(failure, trace=bool_trace(full, len(row)).samples))
+                cases += len(rows) ** (length - len(node))
+        return cases
+
+    return failures, visit([compile_fn(f) for f in formulas], ())
+
+
+def _windows(max_upper: int) -> list[tuple[int, int]]:
+    """The windows 0 <= lower < upper <= max_upper."""
+    return [(lower, upper) for lower in range(max_upper) for upper in range(lower + 1, max_upper + 1)]
 
 
 def differential_sweep(
     kinds: Sequence[str] = OPERATOR_KINDS,
     max_upper: int = 4,
     compile_fn: CompileFn = compile_formula,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ConformanceReport:
     """Exhaustive monitor-vs-oracle comparison on boolean operand traces.
 
@@ -179,73 +221,47 @@ def differential_sweep(
     every boolean operand trace of length upper + 3, the monitor verdict must
     match the three-valued oracle at every tick; at the horizon tick the
     decided verdict must additionally match the two-valued offline semantics.
+    A flag conflict is the verdict "conflict", which matches none.
 
-    A verdict at tick k reads no later tick, so each window's formula is
-    compiled once and its traces' prefixes walked as a tree: a prefix is one
-    step of a fork of its parent's monitor and one oracle call on it. A
-    prefix that fails is one failure, with the first full trace under it;
-    each full trace checked or under a failure is one case.
+    Each window's formula is compiled once and its traces walked as a tree
+    (`_walk`): a prefix is one step and one oracle call on that prefix
+    alone. Each full trace checked or under a failure is one case.
     """
     start = time.perf_counter()
+    # The longest traces are refused before any work, not after the shorter ones.
+    _rows(2 if "until" in kinds else 1, max_upper + 3, DEFAULT_ENUMERATION_CAP)
     failures: list[Failure] = []
     cases = 0
     for kind in kinds:
-        num_atoms = 2 if kind == "until" else 1
-        for lower in range(0, max_upper):
-            for upper in range(lower + 1, max_upper + 1):
-                f = operator_formula(kind, lower, upper)
-                length = upper + 3
-                rows = _rows(num_atoms, length, cap)
-                cases += _sweep_window(f, compile_fn(f), rows, upper, length, failures)
+        for lower, upper in _windows(max_upper):
+            f = operator_formula(kind, lower, upper)
+            found, checked = _walk((f,), compile_fn, upper + 3, partial(_against_oracle, f, upper), "conflict")
+            failures += found
+            cases += checked
     return ConformanceReport(cases, failures, time.perf_counter() - start)
 
 
-def _sweep_window(f: Formula, monitor: Monitor, rows: tuple, upper: int, length: int, failures: list) -> int:
-    """`differential_sweep` of `f`, its monitor at tick 0, over the traces of `length` of the
-    boolean `rows`, depth first: adds its failures to `failures` and returns its cases."""
-    rendered, num_atoms = render(f), len(rows[0])
-
-    def check(monitor: Monitor, node: tuple) -> Failure | None:
-        """Steps `monitor` on the prefix `node`'s last row; a failure carries the prefix."""
-        k = len(node) - 1
-        trace = bool_trace(node, num_atoms)
-        try:
-            got = monitor.step(_ROW_SAMPLES[node[k]]).verdict
-        except FlagConflictError:
-            got = "conflict"
-        except Exception as exc:
-            return _step_error(rendered, trace, k, exc)
-        want = three_valued_eval(f, trace, k)
-        if got is not want:
-            return Failure("verdict-mismatch", rendered, trace.samples, k, str(got), str(want))
-        if k == upper and (got is TRUE) != (decided := offline_eval(f, trace, 0)):
-            return Failure("horizon-offline", rendered, trace.samples, k, str(got), "T" if decided else "F")
-        return None
-
-    def visit(parent: Monitor, prefix: tuple) -> int:
-        """Checks each prefix one row longer than `prefix`, and the tree
-        under it unless it fails; returns the full traces under them."""
-        cases = 0
-        for row in rows:
-            node, monitor = prefix + (row,), parent.fork()
-            failure = check(monitor, node)
-            if failure is None:
-                cases += visit(monitor, node) if len(node) < length else 1
-            else:  # reported with the first full trace under the prefix
-                full = node + rows[:1] * (length - len(node))
-                failures.append(replace(failure, trace=bool_trace(full, num_atoms).samples))
-                cases += len(rows) ** (length - len(node))
-        return cases
-
-    return visit(monitor, ())
+def _against_oracle(f: Formula, upper: int, prefix: tuple, verdicts: list) -> Failure | None:
+    """The sweep's comparison of `f`'s verdict with the oracle's at the last
+    tick of a prefix, and at tick `upper` with the offline semantics."""
+    (got,), k = verdicts, len(prefix) - 1
+    trace = bool_trace(prefix, len(prefix[0]))
+    want = three_valued_eval(f, trace, k)
+    if got is not want:
+        return Failure("verdict-mismatch", render(f), (), k, str(got), str(want))
+    if k == upper and (got is TRUE) != (decided := offline_eval(f, trace, 0)):
+        return Failure("horizon-offline", render(f), (), k, str(got), "T" if decided else "F")
+    return None
 
 
 # Induction checks: each flag of a single-operator network must agree with
 # the oracle's unrolled forms (`explicit_eval`), both for the smallest window
 # and when the window is extended by one tick. Both compare from the window's
-# last tick on, where every operand value a form reads has been seen, so each
-# reference value is one constant per trace. A single operator's pair is the
-# root's, so its positive flag is a T verdict and its negative one an F.
+# last tick on, where every operand value a form reads has been seen. A
+# single operator's pair is the root's, so its positive flag is a T verdict
+# and its negative one an F. Both walk the traces as the sweep does, with
+# any exception a step raises, a flag conflict too, a `step-error`; a check
+# returns its first failure in trace order, with a full trace to replay.
 
 _FLAGS = {"positive": TRUE, "negative": FALSE}
 # The flags a wider window can only set; the step joins them with the new
@@ -256,30 +272,20 @@ _WIDENING = {("eventually", "positive"), ("always", "negative"), ("until", "posi
 def check_induction_base(kind: str, lower: int, polarity: str) -> Failure | None:
     """The polarity's flag of the operator over [lower, lower+1] equals the
     unrolled form over that window at every tick from lower + 1 on, over all
-    boolean operand traces. Returns the `induction-base` failure, or the
-    `step-error` failure of a step that raises, or None."""
-    num_atoms = 2 if kind == "until" else 1
-    flag = _FLAGS[polarity]
-    formula = operator_formula(kind, lower, lower + 1)
-    at_zero = compile_formula(formula)
-    for rows in enumerate_traces(num_atoms, lower + 3):
-        want = explicit_eval(kind, lower, lower + 1, list(zip(*rows)), polarity)
-        monitor = at_zero.fork()
-        for k, row in enumerate(rows):
-            try:
-                got = monitor.step(_ROW_SAMPLES[row]).verdict is flag
-            except Exception as exc:
-                return _step_error(render(formula), bool_trace(rows, num_atoms), k, exc)
-            if k >= lower + 1 and got != want:
-                return Failure(
-                    "induction-base",
-                    f"{kind}/{polarity} window [{lower},{lower + 1}]",
-                    (),
-                    lower + 1,
-                    "operator",
-                    "unrolled form",
-                )
-    return None
+    boolean operand traces. Returns the first `induction-base` or
+    `step-error` failure, or None."""
+    upper, flag = lower + 1, _FLAGS[polarity]
+
+    def compare(prefix: tuple, verdicts: list) -> Failure | None:
+        k = len(prefix) - 1
+        if k >= upper and (verdicts[0] is flag) != explicit_eval(kind, lower, upper, list(zip(*prefix)), polarity):
+            return Failure(
+                "induction-base", f"{kind}/{polarity} window [{lower},{upper}]", (), k, "operator", "unrolled form"
+            )
+        return None
+
+    failures, _ = _walk((operator_formula(kind, lower, upper),), compile_formula, lower + 3, compare)
+    return next(iter(failures), None)
 
 
 def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> Failure | None:
@@ -287,43 +293,28 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> Fa
     flag of the operator over [lower, upper] joined with the unrolled form
     over the new tick upper + 1 alone, from tick upper + 1 on. For Until the
     wide flag is also cross-checked against the three-valued oracle at tick
-    upper + 1. Returns the `induction-step` failure, or the `step-error`
-    failure of a step that raises, or None.
+    upper + 1. Returns the first `induction-step` or `step-error` failure,
+    or None.
     """
-    num_atoms = 2 if kind == "until" else 1
-    wide_formula = operator_formula(kind, lower, upper + 1)
-    narrow_formula = operator_formula(kind, lower, upper)
+    wide = operator_formula(kind, lower, upper + 1)
     flag = _FLAGS[polarity]
     widens = (kind, polarity) in _WIDENING
-    wide_at_zero, narrow_at_zero = compile_formula(wide_formula), compile_formula(narrow_formula)
-    oracle = _prefix_oracle(wide_formula, num_atoms)
-    for rows in enumerate_traces(num_atoms, upper + 3):
-        new_tick = explicit_eval(kind, upper + 1, upper + 1, list(zip(*rows)), polarity)
-        wide, narrow = wide_at_zero.fork(), narrow_at_zero.fork()
-        for k, row in enumerate(rows):
-            sample = _ROW_SAMPLES[row]
-            try:
-                got = wide.step(sample).verdict is flag
-            except Exception as exc:
-                return _step_error(render(wide_formula), bool_trace(rows, num_atoms), k, exc)
-            try:
-                was = narrow.step(sample).verdict is flag
-            except Exception as exc:
-                return _step_error(render(narrow_formula), bool_trace(rows, num_atoms), k, exc)
-            if k < upper + 1:
-                continue
-            if got != ((was or new_tick) if widens else (was and new_tick)) or (
-                kind == "until" and k == upper + 1 and got != (oracle(rows, k) is flag)
-            ):
-                return Failure(
-                    "induction-step",
-                    f"{kind}/{polarity} window [{lower},{upper}] -> [{lower},{upper + 1}]",
-                    (),
-                    upper + 1,
-                    "operator",
-                    "combination",
-                )
-    return None
+
+    def compare(prefix: tuple, verdicts: list) -> Failure | None:
+        k = len(prefix) - 1
+        if k < upper + 1:
+            return None
+        got, was = (verdict is flag for verdict in verdicts)
+        new_tick = explicit_eval(kind, upper + 1, upper + 1, list(zip(*prefix)), polarity)
+        if got != ((was or new_tick) if widens else (was and new_tick)) or (
+            kind == "until" and k == upper + 1 and got != (three_valued_eval(wide, bool_trace(prefix, 2), k) is flag)
+        ):
+            window = f"window [{lower},{upper}] -> [{lower},{upper + 1}]"
+            return Failure("induction-step", f"{kind}/{polarity} {window}", (), k, "operator", "combination")
+        return None
+
+    failures, _ = _walk((wide, operator_formula(kind, lower, upper)), compile_formula, upper + 3, compare)
+    return next(iter(failures), None)
 
 
 def induction_suite(
@@ -332,15 +323,14 @@ def induction_suite(
     """Base cases for lower in [0, max_lower] and step cases for all
     0 <= lower < upper <= max_upper, over all kinds and polarities."""
     start = time.perf_counter()
+    windows = _windows(max_upper)
+    # The longest traces are refused before any work, as in the sweep.
+    _rows(2 if "until" in kinds else 1, max(max_lower, max_upper) + 3, DEFAULT_ENUMERATION_CAP)
     results: list[Failure | None] = []
     for kind in kinds:
         for polarity in POLARITIES:
             results += [check_induction_base(kind, lower, polarity) for lower in range(max_lower + 1)]
-            results += [
-                check_induction_step(kind, lower, upper, polarity)
-                for lower in range(max_upper)
-                for upper in range(lower + 1, max_upper + 1)
-            ]
+            results += [check_induction_step(kind, lower, upper, polarity) for lower, upper in windows]
     failures = [failure for failure in results if failure is not None]
     return ConformanceReport(len(results), failures, time.perf_counter() - start)
 
@@ -458,7 +448,7 @@ def _check_invariants(
         except FlagConflictError:
             return fail("flag-conflict", k, "conflict", "at most one flag")
         except Exception as exc:
-            return _step_error(rendered, trace, k, exc)
+            return _step_error(rendered, trace.samples, k, exc)
         verdict = record.verdict
         if verdict not in (TRUE, FALSE, UNKNOWN):
             return fail("completeness", k, repr(verdict), "T, F, or U")

@@ -928,6 +928,26 @@ class TestSelfcheck:
         assert set(payload) == {"sweep", "induction", "properties"}
         assert payload["sweep"]["failures"] == []
 
+    def test_max_b_beyond_the_enumeration_cap_is_a_usage_error(self, capsys):
+        # Until's traces at --max-b 8 are 4**11, beyond the 2**20 cap: refused
+        # before any suite runs, with no report.
+        code = cli.main(["selfcheck", "--max-b", "8", "--cases", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_USAGE, "")
+        assert captured.err == (
+            "stlobs selfcheck: error: argument --max-b: "
+            "4194304 traces for 2 atoms x 11 ticks exceeds cap 1048576\n"
+        )
+
+    def test_max_b_at_the_enumeration_cap_runs(self, monkeypatch, capsys):
+        # 4**10 traces are the cap itself; the walks are stubbed out, so
+        # only the refusal is under test.
+        from stlobs import conformance
+
+        monkeypatch.setattr(conformance, "_walk", lambda *args, **kwargs: ([], 0))
+        assert cli.main(["selfcheck", "--max-b", "7", "--cases", "1"]) == cli.EXIT_TRUE
+        assert capsys.readouterr().out.count("PASS") == 3
+
 
 class TestEmitLustre:
     def test_writes_units(self, tmp_path, capsys):
@@ -950,3 +970,15 @@ class TestEmitLustre:
         )
         assert code == cli.EXIT_TRUE
         assert "skipped" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("below, reason", [("", "File exists"), ("x", "Not a directory")])
+    def test_out_dir_that_cannot_be_made_is_an_output_error(self, tmp_path, capsys, below, reason):
+        # An existing file, or a path under one, is no output directory:
+        # exit 73 (sysexits' EX_CANTCREAT), not the input error 66.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out_dir = str(taken / below) if below else str(taken)
+        code = cli.main(["emit-lustre", "--out-dir", out_dir])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_CANTCREAT, "")
+        assert captured.err == f"cannot write {out_dir}: {reason}\n"

@@ -37,7 +37,7 @@ from stlobs.formula import (
     walk,
 )
 from stlobs.monitor import VerdictRecord, compile_formula
-from stlobs.oracle import three_valued_eval
+from stlobs.oracle import explicit_eval, three_valued_eval
 from stlobs.parser import parse
 from stlobs.trace import Trace
 from stlobs.trilean import FALSE, TRUE, UNKNOWN
@@ -177,6 +177,20 @@ class TestDifferentialSweep:
         assert len(calls) == 20512
         assert all(length == tau + 1 for length, tau in calls)
 
+    def test_refuses_beyond_the_cap_before_any_work(self, monkeypatch):
+        # The longest window's traces are counted before the first window
+        # is compiled: at the cap the sweep runs, one tick beyond it no
+        # window is checked.
+        def no_compile(f):
+            raise AssertionError(f"compiled {render(f)}")
+
+        monkeypatch.setattr(conformance, "DEFAULT_ENUMERATION_CAP", 2**5)
+        assert differential_sweep(kinds=("eventually",), max_upper=2).passed
+        with pytest.raises(EnumerationCapError, match="64 traces for 1 atoms x 6 ticks exceeds cap 32"):
+            differential_sweep(kinds=("eventually",), max_upper=3, compile_fn=no_compile)
+        with pytest.raises(EnumerationCapError, match="for 2 atoms x 5 ticks"):
+            differential_sweep(kinds=("eventually", "until"), max_upper=2, compile_fn=no_compile)
+
     def test_correct_monitor_has_no_divergence(self):
         f = operator_formula("until", 1, 3)
         trace = bool_trace(((True,) * 2, (False,) * 2, (True,) * 2, (False,) * 2), 2)
@@ -202,6 +216,47 @@ class TestInduction:
         assert report.passed
         # 2 polarities x (2 base cases + 3 step cases).
         assert report.cases == 2 * (2 + 3)
+
+    def test_one_step_per_prefix_per_monitor(self, monkeypatch):
+        # Each check walks the tree of its traces' prefixes: one step of
+        # each of its monitors per prefix of 1 to length rows. Per polarity,
+        # base windows [0,1] and [1,2] (14 + 30 prefixes, one monitor) and
+        # step windows [0,1], [0,2], [1,2] (30 + 62 + 62 prefixes, two).
+        steps = []
+        step = monitor.Monitor.step
+
+        def counted(self, sample):
+            steps.append(sample)
+            return step(self, sample)
+
+        monkeypatch.setattr(monitor.Monitor, "step", counted)
+        assert induction_suite(kinds=("eventually",), max_lower=1, max_upper=2).passed
+        assert len(steps) == 2 * (14 + 30 + 2 * (30 + 62 + 62)) == 704
+
+    def test_until_oracle_once_per_prefix_at_the_new_tick(self, monkeypatch):
+        # The Until step check asks the oracle at tick upper + 1 only, once
+        # per prefix of upper + 2 rows over two atoms.
+        calls = []
+
+        def counted(f, trace, tau):
+            calls.append((len(trace), tau))
+            return three_valued_eval(f, trace, tau)
+
+        monkeypatch.setattr(conformance, "three_valued_eval", counted)
+        assert induction_suite(kinds=("until",), max_lower=1, max_upper=2).passed
+        assert len(calls) == 2 * (4**3 + 4**4 + 4**4) == 1152
+        assert all(length == tau + 1 for length, tau in calls)
+
+    def test_refuses_beyond_the_cap_before_any_work(self, monkeypatch):
+        def no_compile(f):
+            raise AssertionError(f"compiled {render(f)}")
+
+        monkeypatch.setattr(conformance, "DEFAULT_ENUMERATION_CAP", 2**5)
+        assert induction_suite(kinds=("eventually",), max_lower=2, max_upper=2).passed
+        monkeypatch.setattr(conformance, "compile_formula", no_compile)
+        for max_lower, max_upper in ((3, 2), (2, 3)):
+            with pytest.raises(EnumerationCapError, match="1 atoms x 6 ticks"):
+                induction_suite(kinds=("eventually",), max_lower=max_lower, max_upper=max_upper)
 
 
 # Mutants of the operator bodies in `monitor._CELLS`, for the induction
@@ -269,9 +324,45 @@ class TestInductionCanaries:
         assert len(induction_suite(kinds=(kind,)).failures) == induction_failures
         assert not differential_sweep(kinds=(kind,), max_upper=3).passed
 
+    @pytest.mark.parametrize(
+        "mutant, check",
+        [(EVENTUALLY_LATE_AT_LOWER, "induction-base"), (EVENTUALLY_WIDTH_ONE, "induction-step")],
+        ids=["EventuallyLateAtLower", "EventuallyWidthOne"],
+    )
+    def test_induction_failures_replay(self, monkeypatch, fresh_networks, mutant, check):
+        # Each failure carries a full trace of its check's length: stepping
+        # the check's monitors on it shows, at the failure's tick, the
+        # flag that disagrees with the unrolled form.
+        monkeypatch.setitem(monitor._CELLS, Eventually, mutant)
+        failures = induction_suite(kinds=("eventually",)).failures
+        assert failures and {failure.check for failure in failures} == {check}
+
+        def flag_at(lower, upper, rows, tick, polarity):
+            network, trace = compile_formula(operator_formula("eventually", lower, upper)), Trace(("p",), rows)
+            verdicts = [network.step(trace.sample(k)).verdict for k in range(len(trace))]
+            return verdicts[tick] is {"positive": TRUE, "negative": FALSE}[polarity]
+
+        for failure in failures:
+            polarity, lower, upper = re.match(r"eventually/(\w+) window \[(\d+),(\d+)\]", failure.formula).groups()
+            lower, upper, k = int(lower), int(upper), failure.tick
+            operand = [[p > 0 for (p,) in failure.trace]]
+            got = flag_at(lower, upper + (check == "induction-step"), failure.trace, k, polarity)
+            if check == "induction-base":
+                assert len(failure.trace) == lower + 3 and k >= upper
+                assert got != explicit_eval("eventually", lower, upper, operand, polarity)
+            else:
+                assert len(failure.trace) == upper + 3 and k >= upper + 1
+                was = flag_at(lower, upper, failure.trace, k, polarity)
+                new_tick = explicit_eval("eventually", upper + 1, upper + 1, operand, polarity)
+                assert got != ((was or new_tick) if polarity == "positive" else (was and new_tick))
+
 
 # Raises TypeError when F's window closes without a witness.
 EVENTUALLY_BROKEN_AT_UPPER = "if t >= l{k} and {0}:\n    p{k} = True\nelif t >= u{k}:\n    n{k} = None + 1"
+# Sets both flags when F's window closes without a witness.
+EVENTUALLY_CONFLICT_AT_UPPER = (
+    "if t >= l{k} and {0}:\n    p{k} = True\nelif t >= u{k}:\n    p{k} = True\n    n{k} = True"
+)
 
 
 class TestStepErrors:
@@ -292,6 +383,24 @@ class TestStepErrors:
         self.assert_replayable(induction_suite(kinds=("eventually",), max_lower=1, max_upper=2).failures)
         properties = property_suite(seed=3, cases=100)
         assert "step-error" in {f.check for f in properties.failures}
+
+    def test_flag_conflicts_fail_every_exhaustive_check(self, monkeypatch, fresh_networks):
+        # The sweep reads a conflict as the verdict "conflict", which no
+        # oracle verdict equals; the induction checks report it as the step
+        # error it is, at the tick it fired. Read as a verdict there, it
+        # would be neither flag and pass most of them.
+        monkeypatch.setitem(monitor._CELLS, Eventually, EVENTUALLY_CONFLICT_AT_UPPER)
+        sweep = differential_sweep(kinds=("eventually",), max_upper=2).failures
+        assert len(sweep) == 4
+        assert {(f.check, f.monitor_verdict) for f in sweep} == {("verdict-mismatch", "conflict")}
+        assert {f.tick for f in sweep} == {1, 2}
+        induction = induction_suite(kinds=("eventually",), max_lower=1, max_upper=2)
+        assert induction.cases == len(induction.failures) == 10
+        for failure in induction.failures:
+            assert failure.check == "step-error"
+            assert failure.monitor_verdict.startswith("FlagConflictError(")
+            f = parse(failure.formula, ("p",))
+            assert first_divergence(f, Trace(("p",), failure.trace))[:2] == (failure.tick, "conflict")
 
     def test_selfcheck_exits_false(self, monkeypatch, fresh_networks, capsys):
         from stlobs import cli
