@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterator, Sequence
 
 from .errors import EnumerationCapError, FlagConflictError
@@ -262,6 +262,8 @@ def _against_oracle(f: Formula, upper: int, prefix: tuple, verdicts: list) -> Fa
 # and its negative one an F. Both walk the traces as the sweep does, with
 # any exception a step raises, a flag conflict too, a `step-error`; a check
 # returns its first failure in trace order, with a full trace to replay.
+# A form reads no tick past the window's last, so each check computes it
+# once per prefix through that tick (`cache`), not once per longer prefix.
 
 _FLAGS = {"positive": TRUE, "negative": FALSE}
 # The flags a wider window can only set; the step joins them with the new
@@ -275,10 +277,11 @@ def check_induction_base(kind: str, lower: int, polarity: str) -> Failure | None
     boolean operand traces. Returns the first `induction-base` or
     `step-error` failure, or None."""
     upper, flag = lower + 1, _FLAGS[polarity]
+    unrolled = cache(lambda rows: explicit_eval(kind, lower, upper, list(zip(*rows)), polarity))
 
     def compare(prefix: tuple, verdicts: list) -> Failure | None:
         k = len(prefix) - 1
-        if k >= upper and (verdicts[0] is flag) != explicit_eval(kind, lower, upper, list(zip(*prefix)), polarity):
+        if k >= upper and (verdicts[0] is flag) != unrolled(prefix[: upper + 1]):
             return Failure(
                 "induction-base", f"{kind}/{polarity} window [{lower},{upper}]", (), k, "operator", "unrolled form"
             )
@@ -299,13 +302,14 @@ def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> Fa
     wide = operator_formula(kind, lower, upper + 1)
     flag = _FLAGS[polarity]
     widens = (kind, polarity) in _WIDENING
+    unrolled = cache(lambda rows: explicit_eval(kind, upper + 1, upper + 1, list(zip(*rows)), polarity))
 
     def compare(prefix: tuple, verdicts: list) -> Failure | None:
         k = len(prefix) - 1
         if k < upper + 1:
             return None
         got, was = (verdict is flag for verdict in verdicts)
-        new_tick = explicit_eval(kind, upper + 1, upper + 1, list(zip(*prefix)), polarity)
+        new_tick = unrolled(prefix[: upper + 2])
         if got != ((was or new_tick) if widens else (was and new_tick)) or (
             kind == "until" and k == upper + 1 and got != (three_valued_eval(wide, bool_trace(prefix, 2), k) is flag)
         ):

@@ -8,21 +8,13 @@ boolean combinations of linear predicates over signals. Boolean combinations
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterator, Mapping
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
-from fractions import Fraction
 from functools import cached_property
 
 from ._record import record
 
 COMPARATORS = (">", ">=", "<", "<=", "=", "!=")
-
-Rational = int | Fraction | str
-
-# Sums and products of finite decimals never round at the largest precision
-# and exponent range; Inexact is trapped so that a rounding could not pass
-# unnoticed. A context of its own leaves the caller's decimal context alone.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 @record
@@ -38,15 +30,17 @@ class AtomicPredicate:
     """Linear constraint: sum(coef * signal for terms) + constant <cmp> 0.
 
     `terms` is kept in the order given; use `linear_atom` to build the
-    canonical (name-sorted) form that the parser produces.
+    canonical (name-sorted) form that the parser produces. Coefficients and
+    the constant are ints, or `Fraction`s where they need a denominator.
 
     A sample value v stands for the shortest decimal that round-trips to it,
     `Fraction(repr(v))`: the text of the trace whenever that text has at
-    most 15 significant digits. The comparison is exact on that reading.
+    most 15 significant digits. The comparison is exact on that reading,
+    and is made in int arithmetic: neither `fractions` nor `decimal` loads.
     """
 
-    terms: tuple[tuple[str, Fraction], ...]
-    constant: Fraction
+    terms: tuple[tuple[str, int | Fraction], ...]
+    constant: int | Fraction
     comparator: str
 
     @property
@@ -65,11 +59,21 @@ class AtomicPredicate:
 
     def evaluate(self, sample: Mapping[str, float]) -> bool:
         """Exact truth on `sample`; the definition every fast path of the
-        monitor is checked against, and the oracle's only atom semantics."""
+        monitor is checked against, and the oracle's only atom semantics.
+
+        Each value's shortest decimal `repr(v)` is read as m * 10**e with
+        int m and e. The integer form's sum is kept as an int count of
+        10**low, for the least exponent low seen so far (at most 0); it has
+        the sign of the rational sum."""
         terms, constant = self.integer_form
-        total = Decimal(constant)
+        total, low = constant, 0
         for name, coef in terms:
-            total = _EXACT.add(total, _EXACT.multiply(coef, Decimal(repr(sample[name]))))
+            mantissa, _, exponent = repr(sample[name]).partition("e")
+            whole, _, fraction = mantissa.partition(".")
+            e = (int(exponent) if exponent else 0) - len(fraction)
+            if e < low:
+                total, low = total * 10 ** (low - e), e
+            total += coef * int(whole + fraction) * 10 ** (e - low)
         return compare_with_zero(total, self.comparator)
 
 
@@ -149,15 +153,20 @@ _OP_NAME = {Always: "G", Eventually: "F", Until: "U"}
 
 
 def linear_atom(
-    coeffs: Mapping[str, Rational], comparator: str, constant: Rational = 0
+    coeffs: Mapping[str, int | Fraction | str], comparator: str, constant: int | Fraction | str = 0
 ) -> Atom:
-    """Build an Atom in canonical form: terms sorted by signal name."""
+    """Build an Atom in canonical form: terms sorted by signal name, each
+    number read as a `Fraction`."""
+    from fractions import Fraction
+
     terms = tuple(sorted((name, Fraction(c)) for name, c in coeffs.items()))
     return Atom(AtomicPredicate(terms, Fraction(constant), comparator))
 
 
-def signal_atom(name: str, comparator: str, threshold: Rational = 0) -> Atom:
+def signal_atom(name: str, comparator: str, threshold: int | Fraction | str = 0) -> Atom:
     """Shorthand for the common single-signal constraint `name <cmp> threshold`."""
+    from fractions import Fraction
+
     return linear_atom({name: 1}, comparator, -Fraction(threshold))
 
 
@@ -270,12 +279,21 @@ def _validate_atom(pred: AtomicPredicate, path: str, out: list[Violation]) -> No
     if not pred.terms:
         out.append(Violation(path, "empty-atom", "comparison references no signal"))
     for name, coef in pred.terms:
-        if not isinstance(coef, Fraction):
+        if not _is_rational(coef):
             out.append(
                 Violation(path, "atom-coefficient", f"coefficient of {name} is not rational: {coef!r}")
             )
-    if not isinstance(pred.constant, Fraction):
+    if not _is_rational(pred.constant):
         out.append(Violation(path, "atom-coefficient", f"constant is not rational: {pred.constant!r}"))
+
+
+def _is_rational(value: object) -> bool:
+    """An int that is not a bool, or a `Fraction`; a `Fraction` exists only
+    once `fractions` is loaded, so validation never loads it."""
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 def horizon(f: Formula) -> int:
@@ -367,7 +385,7 @@ def _render_atom(pred: AtomicPredicate) -> str:
     return f"{lhs} {pred.comparator} {rhs}"
 
 
-def _term(coef: Fraction, name: str) -> str:
+def _term(coef: int | Fraction, name: str) -> str:
     if coef == 1:
         return name
     if coef == -1:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from fractions import Fraction
 
 from ._record import record
 from .errors import (
@@ -209,31 +208,31 @@ class _Parser:
             raise FormulaSyntaxError(f"expected comparison operator, found {found!r}", tok.column)
         rhs_coeffs, rhs_const = self._expr()
         for name, coef in rhs_coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) - coef
+            coeffs[name] = coeffs.get(name, 0) - coef
         if not coeffs:
             raise FormulaSyntaxError("comparison references no signal", start.column)
         comparator = "=" if cmp_tok.text == "==" else cmp_tok.text
         terms = tuple(sorted(coeffs.items()))
         return Atom(AtomicPredicate(terms, const - rhs_const, comparator))
 
-    def _expr(self) -> tuple[dict[str, Fraction], Fraction]:
-        coeffs: dict[str, Fraction] = {}
-        const = Fraction(0)
-        sign = Fraction(-1) if self._accept("-") else Fraction(1)
+    def _expr(self) -> tuple[dict[str, int | Fraction], int | Fraction]:
+        coeffs: dict[str, int | Fraction] = {}
+        const = 0
+        sign = -1 if self._accept("-") else 1
         while True:
             coef, name = self._term()
             if name is None:
                 const += sign * coef
             else:
-                coeffs[name] = coeffs.get(name, Fraction(0)) + sign * coef
+                coeffs[name] = coeffs.get(name, 0) + sign * coef
             if self._accept("+"):
-                sign = Fraction(1)
+                sign = 1
             elif self._accept("-"):
-                sign = Fraction(-1)
+                sign = -1
             else:
                 return coeffs, const
 
-    def _term(self) -> tuple[Fraction, str | None]:
+    def _term(self) -> tuple[int | Fraction, str | None]:
         tok = self._peek()
         if tok.kind == "NUMBER":
             self._next()
@@ -242,7 +241,7 @@ class _Parser:
                 return value, self._signal_name()
             return value, None
         if tok.kind == "IDENT":
-            return Fraction(1), self._signal_name()
+            return 1, self._signal_name()
         found = tok.text or "end of input"
         raise FormulaSyntaxError(f"expected a number or signal name, found {found!r}", tok.column)
 
@@ -280,7 +279,13 @@ class _Parser:
         return -int(value) if negative else int(value)
 
 
-def _number(tok: _Token) -> Fraction:
+def _number(tok: _Token) -> int | Fraction:
+    """An integer literal as an int; a decimal or a fraction as a
+    `Fraction`, so `fractions` loads only for a formula that has one."""
+    if "." not in tok.text and "/" not in tok.text:
+        return int(tok.text)
+    from fractions import Fraction
+
     try:
         return Fraction(tok.text.replace(" ", ""))
     except ZeroDivisionError:

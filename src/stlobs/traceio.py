@@ -12,7 +12,9 @@ one verdict line per record. The command line's `_read_front` is what
 chooses a reader and a trace's signal names.
 
 A CSV check loads neither `json` nor `logging`: `json` loads at the first
-JSONL line, `logging` at the first warning (`_warn_blank`).
+JSONL line, `logging` at the first warning (`_warn_blank`). A value is read
+as a float; an atom reads it as its shortest decimal, in int arithmetic
+(`AtomicPredicate.evaluate`), so no reader loads `decimal` or `fractions`.
 """
 
 from __future__ import annotations

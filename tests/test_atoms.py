@@ -267,6 +267,54 @@ class TestClosureMatchesExactDefinition:
         closure_agrees(atom.predicate, sample)
 
 
+# The exact definition itself, against the rational sum it stands for.
+sample_values = st.one_of(
+    finite_floats,  # subnormals included
+    st.sampled_from((0.0, -0.0, MAX, -MAX, 1e16, 1e-5)),
+    st.integers(-(2**64), 2**64),
+)
+coefficients = st.one_of(
+    st.integers(-50, 50),
+    small_rationals,
+    st.sampled_from((10**400, -(10**400), Fraction(10**400, 3), Fraction(-(10**400), 3))),
+)
+
+
+@st.composite
+def exact_cases(draw):
+    """Terms over one to three signals with their values, a constant and a
+    comparator; half the time the constant puts the exact sum at 0 or one
+    tiny step beside it."""
+    names = draw(st.lists(st.sampled_from(SIGNALS), min_size=1, max_size=3, unique=True))
+    terms = tuple((name, draw(coefficients)) for name in names)
+    sample = {name: draw(sample_values) for name in names}
+    total = sum(coef * decimal(sample[name]) for name, coef in terms)
+    if draw(st.booleans()):
+        constant = draw(st.sampled_from((0, 0, Fraction(1, 10**20), Fraction(-1, 10**330)))) - total
+    else:
+        constant = draw(st.one_of(st.integers(-(10**20), 10**20), small_rationals))
+    return AtomicPredicate(terms, constant, draw(st.sampled_from(COMPARATORS))), sample
+
+
+class TestExactDefinition:
+    """`evaluate` works on integers alone; its truth is the sign of the
+    rational sum `constant + sum(coef * decimal(v))`."""
+
+    @settings(max_examples=1000)
+    @given(exact_cases())
+    def test_evaluate_is_the_sign_of_the_rational_sum(self, case):
+        pred, sample = case
+        total = pred.constant + sum(coef * decimal(sample[name]) for name, coef in pred.terms)
+        assert pred.evaluate(sample) is compare_with_zero(total, pred.comparator), (pred, sample)
+
+    @pytest.mark.parametrize("comparator", COMPARATORS)
+    @pytest.mark.parametrize("value", [0.0, -0.0, MAX, -MAX, 5e-324, 1e16, 1e-5, 123456789, -(2**80)])
+    def test_extreme_values_on_their_own_threshold(self, comparator, value):
+        for coef in (1, -3, 10**400, Fraction(10**400, 3)):
+            on = AtomicPredicate((("x", coef),), -coef * decimal(value), comparator)
+            assert on.evaluate({"x": value}) is compare_with_zero(0, comparator)
+
+
 tenths = st.integers(-50, 50).map(lambda k: k / 10)
 
 

@@ -820,7 +820,9 @@ class TestImports:
     `logging` at the first warning. The command line is read without an
     argument parser, so neither `argparse` nor what it loads (`gettext`,
     `locale`, `shutil`) loads at all, and help text loads only to be
-    printed."""
+    printed. Atoms are decided in int arithmetic: `fractions` (with
+    `decimal` and `numbers`) loads only for a formula with a decimal or a
+    fraction in it."""
 
     DEFERRED = (
         "dataclasses",
@@ -831,7 +833,8 @@ class TestImports:
         "stlobs.oracle",
     )
     ARGUMENT_PARSER = ("argparse", "gettext", "locale", "shutil")
-    UNUSED_BY_CSV = ("json", "logging", "pathlib", "typing", "stlobs.trace", *DEFERRED, *ARGUMENT_PARSER)
+    RATIONALS = ("decimal", "fractions", "numbers")
+    UNUSED_BY_CSV = ("json", "logging", "pathlib", "typing", "stlobs.trace", *DEFERRED, *ARGUMENT_PARSER, *RATIONALS)
 
     def loaded_by(self, statement: str) -> set[str]:
         """Modules that `statement` loads in a fresh interpreter beyond those
@@ -840,7 +843,7 @@ class TestImports:
         module before the statement runs."""
         code = (
             "import sys\n"
-            "import csv, decimal, fractions\n"
+            "import csv\n"
             "before = set(sys.modules)\n"
             f"{statement}\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n"
@@ -851,12 +854,12 @@ class TestImports:
         )
         return set(proc.stdout.splitlines()[-1].split())
 
-    def loaded_by_check(self, tmp_path, name: str, text: str) -> set[str]:
-        """Modules that a whole `check` of the trace `text`, named `name`,
-        loads, as `loaded_by` counts them."""
+    def loaded_by_check(self, tmp_path, name: str, text: str, formula: str = "x > 0") -> set[str]:
+        """Modules that a whole `check` of `formula` on the trace `text`,
+        named `name`, loads, as `loaded_by` counts them."""
         path = tmp_path / name
         path.write_text(text)
-        argv = ["check", "-f", "x > 0", "--trace", str(path)]
+        argv = ["check", "-f", formula, "--trace", str(path)]
         return self.loaded_by(f"import stlobs.cli; assert stlobs.cli.main({argv!r}) == 0")
 
     def test_cli_import_defers_the_other_subcommands(self):
@@ -873,8 +876,14 @@ class TestImports:
         loaded = self.loaded_by_check(tmp_path, "trace.jsonl", '{"x": 1}\n{"x": 2}\n')
         assert "json" in loaded
         assert loaded.isdisjoint(
-            {"logging", "pathlib", "typing", "stlobs.trace", *self.DEFERRED, *self.ARGUMENT_PARSER}
+            {"logging", "pathlib", "typing", "stlobs.trace", *self.DEFERRED, *self.ARGUMENT_PARSER, *self.RATIONALS}
         )
+
+    @pytest.mark.parametrize("formula", ["x > 1/2", "x > 0.5", "2*x >= 1.0"])
+    def test_a_number_with_a_denominator_loads_fractions(self, tmp_path, formula):
+        loaded = self.loaded_by_check(tmp_path, "trace.csv", "x,y\n1,2\n", formula)
+        assert "fractions" in loaded
+        assert loaded.isdisjoint({"json", "logging", *self.DEFERRED, *self.ARGUMENT_PARSER})
 
     @pytest.mark.parametrize(
         "name,text", [("trace.csv", "x\n1\n\n2\n"), ("trace.jsonl", '{"x": 1}\n\n{"x": 2}\n')]

@@ -233,6 +233,24 @@ class TestInduction:
         assert induction_suite(kinds=("eventually",), max_lower=1, max_upper=2).passed
         assert len(steps) == 2 * (14 + 30 + 2 * (30 + 62 + 62)) == 704
 
+    def test_unrolled_form_once_per_prefix_through_its_last_tick(self, monkeypatch):
+        # A form is fixed once its window's last tick is seen: per polarity,
+        # base windows [0,1] and [1,2] (4 + 8 prefixes through their upper
+        # tick) and the new ticks 2, 3 and 3 of step windows [0,1], [0,2]
+        # and [1,2] (8 + 16 + 16 prefixes), each asked for once per check;
+        # [0,2] and [1,2] each ask for the forms over tick 3.
+        calls = []
+
+        def counted(kind, lower, upper, operands, polarity):
+            calls.append((lower, upper, tuple(map(tuple, operands)), polarity))
+            return explicit_eval(kind, lower, upper, operands, polarity)
+
+        monkeypatch.setattr(conformance, "explicit_eval", counted)
+        assert induction_suite(kinds=("eventually",), max_lower=1, max_upper=2).passed
+        assert len(calls) == 2 * (4 + 8 + 8 + 16 + 16) == 104
+        assert len(set(calls)) == 2 * (4 + 8 + 8 + 16) == 72
+        assert all(len(operand) == upper + 1 for _, upper, (operand,), _ in calls)
+
     def test_until_oracle_once_per_prefix_at_the_new_tick(self, monkeypatch):
         # The Until step check asks the oracle at tick upper + 1 only, once
         # per prefix of upper + 2 rows over two atoms.

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,15 @@ class TestValidate:
         bad = Atom(AtomicPredicate((("x", 0.5),), Fraction(0), ">"))
         assert "atom-coefficient" in [v.code for v in validate(bad)]
 
+    @pytest.mark.parametrize("value", [True, 1.0, Decimal("1"), "1"], ids=repr)
+    def test_only_ints_and_fractions_are_rational(self, value):
+        # A bool is an int, and 1.0, Decimal("1") and "1" each equal or spell
+        # one; none is a coefficient or a constant.
+        for pred in (AtomicPredicate((("x", value),), 0, ">"), AtomicPredicate((("x", 1),), value, ">")):
+            assert [v.code for v in validate(Atom(pred))] == ["atom-coefficient"]
+        for number in (1, -(10**400), Fraction(1, 3)):
+            assert validate(Atom(AtomicPredicate((("x", number),), number, ">"))) == []
+
     def test_paths_are_dotted(self):
         bad = And(
             signal_atom("x", ">"),
@@ -335,14 +345,16 @@ class CountedHash:
 
 
 # repr(parse(...)) of the formula below, as the dataclass nodes printed it.
+# Integer literals and the coefficient 1 of a bare name parse as ints; a
+# decimal or a fraction as a Fraction.
 REPR_TEXT = "x > 1/2 & !(y <= 0.25) -> F[1,2] p - 2*q >= 0"
 REPR = (
-    "Implies(left=And(left=Atom(predicate=AtomicPredicate(terms=(('x', Fraction(1, 1)),), "
+    "Implies(left=And(left=Atom(predicate=AtomicPredicate(terms=(('x', 1),), "
     "constant=Fraction(-1, 2), comparator='>')), right=Not(child=Atom(predicate="
-    "AtomicPredicate(terms=(('y', Fraction(1, 1)),), constant=Fraction(-1, 4), "
+    "AtomicPredicate(terms=(('y', 1),), constant=Fraction(-1, 4), "
     "comparator='<=')))), right=Eventually(window=Interval(lower=1, upper=2), "
-    "child=Atom(predicate=AtomicPredicate(terms=(('p', Fraction(1, 1)), ('q', "
-    "Fraction(-2, 1))), constant=Fraction(0, 1), comparator='>='))))"
+    "child=Atom(predicate=AtomicPredicate(terms=(('p', 1), ('q', -2)), "
+    "constant=0, comparator='>='))))"
 )
 
 
