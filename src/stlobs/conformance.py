@@ -262,8 +262,9 @@ def _against_oracle(f: Formula, upper: int, prefix: tuple, verdicts: list) -> Fa
 # and its negative one an F. Both walk the traces as the sweep does, with
 # any exception a step raises, a flag conflict too, a `step-error`; a check
 # returns its first failure in trace order, with a full trace to replay.
-# A form reads no tick past the window's last, so each check computes it
-# once per prefix through that tick (`cache`), not once per longer prefix.
+# A form reads no tick past the window's last, so it is computed once per
+# prefix through that tick (`cache`), not once per longer prefix; one run of
+# `induction_suite` shares one cache between all of its checks.
 
 _FLAGS = {"positive": TRUE, "negative": FALSE}
 # The flags a wider window can only set; the step joins them with the new
@@ -271,17 +272,26 @@ _FLAGS = {"positive": TRUE, "negative": FALSE}
 _WIDENING = {("eventually", "positive"), ("always", "negative"), ("until", "positive")}
 
 
-def check_induction_base(kind: str, lower: int, polarity: str) -> Failure | None:
+def _unrolled(kind: str, lower: int, upper: int, polarity: str, rows: tuple) -> bool:
+    """The polarity's unrolled form over [lower, upper] on the boolean
+    operand rows of ticks 0 to upper."""
+    return explicit_eval(kind, lower, upper, list(zip(*rows)), polarity)
+
+
+def check_induction_base(
+    kind: str, lower: int, polarity: str, unrolled: Callable[..., bool] | None = None
+) -> Failure | None:
     """The polarity's flag of the operator over [lower, lower+1] equals the
     unrolled form over that window at every tick from lower + 1 on, over all
     boolean operand traces. Returns the first `induction-base` or
-    `step-error` failure, or None."""
+    `step-error` failure, or None. `unrolled` is a memoised `_unrolled`,
+    one of the check's own if none is given."""
     upper, flag = lower + 1, _FLAGS[polarity]
-    unrolled = cache(lambda rows: explicit_eval(kind, lower, upper, list(zip(*rows)), polarity))
+    unrolled = unrolled or cache(_unrolled)
 
     def compare(prefix: tuple, verdicts: list) -> Failure | None:
         k = len(prefix) - 1
-        if k >= upper and (verdicts[0] is flag) != unrolled(prefix[: upper + 1]):
+        if k >= upper and (verdicts[0] is flag) != unrolled(kind, lower, upper, polarity, prefix[: upper + 1]):
             return Failure(
                 "induction-base", f"{kind}/{polarity} window [{lower},{upper}]", (), k, "operator", "unrolled form"
             )
@@ -291,25 +301,27 @@ def check_induction_base(kind: str, lower: int, polarity: str) -> Failure | None
     return next(iter(failures), None)
 
 
-def check_induction_step(kind: str, lower: int, upper: int, polarity: str) -> Failure | None:
+def check_induction_step(
+    kind: str, lower: int, upper: int, polarity: str, unrolled: Callable[..., bool] | None = None
+) -> Failure | None:
     """The polarity's flag of the operator over [lower, upper+1] equals that
     flag of the operator over [lower, upper] joined with the unrolled form
     over the new tick upper + 1 alone, from tick upper + 1 on. For Until the
     wide flag is also cross-checked against the three-valued oracle at tick
     upper + 1. Returns the first `induction-step` or `step-error` failure,
-    or None.
+    or None. `unrolled` is as in `check_induction_base`.
     """
     wide = operator_formula(kind, lower, upper + 1)
     flag = _FLAGS[polarity]
     widens = (kind, polarity) in _WIDENING
-    unrolled = cache(lambda rows: explicit_eval(kind, upper + 1, upper + 1, list(zip(*rows)), polarity))
+    unrolled = unrolled or cache(_unrolled)
 
     def compare(prefix: tuple, verdicts: list) -> Failure | None:
         k = len(prefix) - 1
         if k < upper + 1:
             return None
         got, was = (verdict is flag for verdict in verdicts)
-        new_tick = unrolled(prefix[: upper + 2])
+        new_tick = unrolled(kind, upper + 1, upper + 1, polarity, prefix[: upper + 2])
         if got != ((was or new_tick) if widens else (was and new_tick)) or (
             kind == "until" and k == upper + 1 and got != (three_valued_eval(wide, bool_trace(prefix, 2), k) is flag)
         ):
@@ -331,10 +343,11 @@ def induction_suite(
     # The longest traces are refused before any work, as in the sweep.
     _rows(2 if "until" in kinds else 1, max(max_lower, max_upper) + 3, DEFAULT_ENUMERATION_CAP)
     results: list[Failure | None] = []
+    unrolled = cache(_unrolled)
     for kind in kinds:
         for polarity in POLARITIES:
-            results += [check_induction_base(kind, lower, polarity) for lower in range(max_lower + 1)]
-            results += [check_induction_step(kind, lower, upper, polarity) for lower, upper in windows]
+            results += [check_induction_base(kind, lower, polarity, unrolled) for lower in range(max_lower + 1)]
+            results += [check_induction_step(kind, lower, upper, polarity, unrolled) for lower, upper in windows]
     failures = [failure for failure in results if failure is not None]
     return ConformanceReport(len(results), failures, time.perf_counter() - start)
 
@@ -393,9 +406,9 @@ def _random_prop(rng: random.Random, depth: int, pool: Sequence[Formula]) -> For
         threshold = Fraction(rng.randrange(-20, 21), 10)
         return signal_atom(name, rng.choice(_COMPARATORS), threshold)
     roll = rng.random()
-    if roll < 0.4:
+    if roll < 0.3:
         return Not(_random_prop(rng, depth - 1, pool))
-    combiner = And if roll < 0.7 else Or
+    combiner = And if roll < 0.55 else Or if roll < 0.8 else Implies
     return combiner(_random_prop(rng, depth - 1, pool), _random_prop(rng, depth - 1, pool))
 
 

@@ -8,13 +8,18 @@ boolean combinations of linear predicates over signals. Boolean combinations
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections.abc import Callable, Iterator, Mapping
 from functools import cached_property
 
 from ._record import record
 
-COMPARATORS = (">", ">=", "<", "<=", "=", "!=")
+_SIGN_TESTS = {
+    ">": operator.gt, ">=": operator.ge, "<": operator.lt,
+    "<=": operator.le, "=": operator.eq, "!=": operator.ne,
+}
+COMPARATORS = tuple(_SIGN_TESTS)
 
 
 @record
@@ -29,9 +34,10 @@ class Interval:
 class AtomicPredicate:
     """Linear constraint: sum(coef * signal for terms) + constant <cmp> 0.
 
-    `terms` is kept in the order given; use `linear_atom` to build the
-    canonical (name-sorted) form that the parser produces. Coefficients and
-    the constant are ints, or `Fraction`s where they need a denominator.
+    `terms` is kept in the order given. The parser and `linear_atom` build
+    the canonical form: terms sorted by name, in integer form (ints with no
+    denominator left to clear, as `integer_form` scales them). A hand-built
+    atom may hold `Fraction`s.
 
     A sample value v stands for the shortest decimal that round-trips to it,
     `Fraction(repr(v))`: the text of the trace whenever that text has at
@@ -50,7 +56,8 @@ class AtomicPredicate:
     @cached_property
     def integer_form(self) -> tuple[tuple[tuple[str, int], ...], int]:
         """(terms, constant) scaled by the least common denominator of all
-        coefficients: integers whose sum has the sign of the rational one."""
+        coefficients: integers whose sum has the sign of the rational one.
+        An atom already in integer form is its own."""
         scale = math.lcm(self.constant.denominator, *(c.denominator for _, c in self.terms))
         return (
             tuple((name, c.numerator * (scale // c.denominator)) for name, c in self.terms),
@@ -79,19 +86,9 @@ class AtomicPredicate:
 
 def compare_with_zero(total, comparator: str) -> bool:
     """`total <comparator> 0`."""
-    if comparator == ">":
-        return total > 0
-    if comparator == ">=":
-        return total >= 0
-    if comparator == "<":
-        return total < 0
-    if comparator == "<=":
-        return total <= 0
-    if comparator == "=":
-        return total == 0
-    if comparator == "!=":
-        return total != 0
-    raise ValueError(f"unknown comparator {comparator!r}")
+    if comparator not in _SIGN_TESTS:
+        raise ValueError(f"unknown comparator {comparator!r}")
+    return _SIGN_TESTS[comparator](total, 0)
 
 
 class Formula:
@@ -155,19 +152,26 @@ _OP_NAME = {Always: "G", Eventually: "F", Until: "U"}
 def linear_atom(
     coeffs: Mapping[str, int | Fraction | str], comparator: str, constant: int | Fraction | str = 0
 ) -> Atom:
-    """Build an Atom in canonical form: terms sorted by signal name, each
-    number read as a `Fraction`."""
-    from fractions import Fraction
+    """Build an Atom in canonical form: terms sorted by signal name, in
+    integer form. Numbers are read as `Fraction`s, loading `fractions`,
+    only if one of them is not an int."""
+    numbers = (constant, *coeffs.values())
+    if any(type(n) is not int for n in numbers):
+        from fractions import Fraction
 
-    terms = tuple(sorted((name, Fraction(c)) for name, c in coeffs.items()))
-    return Atom(AtomicPredicate(terms, Fraction(constant), comparator))
+        numbers = tuple(map(Fraction, numbers))
+    constant, *values = numbers
+    terms, constant = AtomicPredicate(tuple(sorted(zip(coeffs, values))), constant, comparator).integer_form
+    return Atom(AtomicPredicate(terms, constant, comparator))
 
 
 def signal_atom(name: str, comparator: str, threshold: int | Fraction | str = 0) -> Atom:
     """Shorthand for the common single-signal constraint `name <cmp> threshold`."""
-    from fractions import Fraction
+    if type(threshold) is not int:
+        from fractions import Fraction
 
-    return linear_atom({name: 1}, comparator, -Fraction(threshold))
+        threshold = Fraction(threshold)
+    return linear_atom({name: 1}, comparator, -threshold)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -320,7 +324,8 @@ _LEVEL_PRIMARY = 6
 
 
 def render(f: Formula) -> str:
-    """Concrete syntax for `f`; `parse(render(f), ...)` reproduces the AST."""
+    """Concrete syntax for `f`; `parse(render(f), ...)` reproduces the AST,
+    each atom in its integer form (a library-built atom is already in it)."""
     return _render(f, 0)
 
 
@@ -336,28 +341,15 @@ def _render_node(f: Formula) -> tuple[str, int]:
         return _render_atom(f.predicate), _LEVEL_PRIMARY
     if isinstance(f, Not):
         return f"!{_render(f.child, _LEVEL_UNARY)}", _LEVEL_UNARY
-    if isinstance(f, And):
-        return (
-            f"{_render(f.left, _LEVEL_AND)} & {_render(f.right, _LEVEL_AND + 1)}",
-            _LEVEL_AND,
-        )
-    if isinstance(f, Or):
-        return (
-            f"{_render(f.left, _LEVEL_OR)} | {_render(f.right, _LEVEL_OR + 1)}",
-            _LEVEL_OR,
-        )
+    if isinstance(f, (And, Or)):
+        op, level = ("&", _LEVEL_AND) if isinstance(f, And) else ("|", _LEVEL_OR)
+        return f"{_render(f.left, level)} {op} {_render(f.right, level + 1)}", level
     if isinstance(f, Implies):
-        return (
-            f"{_render(f.left, _LEVEL_IMPLIES + 1)} -> {_render(f.right, _LEVEL_IMPLIES)}",
-            _LEVEL_IMPLIES,
-        )
+        left, right = _render(f.left, _LEVEL_IMPLIES + 1), _render(f.right, _LEVEL_IMPLIES)
+        return f"{left} -> {right}", _LEVEL_IMPLIES
     if isinstance(f, (Always, Eventually)):
-        name = operator_name(f)
         w = f.window
-        return (
-            f"{name}[{w.lower},{w.upper}] {_render(f.child, _LEVEL_UNARY)}",
-            _LEVEL_UNARY,
-        )
+        return f"{operator_name(f)}[{w.lower},{w.upper}] {_render(f.child, _LEVEL_UNARY)}", _LEVEL_UNARY
     if isinstance(f, Until):
         w = f.window
         return (

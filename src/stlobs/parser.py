@@ -25,6 +25,7 @@ expressions inside atoms are written without parentheses.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable
 
@@ -200,39 +201,40 @@ class _Parser:
 
     def _atom(self) -> Formula:
         start = self._peek()
-        coeffs, const = self._expr()
+        coeffs: dict[str, tuple[int, int]] = {}
+        const = self._expr(coeffs, (0, 1), 1)
         cmp_tok = self._accept(">", ">=", "<", "<=", "=", "==", "!=")
         if cmp_tok is None:
             tok = self._peek()
             found = tok.text or "end of input"
             raise FormulaSyntaxError(f"expected comparison operator, found {found!r}", tok.column)
-        rhs_coeffs, rhs_const = self._expr()
-        for name, coef in rhs_coeffs.items():
-            coeffs[name] = coeffs.get(name, 0) - coef
+        const = self._expr(coeffs, const, -1)
         if not coeffs:
             raise FormulaSyntaxError("comparison references no signal", start.column)
         comparator = "=" if cmp_tok.text == "==" else cmp_tok.text
-        terms = tuple(sorted(coeffs.items()))
-        return Atom(AtomicPredicate(terms, const - rhs_const, comparator))
+        scale = math.lcm(const[1], *(d for _, d in coeffs.values()))
+        terms = tuple(sorted((name, n * (scale // d)) for name, (n, d) in coeffs.items()))
+        return Atom(AtomicPredicate(terms, const[0] * (scale // const[1]), comparator))
 
-    def _expr(self) -> tuple[dict[str, int | Fraction], int | Fraction]:
-        coeffs: dict[str, int | Fraction] = {}
-        const = 0
-        sign = -1 if self._accept("-") else 1
+    def _expr(self, coeffs: dict[str, tuple[int, int]], const: tuple[int, int], side: int) -> tuple[int, int]:
+        """Adds the expression, times `side`, to `coeffs` and returns `const`
+        plus its constant, times `side`: reduced (numerator, denominator)
+        pairs. `_atom` scales the sum by the lcm of their denominators."""
+        sign = -side if self._accept("-") else side
         while True:
-            coef, name = self._term()
+            (n, d), name = self._term()
             if name is None:
-                const += sign * coef
+                const = _add(const, (sign * n, d))
             else:
-                coeffs[name] = coeffs.get(name, 0) + sign * coef
+                coeffs[name] = _add(coeffs.get(name, (0, 1)), (sign * n, d))
             if self._accept("+"):
-                sign = 1
+                sign = side
             elif self._accept("-"):
-                sign = -1
+                sign = -side
             else:
-                return coeffs, const
+                return const
 
-    def _term(self) -> tuple[int | Fraction, str | None]:
+    def _term(self) -> tuple[tuple[int, int], str | None]:
         tok = self._peek()
         if tok.kind == "NUMBER":
             self._next()
@@ -241,7 +243,7 @@ class _Parser:
                 return value, self._signal_name()
             return value, None
         if tok.kind == "IDENT":
-            return 1, self._signal_name()
+            return (1, 1), self._signal_name()
         found = tok.text or "end of input"
         raise FormulaSyntaxError(f"expected a number or signal name, found {found!r}", tok.column)
 
@@ -273,23 +275,29 @@ class _Parser:
     def _interval_bound(self) -> int:
         negative = self._accept("-") is not None
         tok = self._expect("NUMBER", "an integer bound")
-        value = _number(tok)
-        if value.denominator != 1:
+        n, d = _number(tok)
+        if d != 1:
             raise IntervalBoundError(f"interval bound {tok.text} is not an integer", tok.column)
-        return -int(value) if negative else int(value)
+        return -n if negative else n
 
 
-def _number(tok: _Token) -> int | Fraction:
-    """An integer literal as an int; a decimal or a fraction as a
-    `Fraction`, so `fractions` loads only for a formula that has one."""
-    if "." not in tok.text and "/" not in tok.text:
-        return int(tok.text)
-    from fractions import Fraction
+def _number(tok: _Token) -> tuple[int, int]:
+    """The literal as a reduced (numerator, denominator) pair of ints: a
+    decimal d.ddd is its digits over 10**k, a fraction n/d the pair itself."""
+    if "/" in tok.text:
+        n, d = map(int, tok.text.split("/"))
+        if not d:
+            raise FormulaSyntaxError(f"number {tok.text} has a zero denominator", tok.column)
+        return _add((n, d), (0, 1))
+    whole, _, digits = tok.text.partition(".")
+    return _add((int(whole + digits), 10 ** len(digits)), (0, 1))
 
-    try:
-        return Fraction(tok.text.replace(" ", ""))
-    except ZeroDivisionError:
-        raise FormulaSyntaxError(f"number {tok.text} has a zero denominator", tok.column) from None
+
+def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The reduced sum of two (numerator, denominator) pairs."""
+    n, d = a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def _find_temporal(f: Formula) -> Formula | None:

@@ -7,10 +7,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stlobs import cli, monitor
+from stlobs import cli, conformance, monitor
+from stlobs.conformance import property_suite
 from stlobs.formula import (
     COMPARATORS,
     Always,
@@ -21,6 +22,8 @@ from stlobs.formula import (
     Interval,
     Not,
     Or,
+    TEMPORAL_NODES,
+    children,
     compare_with_zero,
     linear_atom,
     render,
@@ -354,3 +357,162 @@ class TestRewritingKeepsVerdicts:
         f, trace = case
         again = parse(render(f), SIGNALS)
         assert verdicts(again, trace) == verdicts(f, trace)
+
+
+# Atom text against the same atom built in `Fraction`s.
+literals = st.one_of(
+    st.integers(0, 1000).map(lambda n: (str(n), Fraction(n))),
+    st.tuples(st.integers(0, 99), st.text("0123456789", min_size=1, max_size=5)).map(
+        lambda wd: (f"{wd[0]}.{wd[1]}", Fraction(int(f"{wd[0]}{wd[1]}"), 10 ** len(wd[1])))
+    ),
+    st.tuples(st.integers(0, 99), st.integers(1, 60), st.sampled_from(("/", " / "))).map(
+        lambda nds: (f"{nds[0]}{nds[2]}{nds[1]}", Fraction(nds[0], nds[1]))
+    ),
+)
+
+
+@st.composite
+def sides(draw):
+    """One side of an atom, as text with its coefficients and constant: a
+    sum of constants, `literal*name` and bare names."""
+    coeffs: dict[str, Fraction] = {}
+    constant, parts = Fraction(0), []
+    for k in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from((1, -1))) if k else draw(st.sampled_from((1, 1, -1)))
+        kind = draw(st.sampled_from(("number", "product", "name")))
+        text, value = draw(literals) if kind != "name" else ("", Fraction(1))
+        name = draw(st.sampled_from(SIGNALS)) if kind != "number" else None
+        term = text if name is None else name if kind == "name" else f"{text}*{name}"
+        if k or sign < 0:
+            parts.append("-" if sign < 0 else "+")
+        parts.append(term)
+        if name is None:
+            constant += sign * value
+        else:
+            coeffs[name] = coeffs.get(name, 0) + sign * value
+    return " ".join(parts), coeffs, constant
+
+
+@st.composite
+def atom_texts(draw):
+    """Atom text over at least one signal, and the same atom built in
+    `Fraction`s, `sum(coef * signal) + constant <cmp> 0`."""
+    (left, lcoeffs, lconst), (right, rcoeffs, rconst) = draw(sides()), draw(sides())
+    assume(lcoeffs or rcoeffs)
+    comparator = draw(st.sampled_from((">", ">=", "<", "<=", "=", "==", "!=")))
+    coeffs = dict(lcoeffs)
+    for name, coef in rcoeffs.items():
+        coeffs[name] = coeffs.get(name, 0) - coef
+    built = AtomicPredicate(tuple(sorted(coeffs.items())), lconst - rconst, comparator.replace("==", "="))
+    return f"{left} {comparator} {right}", built
+
+
+class TestParsedIntegerForm:
+    """The parser reads numbers as int ratios and emits each atom in integer
+    form: the `integer_form` of the same atom built in `Fraction`s, with the
+    same truth on every sample."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(atom_texts(), st.lists(tenths, min_size=len(SIGNALS), max_size=len(SIGNALS)))
+    def test_parsed_atom_is_the_integer_form(self, case, values):
+        text, built = case
+        parsed = parse(text, SIGNALS).predicate
+        assert (parsed.terms, parsed.constant) == built.integer_form, text
+        assert {type(n) for n in (parsed.constant, *dict(parsed.terms).values())} == {int}
+        samples = [dict(zip(SIGNALS, values))]
+        # Each signal with a coefficient, on the float nearest its threshold
+        # given the others' values, and one float to either side.
+        for name, coef in built.terms:
+            if coef:
+                rest = sum(c * decimal(samples[0][n]) for n, c in built.terms if n != name)
+                at = float(-(built.constant + rest) / coef)
+                for value in (at, math.nextafter(at, -math.inf), math.nextafter(at, math.inf)):
+                    samples.append(dict(samples[0], **{name: value}))
+        for sample in samples:
+            total = built.constant + sum(c * decimal(sample[n]) for n, c in built.terms)
+            holds = compare_with_zero(total, built.comparator)
+            assert parsed.evaluate(sample) is built.evaluate(sample) is holds, (text, sample)
+            closure_agrees(parsed, sample)
+
+
+def rational_linear_atom(coeffs, comparator, constant=0):
+    """An atom as `linear_atom` built it before atoms were put in integer
+    form: its numbers as `Fraction`s, unscaled."""
+    terms = tuple(sorted((name, Fraction(c)) for name, c in coeffs.items()))
+    return Atom(AtomicPredicate(terms, Fraction(constant), comparator))
+
+
+def rational_signal_atom(name, comparator, threshold=0):
+    return rational_linear_atom({name: 1}, comparator, -Fraction(threshold))
+
+
+def map_atoms(f, fn):
+    """`f` with each atom replaced by `fn(atom)`."""
+    if isinstance(f, Atom):
+        return fn(f)
+    rebuilt = tuple(map_atoms(child, fn) for child in children(f))
+    return type(f)(f.window, *rebuilt) if isinstance(f, TEMPORAL_NODES) else type(f)(*rebuilt)
+
+
+def over_thirty(atom: Atom) -> Atom:
+    """The atom with its numbers over 30, as `Fraction`s. The benchmark's
+    rational atom `60*x - 9*y - 30*z <= -10` becomes the one its formula
+    spells, `2*x - 3/10*y + 1/3 <= z`; no other atom's integer form changes."""
+    pred = atom.predicate
+    terms = tuple((name, Fraction(c, 30)) for name, c in pred.terms)
+    built = AtomicPredicate(terms, Fraction(pred.constant, 30), pred.comparator)
+    assert built.integer_form == (pred.terms, pred.constant)
+    return Atom(built)
+
+
+class TestIntegerFormChangesNoCode:
+    """A network compiled from an atom in integer form has the source of one
+    compiled from the same atom built in `Fraction`s: the network reads only
+    the integer form, which is the same."""
+
+    WORKLOADS = (
+        (
+            "G[0,199999] (speed < 20 | brake > 0) & F[0,199999] (gear >= 6) "
+            "& ((speed >= 0) U[0,199999] (gear >= 6))",
+            ("speed", "brake", "gear"),
+        ),
+        (
+            "G[0,99999] (speed < 20 | brake > 0) & F[0,99999] (gear >= 6) "
+            "& ((speed >= 0) U[0,99999] (gear >= 6))",
+            ("speed", "brake", "gear"),
+        ),
+        (
+            "(F[0,100000] (x - y > 100) | ((x + y >= -100) U[50,100000] (x - y > 100))) "
+            "-> G[10,199999] (2*x - 3/10*y + 1/3 <= z)",
+            ("x", "y", "z"),
+        ),
+    )
+
+    @staticmethod
+    def source(f) -> str:
+        return monitor._NetworkSource(f).text
+
+    def test_the_property_suite_formulas(self, monkeypatch):
+        """The first 500 cases of `property_suite(42, ...)`, with each formula
+        that a case compiles drawn once with atoms in integer form and once
+        with the `Fraction` atoms drawn before."""
+
+        def compiled(rational: bool) -> list:
+            if rational:
+                monkeypatch.setattr(conformance, "linear_atom", rational_linear_atom)
+                monkeypatch.setattr(conformance, "signal_atom", rational_signal_atom)
+            formulas = []
+            report = property_suite(42, 500, lambda f: formulas.append(f) or compile_formula(f))
+            assert report.passed
+            return formulas
+
+        integer, rational = compiled(False), compiled(True)
+        assert len(integer) == len(rational) >= 4 * 500
+        assert any(f != g for f, g in zip(integer, rational))
+        for f, g in zip(integer, rational):
+            assert self.source(f) == self.source(g), render(f)
+
+    @pytest.mark.parametrize("text,signals", WORKLOADS)
+    def test_the_benchmark_formulas(self, text, signals):
+        f = parse(text, signals)
+        assert self.source(f) == self.source(map_atoms(f, over_thirty))

@@ -820,9 +820,9 @@ class TestImports:
     `logging` at the first warning. The command line is read without an
     argument parser, so neither `argparse` nor what it loads (`gettext`,
     `locale`, `shutil`) loads at all, and help text loads only to be
-    printed. Atoms are decided in int arithmetic: `fractions` (with
-    `decimal` and `numbers`) loads only for a formula with a decimal or a
-    fraction in it."""
+    printed. Numbers parse to int ratios and atoms are decided in int
+    arithmetic, so `fractions` (with `decimal` and `numbers`) does not load,
+    not even for a formula with a decimal or a fraction in it."""
 
     DEFERRED = (
         "dataclasses",
@@ -854,13 +854,15 @@ class TestImports:
         )
         return set(proc.stdout.splitlines()[-1].split())
 
-    def loaded_by_check(self, tmp_path, name: str, text: str, formula: str = "x > 0") -> set[str]:
+    def loaded_by_check(
+        self, tmp_path, name: str, text: str, formula: str = "x > 0", status: int = cli.EXIT_TRUE
+    ) -> set[str]:
         """Modules that a whole `check` of `formula` on the trace `text`,
-        named `name`, loads, as `loaded_by` counts them."""
+        named `name`, that exits with `status` loads, as `loaded_by` counts them."""
         path = tmp_path / name
         path.write_text(text)
         argv = ["check", "-f", formula, "--trace", str(path)]
-        return self.loaded_by(f"import stlobs.cli; assert stlobs.cli.main({argv!r}) == 0")
+        return self.loaded_by(f"import stlobs.cli; assert stlobs.cli.main({argv!r}) == {status}")
 
     def test_cli_import_defers_the_other_subcommands(self):
         loaded = self.loaded_by("import stlobs.cli")
@@ -880,10 +882,29 @@ class TestImports:
         )
 
     @pytest.mark.parametrize("formula", ["x > 1/2", "x > 0.5", "2*x >= 1.0"])
-    def test_a_number_with_a_denominator_loads_fractions(self, tmp_path, formula):
+    def test_a_number_with_a_denominator_loads_no_rationals(self, tmp_path, formula):
         loaded = self.loaded_by_check(tmp_path, "trace.csv", "x,y\n1,2\n", formula)
-        assert "fractions" in loaded
-        assert loaded.isdisjoint({"json", "logging", *self.DEFERRED, *self.ARGUMENT_PARSER})
+        assert loaded.isdisjoint({"json", "logging", *self.DEFERRED, *self.ARGUMENT_PARSER, *self.RATIONALS})
+
+    def test_oracle_of_a_rational_formula_loads_no_rationals(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("x,y\n1,2\n")
+        argv = ["oracle", "-f", "x > 1/2 & 3/10*y >= 0.6", "--trace", str(path)]
+        loaded = self.loaded_by(f"import stlobs.cli; assert stlobs.cli.main({argv!r}) == 0")
+        assert "stlobs.oracle" in loaded
+        assert loaded.isdisjoint(self.RATIONALS)
+
+    def test_the_rational_jsonl_workload_loads_no_rationals(self, tmp_path):
+        """The benchmark's jsonl-latch formula: multi-signal atoms, one
+        with the fraction 1/3 and the decimal fraction 3/10."""
+        formula = (
+            "(F[0,100000] (x - y > 100) | ((x + y >= -100) U[50,100000] (x - y > 100))) "
+            "-> G[10,199999] (2*x - 3/10*y + 1/3 <= z)"
+        )
+        text = '{"x": 0.1, "y": 0.3, "z": 0.2}\n{"x": 3.0, "y": -1.0, "z": 6.3}\n'
+        loaded = self.loaded_by_check(tmp_path, "trace.jsonl", text, formula, cli.EXIT_UNKNOWN)
+        assert "json" in loaded
+        assert loaded.isdisjoint({"logging", *self.DEFERRED, *self.ARGUMENT_PARSER, *self.RATIONALS})
 
     @pytest.mark.parametrize(
         "name,text", [("trace.csv", "x\n1\n\n2\n"), ("trace.jsonl", '{"x": 1}\n\n{"x": 2}\n')]

@@ -55,8 +55,16 @@ class TestAtoms:
         assert atom.predicate.comparator == "<="
 
     def test_linear_atom_sorts_terms(self):
-        atom = linear_atom({"y": 2, "x": -1}, ">", Fraction(1, 2))
-        assert atom.predicate.terms == (("x", Fraction(-1)), ("y", Fraction(2)))
+        """Terms sorted by name, in integer form: -x + 2*y + 1/2 > 0 is
+        -2*x + 4*y + 1 > 0, in ints."""
+        pred = linear_atom({"y": 2, "x": -1}, ">", Fraction(1, 2)).predicate
+        assert (pred.terms, pred.constant) == ((("x", -2), ("y", 4)), 1)
+        assert {type(n) for n in (pred.constant, *dict(pred.terms).values())} == {int}
+
+    @pytest.mark.parametrize("threshold", [Fraction(-1, 2), "-1/2", "-0.5", -0.5])
+    def test_every_spelling_of_a_threshold_builds_one_atom(self, threshold):
+        assert signal_atom("x", ">", threshold) == p("x > -1/2") == p("2*x > -1")
+        assert signal_atom("x", ">", threshold).predicate.terms == (("x", 2),)
 
     @pytest.mark.parametrize(
         "comparator,value,expected",
@@ -205,6 +213,12 @@ class TestParseErrors:
             p(text)
         assert info.value.column == column
 
+    @pytest.mark.parametrize("text", ["x > 1/2", "x > 1 / 2", "x > 1\t/\t2", "x > 1\n/2", "x > 0.50", "x > 2/4"])
+    def test_any_whitespace_around_a_fraction_bar(self, text):
+        """The tokenizer allows any whitespace around `/`, and each
+        spelling of one half is the same number."""
+        assert p(text) == p("2*x > 1")
+
 
 class TestValidate:
     def test_parser_output_is_valid(self):
@@ -308,13 +322,19 @@ class TestRender:
             ("G[0,5](x > 0)", "G[0,5] x > 0"),
             ("((x>0))", "x > 0"),
             ("(x>0 | y>0) & p>0", "(x > 0 | y > 0) & p > 0"),
-            ("x > -1/2", "x > -1/2"),
+            ("x > -1/2", "2*x > -1"),
             ("2*x - y <= 10", "2*x - y <= 10"),
-            ("!(x > 0.25)", "!x > 1/4"),
+            ("!(x > 0.25)", "!4*x > 1"),
         ],
     )
     def test_render(self, text, expected):
         assert render(p(text)) == expected
+
+    def test_a_rational_atom_parses_back_in_integer_form(self):
+        pred = AtomicPredicate((("x", Fraction(1, 2)), ("y", Fraction(-2, 3))), Fraction(1, 4), ">=")
+        assert render(Atom(pred)) == "1/2*x - 2/3*y >= -1/4"
+        again = p(render(Atom(pred))).predicate
+        assert (again.terms, again.constant) == pred.integer_form == ((("x", 6), ("y", -8)), 3)
 
     def test_signals_of(self):
         assert signals_of(p("(x>0) U[0,2] (q>0-1*y)")) == ("q", "x", "y")
@@ -349,9 +369,9 @@ class CountedHash:
 # decimal or a fraction as a Fraction.
 REPR_TEXT = "x > 1/2 & !(y <= 0.25) -> F[1,2] p - 2*q >= 0"
 REPR = (
-    "Implies(left=And(left=Atom(predicate=AtomicPredicate(terms=(('x', 1),), "
-    "constant=Fraction(-1, 2), comparator='>')), right=Not(child=Atom(predicate="
-    "AtomicPredicate(terms=(('y', 1),), constant=Fraction(-1, 4), "
+    "Implies(left=And(left=Atom(predicate=AtomicPredicate(terms=(('x', 2),), "
+    "constant=-1, comparator='>')), right=Not(child=Atom(predicate="
+    "AtomicPredicate(terms=(('y', 4),), constant=-1, "
     "comparator='<=')))), right=Eventually(window=Interval(lower=1, upper=2), "
     "child=Atom(predicate=AtomicPredicate(terms=(('p', 1), ('q', -2)), "
     "constant=0, comparator='>='))))"
