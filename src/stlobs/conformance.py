@@ -22,6 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import EnumerationCapError, FlagConflictError
 from .formula import (
+    COMPARATORS,
     And,
     Formula,
     Implies,
@@ -388,14 +389,11 @@ def random_formula(rng: random.Random, max_upper: int = 20) -> Formula:
     return combiner(leaf(), leaf())
 
 
-_COMPARATORS = (">", ">=", "<", "<=")
-
-
 def _random_sum(rng: random.Random) -> Formula:
     """An atom over both signals, `a*x + b*y + c <cmp> 0`, with a and b
     nonzero tenths."""
     coeffs = {name: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 21), 10) for name in _PROP_SIGNALS}
-    return linear_atom(coeffs, rng.choice(_COMPARATORS), Fraction(rng.randrange(-20, 21), 10))
+    return linear_atom(coeffs, rng.choice(COMPARATORS), Fraction(rng.randrange(-20, 21), 10))
 
 
 def _random_prop(rng: random.Random, depth: int, pool: Sequence[Formula]) -> Formula:
@@ -404,7 +402,7 @@ def _random_prop(rng: random.Random, depth: int, pool: Sequence[Formula]) -> For
             return rng.choice(pool)
         name = rng.choice(_PROP_SIGNALS)
         threshold = Fraction(rng.randrange(-20, 21), 10)
-        return signal_atom(name, rng.choice(_COMPARATORS), threshold)
+        return signal_atom(name, rng.choice(COMPARATORS), threshold)
     roll = rng.random()
     if roll < 0.3:
         return Not(_random_prop(rng, depth - 1, pool))
@@ -413,12 +411,15 @@ def _random_prop(rng: random.Random, depth: int, pool: Sequence[Formula]) -> For
 
 
 def _random_trace(rng: random.Random, signals: Sequence[str], length: int) -> Trace:
-    return Trace(
-        tuple(signals),
-        tuple(
-            tuple(rng.uniform(-2.5, 2.5) for _ in signals) for _ in range(length)
-        ),
+    """`length` samples in [-2.5, 2.5]: uniform floats, or, for three traces
+    in ten, tenths, the thresholds' grid, where an `=` atom can hold and a
+    sample can sit on a threshold."""
+    grid = rng.random() < 0.3
+    rows = (
+        tuple(rng.randrange(-25, 26) / 10 if grid else rng.uniform(-2.5, 2.5) for _ in signals)
+        for _ in range(length)
     )
+    return Trace(tuple(signals), tuple(rows))
 
 
 def property_suite(

@@ -21,31 +21,30 @@ and its operands evaluated, only while neither of its flags is set; once the
 root has decided, the function returns its verdict without stepping any
 operator. Each atom is compiled once to a float test that agrees exactly
 with its rational definition and is inlined over the signals' values: one
-over a single signal as a comparison such as `x2 < 20.0`, one over several
+over a single signal as a comparison such as `x2 < c0`, one over several
 as one expression that computes the float sum and its error bound and calls
-the exact test on the sample only when the bound cannot decide. An atom
-over several signals that more than one operand reads is computed once per
-tick, while some operand that reads it is undecided.
+the exact test on the sample only when the bound cannot decide.
 
 Formula text reaches the generated source only as the `repr` of a `str` (a
-signal name) or of a finite `float` (a threshold, a coefficient or an error
-bound). Windows never reach it: they are the arguments of the network's
-factory, so formulas that differ only in their windows share one network
-code, and compiling a formula again only calls that factory. `Monitor` is a
-thin handle on the network: its `step` calls it, its tick and state are the
-network's `state()`, and `fork()` starts a second network at that state.
+signal name). Every number the network uses (a window bound, a threshold, a
+coefficient, a constant or an error bound) and every exact test is an
+argument of the network's factory, so formulas that differ only in their
+numbers share one network code. One cache holds the factories of the 256
+most recent texts, so compiling a formula whose text is among them builds
+its source and calls that factory. `Monitor` is a thin handle on the
+network: its `step` calls it, its tick and state are the network's
+`state()`, and `fork()` starts a second network at that state.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Callable, Mapping
 from functools import lru_cache, partial
-from math import isfinite
+from math import inf, isfinite, nextafter
 
 from .errors import FlagConflictError, InvalidFormulaError, MissingSignalError
 from .formula import (
-    TEMPORAL_NODES,
     And,
     Atom,
     AtomicPredicate,
@@ -60,8 +59,6 @@ from .formula import (
     compare_with_zero,
     signals_of,
     validate,
-    walk,
-    with_windows,
 )
 from .trilean import FALSE, TRUE, UNKNOWN
 
@@ -78,9 +75,8 @@ _new_tuple = tuple.__new__
 
 # Compiled atoms. Each test agrees exactly with `AtomicPredicate.evaluate`
 # (samples read as their shortest round-trip decimals) but does float
-# arithmetic on every sample it can decide that way.
-
-_FLIPPED = {">": "<", ">=": "<=", "<": ">", "<=": ">=", "=": "=", "!=": "!="}
+# arithmetic on every sample it can decide that way. Its source names each
+# number and exact test it reads `ck`, bound by `_bind`.
 
 _UNIT_ROUNDOFF = 2.0**-53
 _MIN_SUBNORMAL = 2.0**-1074
@@ -89,8 +85,15 @@ _MIN_SUBNORMAL = 2.0**-1074
 def compile_atom(pred: AtomicPredicate) -> Predicate:
     """Compile a linear atom to a sample -> bool function that agrees exactly
     with `pred.evaluate`: the test a network inlines, as a lambda."""
-    test, names = _atom_test(pred, "a0")
-    return eval(f"lambda s: {test}", names)
+    constants: list = []
+    test = _atom_test(pred, "a0", _subscript, partial(_bind, constants))
+    return eval(f"lambda s: {test}", {f"c{k}": value for k, value in enumerate(constants)})
+
+
+def _bind(constants: list, value) -> str:
+    """Append `value` to `constants`; the name `ck` of its place k."""
+    constants.append(value)
+    return f"c{len(constants) - 1}"
 
 
 def _subscript(signal: str) -> str:
@@ -99,26 +102,31 @@ def _subscript(signal: str) -> str:
 
 
 def _atom_test(
-    pred: AtomicPredicate, name: str, read: Callable[[str], str] = _subscript
-) -> tuple[str, dict[str, Predicate]]:
-    """The atom as the source of one expression, and the globals it reads:
-    none, or, for an atom over several signals, its exact test
-    `pred.evaluate` as `name`, whose float filter keeps its partial results
-    in locals named after it. `read(signal)` is the source of a signal's
-    value; the exact test is called with the sample `s`. Works on the
-    atom's integer form, which has the same truth on every sample."""
+    pred: AtomicPredicate, name: str, read: Callable[[str], str], bind: Callable[[object], str]
+) -> str:
+    """The atom as the source of one expression. `read(signal)` is the
+    source of a signal's value, and `bind(value)` the name the source reads
+    a number or the exact test `pred.evaluate` by; a multi-signal atom keeps
+    its partial results in locals named after `name`, and calls its exact
+    test with the sample `s`. Works on the atom's integer form, which has
+    the same truth on every sample."""
     terms, constant = pred.integer_form
     terms = tuple((signal, coef) for signal, coef in terms if coef)
     if not terms:
-        return repr(compare_with_zero(constant, pred.comparator)), {}
+        return repr(compare_with_zero(constant, pred.comparator))
     if len(terms) == 1:
         ((signal, coef),) = terms
-        return _threshold_test(pred, signal, coef, constant, read), {}
-    return _filtered_test(pred, terms, constant, name, read), {name: pred.evaluate}
+        return _threshold_test(pred, signal, coef, constant, read, bind)
+    return _filtered_test(pred, terms, constant, name, read, bind)
 
 
 def _threshold_test(
-    pred: AtomicPredicate, name: str, coef: int, constant: int, read: Callable[[str], str]
+    pred: AtomicPredicate,
+    name: str,
+    coef: int,
+    constant: int,
+    read: Callable[[str], str],
+    bind: Callable[[object], str],
 ) -> str:
     """`coef * value + constant <cmp> 0` as one float comparison of the
     value with d, the float nearest to the threshold -constant / coef.
@@ -126,8 +134,11 @@ def _threshold_test(
     The shortest decimal of a float is strictly increasing in the float and
     the threshold rounds to d, so a sample other than d lies on the same side
     of the threshold as of d. At d itself the exact answer is taken once,
-    here. A threshold beyond the float range lies beyond every sample, where
-    the sum has the sign of the constant.
+    here; an order comparison that holds there moves d one float outward
+    instead of testing equality, since for every float x `x >= d` is
+    `x > nextafter(d, -inf)` and `x <= d` is `x < nextafter(d, inf)`. A
+    threshold beyond the float range lies beyond every sample, where the sum
+    has the sign of the constant.
     """
     cmp = pred.comparator
     try:
@@ -137,27 +148,29 @@ def _threshold_test(
     sample = dict.fromkeys(pred.signals, 0.0)
     sample[name] = d
     at_d = pred.evaluate(sample)
-    if coef < 0:
-        cmp = _FLIPPED[cmp]
-    if cmp in (">", ">="):
-        cmp = ">=" if at_d else ">"
-    elif cmp in ("<", "<="):
-        cmp = "<=" if at_d else "<"
-    elif cmp == "=":
-        if not at_d:
-            return "False"
-        cmp = "=="
-    elif at_d:
-        return "True"
-    # The only formula text in generated code: a str name and a finite float.
-    return f"{read(name)} {cmp} {float.__repr__(d)}"
+    if cmp in ("=", "!="):
+        if at_d != (cmp == "="):  # no sample is on the threshold
+            return repr(at_d)
+        op = "==" if cmp == "=" else "!="
+    else:
+        # With a negative coefficient the atom bounds the value from the
+        # other side.
+        op = ">" if (cmp[0] == ">") != (coef < 0) else "<"
+        if at_d:
+            d = nextafter(d, -inf if op == ">" else inf)
+    return f"{read(name)} {op} {bind(d)}"
 
 
 def _filtered_test(
-    pred: AtomicPredicate, terms: tuple, constant: int, name: str, read: Callable[[str], str]
+    pred: AtomicPredicate,
+    terms: tuple,
+    constant: int,
+    name: str,
+    read: Callable[[str], str],
+    bind: Callable[[object], str],
 ) -> str:
     """Multi-signal atom: the float sum decides whenever it is finite and
-    farther from 0 than its error bound, the exact test `name(s)` otherwise.
+    farther from 0 than its error bound, the exact test otherwise.
 
     The bound covers the rounding of the coefficients and of the constant to
     floats, of each sample's decimal to its float, of the products and of the
@@ -173,7 +186,7 @@ def _filtered_test(
     sum of magnitudes likewise: in the source, the total is `{name}t`, the
     k-th product `{name}q{k}` and the bound `{name}b`.
     """
-    exact = f"{name}(s)"
+    exact = f"{bind(pred.evaluate)}(s)"
     try:
         coefs = tuple(float(coef) for _, coef in terms)
         constant = float(constant)
@@ -185,35 +198,33 @@ def _filtered_test(
         return exact
     cmp = pred.comparator
     above, below = compare_with_zero(1, cmp), compare_with_zero(-1, cmp)
-    # The only formula text in generated code: str names and finite floats.
+    constant = bind(constant)
     products = [
-        f"({name}q{k} := {float.__repr__(coef)} * {read(signal)})"
+        f"({name}q{k} := {bind(coef)} * {read(signal)})"
         for k, ((signal, _), coef) in enumerate(zip(terms, coefs))
     ]
     sizes = [f"abs({name}q{k})" for k in range(len(coefs))]
-    total = " + ".join([float.__repr__(constant), *products])
-    size = " + ".join([float.__repr__(abs(constant)), *sizes])
-    bound = f"{float.__repr__(relative)} * ({size}) + {float.__repr__(absolute)}"
+    total = " + ".join([constant, *products])
+    size = " + ".join([f"abs({constant})", *sizes])
+    bound = f"{bind(relative)} * ({size}) + {bind(absolute)}"
     return (
         f"({above} if ({name}t := {total}) > ({name}b := {bound}) "
         f"else {below} if {name}t < -{name}b else {exact})"
     )
 
 
-# The generated network. Operator k reads its window from `make`'s parameters
-# `lk`, `uk`. The state follows them, by default that of tick 0: the tick `t`,
-# the latched root verdict `decided`, then the flags `pk`, `nk` of leaf k, a
-# temporal operator or an atom outside every operator. `network.state()`
-# returns it in that order.
+# The generated network. `make`'s parameters are operator k's window `lk`,
+# `uk`, then the numbers and exact tests its atoms read, `c0`, `c1`, ... The
+# state follows them, by default that of tick 0: the tick `t`, the latched
+# root verdict `decided`, then the flags `pk`, `nk` of leaf k, a temporal
+# operator or an atom outside every operator. `network.state()` returns it
+# in that order.
 # `network(s)` takes a sample and returns its `VerdictRecord`: every operator
 # is anchored at tick 0, so the tick is each operator's clock. It first reads
 # each of the formula's signals once, in signal order, into a local `x0`,
 # `x1`, ...; a sample that is not exactly a `dict` is first checked with
 # `present`, which a missing signal also reaches from the `KeyError`. Atoms
-# are inlined over those locals; an atom over several signals reads its exact
-# test as a global `a0`, `a1`, ..., and one that more than one leaf reads
-# leaves its value in a local `vk`. A `vk` is not state: it is assigned in
-# the tick that reads it, while any leaf that reads it is open.
+# are inlined over those locals, each time an operand reads them.
 
 # Each leaf's body, run only while neither of its flags is set, so each body
 # sets one flag and never clears one. `{0}` and `{1}` are the operands' source.
@@ -238,42 +249,7 @@ _PAIRS = {
 _OPERANDS = {And: "({l} and {r})", Or: "({l} or {r})", Implies: "(not {l} or {r})"}
 
 
-@lru_cache(maxsize=256)
-def _network_code(f: Formula) -> tuple[Callable, tuple[int, ...], tuple[str, ...]]:
-    """The factory `make(l0, u0, ..., t=0, decided=None, p0=False, ...) ->
-    network` of `f`'s step function, the window bounds it is called with,
-    and `f`'s signals. The factory is its shape's; a pre-order walk meets
-    the temporal nodes in leaf order."""
-    make, signals = _shape_code(with_windows(f, lambda window: None))
-    bounds = tuple(
-        bound
-        for node in walk(f)
-        if isinstance(node, TEMPORAL_NODES)
-        for bound in (node.window.lower, node.window.upper)
-    )
-    return make, bounds, signals
-
-
-@lru_cache(maxsize=256)
-def _shape_code(shape: Formula) -> tuple[Callable, tuple[str, ...]]:
-    """`_network_code`'s factory and signals for a formula with its windows
-    erased, built once per shape."""
-    source = _NetworkSource(shape)
-    namespace = {
-        "FlagConflictError": FlagConflictError,
-        "TRUE": TRUE,
-        "FALSE": FALSE,
-        "UNKNOWN": UNKNOWN,
-        "VerdictRecord": VerdictRecord,
-        "new": _new_tuple,
-        "present": partial(_present, source.signals),
-        **source.atoms,
-    }
-    exec(compile(source.text, "<stlobs network>", "exec"), namespace)
-    return namespace["make"], source.signals
-
-
-def _present(signals: tuple[str, ...], sample: Mapping[str, float], tick: int) -> dict[str, float]:
+def _present(sample: Mapping[str, float], tick: int, *signals: str) -> dict[str, float]:
     """`sample`'s values of `signals`, as a dict; a `MissingSignalError`
     naming, in order, each of them that `sample` lacks. Presence is `in`, so
     a `defaultdict` or a `Counter` lacks what it does not hold."""
@@ -283,42 +259,51 @@ def _present(signals: tuple[str, ...], sample: Mapping[str, float], tick: int) -
     return {name: sample[name] for name in signals}
 
 
+_NETWORK_GLOBALS = {
+    "FlagConflictError": FlagConflictError,
+    "TRUE": TRUE,
+    "FALSE": FALSE,
+    "UNKNOWN": UNKNOWN,
+    "VerdictRecord": VerdictRecord,
+    "new": _new_tuple,
+    "present": _present,
+}
+
+
+@lru_cache(maxsize=256)
+def _factory(text: str) -> Callable:
+    """The factory `make` that a `_NetworkSource` text defines."""
+    namespace = dict(_NETWORK_GLOBALS)
+    exec(compile(text, "<stlobs network>", "exec"), namespace)
+    return namespace["make"]
+
+
 class _NetworkSource:
-    """The source of `f`'s factory `make` (`text`), the globals its atoms
-    read (`atoms`) and the signals it reads (`signals`). No window is read."""
+    """The source of `f`'s factory `make` (`text`), the arguments its
+    parameters take, windows then constants (`args`), and the signals it
+    reads (`signals`). The text holds no number of the formula."""
 
     def __init__(self, f: Formula):
-        self.atoms: dict[str, Predicate] = {}
         self.signals = signals_of(f)
         self._values = {name: f"x{k}" for k, name in enumerate(self.signals)}
         self._lines: list[str] = []
         self._leaves = 0
         self._operators: list[int] = []
+        self._bounds: list[int] = []
+        self._constants: list = []
         self._refs: dict[AtomicPredicate, str] = {}
-        # Each shared atom's local: its test and the leaves that read it.
-        self._shared: dict[str, tuple[str, list[int]]] = {}
-        # Only an atom over two or more signals is worth sharing.
-        self._uses = Counter(
-            atom.predicate
-            for atom in walk(f)
-            if isinstance(atom, Atom) and len(atom.predicate.terms) > 1
-        )
         pos, neg = self._pair(f)
         # Every tick reads every signal, also once the root has decided, so a
         # sample that lacks one raises at every tick. Only an exact `dict`
         # is read directly: a `defaultdict` would add the missing key.
-        reads = []
-        if self.signals:
-            reads += ["if type(s) is not dict:", "    s = present(s, t)", "try:"]
-            reads += [f"    {local} = s[{str.__repr__(name)}]" for name, local in self._values.items()]
-            reads += ["except KeyError:", "    present(s, t)"]
-        # Verdicts latch: once the root has decided, no leaf is stepped.
-        reads += ["if decided is not None:", "    t += 1", "    return new(VerdictRecord, (t - 1, decided))"]
-        # A shared atom is computed while some leaf that reads it is open.
         lines = []
-        for local, (test, readers) in self._shared.items():
-            lines.append("if " + " or ".join(f"not (p{k} or n{k})" for k in readers) + ":")
-            lines.append(f"    {local} = {test}")
+        if self.signals:
+            present = f"present(s, t, {', '.join(map(str.__repr__, self.signals))})"
+            lines += ["if type(s) is not dict:", f"    s = {present}", "try:"]
+            lines += [f"    {local} = s[{str.__repr__(name)}]" for name, local in self._values.items()]
+            lines += ["except KeyError:", f"    {present}"]
+        # Verdicts latch: once the root has decided, no leaf is stepped.
+        lines += ["if decided is not None:", "    t += 1", "    return new(VerdictRecord, (t - 1, decided))"]
         lines += self._lines
         # Each operator's pair is checked: the algebra can hide a conflicting
         # pair ((T, T) & (F, F) is (F, T)) but never makes one from consistent
@@ -326,14 +311,15 @@ class _NetworkSource:
         if self._operators:
             lines.append("if " + " or ".join(f"p{k} and n{k}" for k in self._operators) + ":")
             lines.append("    raise FlagConflictError('positive and negative verdict flags are both set')")
-        # (Every distinct formula pays a `compile()`; this form compiles
+        # (Every distinct text pays a `compile()`; this form compiles
         # faster than one conditional expression or two returns.)
         lines += [f"if {pos}:", "    decided = TRUE", f"elif {neg}:", "    decided = FALSE"]
         lines += ["t += 1", "return new(VerdictRecord, (t - 1, decided or UNKNOWN))"]
         state = ["t", "decided", *(f"{flag}{k}" for k in range(self._leaves) for flag in "pn")]
         params = [f"l{k}, u{k}" for k in self._operators]
+        params += [f"c{k}" for k in range(len(self._constants))]
         params += ["t=0", "decided=None", *(f"{name}=False" for name in state[2:])]
-        body = "".join(f"        {line}\n" for line in reads + lines)
+        body = "".join(f"        {line}\n" for line in lines)
         self.text = (
             f"def make({', '.join(params)}):\n"
             "    def network(s):\n"
@@ -344,6 +330,7 @@ class _NetworkSource:
             "    network.state = state\n"
             "    return network\n"
         )
+        self.args = (*self._bounds, *self._constants)
 
     def _pair(self, f: Formula) -> tuple[str, str]:
         """Source of the (pos, neg) flags of `f`; adds one guarded body per
@@ -363,40 +350,33 @@ class _NetworkSource:
         k = self._leaves
         self._leaves += 1
         if isinstance(f, Atom):
-            operands = (self._atom(f.predicate, k),)
+            operands = (self._atom(f.predicate),)
         else:
             self._operators.append(k)
-            operands = tuple(self._operand(operand, k) for operand in children(f))
+            self._bounds += (f.window.lower, f.window.upper)
+            operands = tuple(map(self._operand, children(f)))
         body = template.format(*operands, k=k)
         self._lines += [f"if not (p{k} or n{k}):", *(f"    {line}" for line in body.splitlines())]
         return f"p{k}", f"n{k}"
 
-    def _operand(self, f: Formula, leaf: int) -> str:
-        """Source of a propositional formula's truth on sample `s`, as an
-        operand of leaf `leaf`."""
+    def _operand(self, f: Formula) -> str:
+        """Source of a propositional formula's truth on sample `s`."""
         if isinstance(f, Atom):
-            return self._atom(f.predicate, leaf)
+            return self._atom(f.predicate)
         if isinstance(f, Not):
-            return f"(not {self._operand(f.child, leaf)})"
+            return f"(not {self._operand(f.child)})"
         template = _OPERANDS.get(type(f))
         if template is None:
             raise TypeError(f"operand is not propositional: {f!r}")
-        return template.format(l=self._operand(f.left, leaf), r=self._operand(f.right, leaf))
+        return template.format(l=self._operand(f.left), r=self._operand(f.right))
 
-    def _atom(self, pred: AtomicPredicate, leaf: int) -> str:
-        """The atom's inlined test or, for a multi-signal atom that more than
-        one operand reads, the local holding its value."""
+    def _atom(self, pred: AtomicPredicate) -> str:
+        """The atom's inlined test; an atom read again reads the same
+        constants."""
         ref = self._refs.get(pred)
         if ref is None:
-            ref, names = _atom_test(pred, f"a{len(self.atoms)}", self._values.__getitem__)
-            self.atoms.update(names)
-            if names and self._uses[pred] > 1:
-                local = f"v{len(self._shared)}"
-                self._shared[local], ref = (ref, []), local
-            self._refs[pred] = ref
-        shared = self._shared.get(ref)
-        if shared is not None and leaf not in shared[1]:
-            shared[1].append(leaf)
+            bind = partial(_bind, self._constants)
+            ref = self._refs[pred] = _atom_test(pred, f"a{len(self._refs)}", self._values.__getitem__, bind)
         return ref
 
 
@@ -439,5 +419,5 @@ def compile_formula(f: Formula) -> Monitor:
     violations = validate(f)
     if violations:
         raise InvalidFormulaError(violations)
-    make, bounds, signals = _network_code(f)
-    return Monitor(f, partial(make, *bounds), signals)
+    source = _NetworkSource(f)
+    return Monitor(f, partial(_factory(source.text), *source.args), source.signals)

@@ -9,14 +9,14 @@ from stlobs import monitor
 
 @pytest.fixture
 def fresh_networks():
-    """Empty the network caches before and after the test, so that a test
-    that edits `monitor._CELLS`, `monitor._PAIRS` or `monitor._NetworkSource`
-    builds every network from its edit and leaves none of them cached."""
-    monitor._network_code.cache_clear()
-    monitor._shape_code.cache_clear()
+    """Empty the network cache before and after the test. The cache is
+    keyed by the network's text, so an edit of `monitor._CELLS`,
+    `monitor._PAIRS` or `monitor._NetworkSource` that changes the text
+    builds its own network; emptied, the cache's misses count the networks
+    the test builds, and the edited ones leave with it."""
+    monitor._factory.cache_clear()
     yield
-    monitor._network_code.cache_clear()
-    monitor._shape_code.cache_clear()
+    monitor._factory.cache_clear()
 
 
 class Unguarded(monitor._NetworkSource):

@@ -5,6 +5,7 @@ including samples exactly on an atom's boundary."""
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -43,6 +44,14 @@ BELOW_MAX = math.nextafter(MAX, 0)
 def decimal(value: float) -> Fraction:
     """The rational a sample stands for: its shortest round-trip decimal."""
     return Fraction(repr(value))
+
+
+def atom_test(pred: AtomicPredicate, name: str) -> tuple[str, list]:
+    """The atom's test over sample `s`, and the values it reads as `c0`,
+    `c1`, ..."""
+    constants = []
+    text = monitor._atom_test(pred, name, monitor._subscript, partial(monitor._bind, constants))
+    return text, constants
 
 
 def closure_agrees(pred: AtomicPredicate, sample: dict) -> None:
@@ -91,14 +100,18 @@ class TestClosureOnTheBoundary:
     @pytest.mark.parametrize(
         "t",
         [Fraction(text) for text in ("0.1", "0.3", "1/3", "-2.5", "0", "1e-320", "123456789.123456789")]
-        + [Fraction(2, 3) * 10**300],
+        + [Fraction(2, 3) * 10**300, Fraction(5e-324), Fraction(MAX), Fraction(-MAX)],
     )
     def test_single_signal_threshold_and_neighbours(self, comparator, coef, t):
-        # coef * x - coef * t <cmp> 0, i.e. x against t.
+        # coef * x - coef * t <cmp> 0, i.e. x against t. An order comparison
+        # that holds at d reads a constant moved one float past d, which is
+        # infinite for d = MAX or -MAX; the samples reach both sides of it.
         pred = AtomicPredicate((("x", coef),), -coef * t, comparator)
         d = float(t)
-        for value in (d, math.nextafter(d, math.inf), math.nextafter(d, -math.inf), -d):
-            closure_agrees(pred, {"x": value})
+        near = (d, math.nextafter(d, math.inf), math.nextafter(d, -math.inf), -d)
+        for value in (*near, 0.0, -0.0, 5e-324, -5e-324, MAX, -MAX):
+            if math.isfinite(value):
+                closure_agrees(pred, {"x": value})
 
     @pytest.mark.parametrize("comparator", COMPARATORS)
     @pytest.mark.parametrize(
@@ -143,8 +156,9 @@ class TestClosureOnTheBoundary:
 
 
 class TestGeneratedSource:
-    """Signal names and thresholds reach a network's source as text; any name
-    and any finite threshold must come back unchanged."""
+    """Signal names reach a network's source as text, and thresholds its
+    factory as arguments; any name and any finite threshold must come back
+    unchanged."""
 
     NAMES = ("vélo", "Straße", "µ", "x'] or True or s['x", "q\\\"\n")
     THRESHOLDS = ("-0.0", "5e-324", "1.7976931348623157e308")
@@ -201,18 +215,20 @@ class TestInlinedMultiSignalAtoms:
     )
     def test_beyond_the_float_range_the_text_is_the_exact_call_alone(self, coeffs, constant):
         pred = linear_atom(coeffs, ">", constant).predicate
-        assert monitor._atom_test(pred, "a0") == ("a0(s)", {"a0": pred.evaluate})
+        assert atom_test(pred, "a0") == ("c0(s)", [pred.evaluate])
         for sample in ({"x": 1e-300, "y": -1e99}, {"x": -1.0, "y": MAX}, {"x": 0.0, "y": 0.0}):
             closure_agrees(pred, sample)
 
     def test_filter_text(self):
+        # The exact test, the constant, the coefficients and the bound's two
+        # terms are read by name, in that order.
         pred = linear_atom({"x": 1, "y": -1}, ">", -100).predicate
-        text, names = monitor._atom_test(pred, "a3")
-        assert names == {"a3": pred.evaluate}
+        text, constants = atom_test(pred, "a3")
+        assert constants == [pred.evaluate, -100.0, 1.0, -1.0, 6.661338147750939e-16, 7e-323]
         assert text == (
-            "(True if (a3t := -100.0 + (a3q0 := 1.0 * s['x']) + (a3q1 := -1.0 * s['y'])) "
-            "> (a3b := 6.661338147750939e-16 * (100.0 + abs(a3q0) + abs(a3q1)) + 7e-323) "
-            "else False if a3t < -a3b else a3(s))"
+            "(True if (a3t := c1 + (a3q0 := c2 * s['x']) + (a3q1 := c3 * s['y'])) "
+            "> (a3b := c4 * (abs(c1) + abs(a3q0) + abs(a3q1)) + c5) "
+            "else False if a3t < -a3b else c0(s))"
         )
 
     @pytest.mark.parametrize("comparator", COMPARATORS)
@@ -466,9 +482,9 @@ def over_thirty(atom: Atom) -> Atom:
 
 
 class TestIntegerFormChangesNoCode:
-    """A network compiled from an atom in integer form has the source of one
-    compiled from the same atom built in `Fraction`s: the network reads only
-    the integer form, which is the same."""
+    """A network compiled from an atom in integer form has the source and
+    the numbers of one compiled from the same atom built in `Fraction`s: the
+    network reads only the integer form, which is the same."""
 
     WORKLOADS = (
         (
@@ -489,8 +505,11 @@ class TestIntegerFormChangesNoCode:
     )
 
     @staticmethod
-    def source(f) -> str:
-        return monitor._NetworkSource(f).text
+    def source(f) -> tuple:
+        """The network's text and every argument of its factory but the
+        exact tests, bound methods of the atoms themselves."""
+        source = monitor._NetworkSource(f)
+        return source.text, [arg for arg in source.args if not callable(arg)]
 
     def test_the_property_suite_formulas(self, monkeypatch):
         """The first 500 cases of `property_suite(42, ...)`, with each formula

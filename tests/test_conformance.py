@@ -5,6 +5,8 @@ through `compile_fn` to prove the checks can actually fail."""
 import json
 import random
 import re
+from collections import Counter
+from collections.abc import Iterator
 
 import pytest
 
@@ -24,14 +26,18 @@ from stlobs.conformance import (
 )
 from stlobs.errors import EnumerationCapError, FlagConflictError
 from stlobs.formula import (
+    COMPARATORS,
     Always,
     And,
+    Atom,
     Eventually,
     Implies,
     Interval,
+    Not,
     Or,
     TEMPORAL_NODES,
     Until,
+    children,
     horizon,
     render,
     validate,
@@ -530,45 +536,16 @@ class TestPropertySuite:
         assert not report.passed
         assert {f.check for f in report.failures} == {"oracle-agreement"}
 
-    def test_catches_a_shared_atom_guard_without_all_its_readers(self, monkeypatch, fresh_networks):
-        """A shared atom's guard that lists only its first reader leaves the
-        atom's local unset once that reader has decided, while another reader
-        is still open: the network raises on reading it, and the suite
-        reports that as a replayable step error. The suite's random formulas
-        share multi-signal atoms between operands, and between an operand and
-        an anchored atom, so it reaches that case."""
-
-        class FirstReaderOnly(monitor._NetworkSource):
-            def __init__(self, f):
-                super().__init__(f)
-                self.text = re.sub(
-                    r"if (not \(p\d+ or n\d+\))(?: or not \(p\d+ or n\d+\))+:", r"if \1:", self.text
-                )
-
-        f = parse("x - y > 0 & F[0,3] (x - y > 0)", ("x", "y"))
-        assert "        if not (p0 or n0):\n            v0 = " in FirstReaderOnly(f).text
-        monkeypatch.setattr(monitor, "_NetworkSource", FirstReaderOnly)
-        report = property_suite(seed=42, cases=2000)
-        assert not report.passed
-        assert {f.check for f in report.failures} == {"step-error"}
-        failure = report.failures[0]
-        assert failure.monitor_verdict.startswith("UnboundLocalError(")
-        assert failure.trace and failure.tick >= 1
-        assert first_divergence(parse(failure.formula, ("x", "y")), Trace(("x", "y"), failure.trace))[:2] == (
-            failure.tick,
-            failure.monitor_verdict,
-        )
-
     def test_catches_atoms_shared_by_their_signals(self, monkeypatch, fresh_networks):
         """A network that takes every multi-signal atom over the same
         signals for the first one keeps every verdict stream well formed;
         only the oracle check sees it."""
 
         class SharedBySignals(monitor._NetworkSource):
-            def _atom(self, pred, leaf):
+            def _atom(self, pred):
                 if len(pred.signals) > 1:
                     pred = self.__dict__.setdefault("firsts", {}).setdefault(pred.signals, pred)
-                return super()._atom(pred, leaf)
+                return super()._atom(pred)
 
         monkeypatch.setattr(monitor, "_NetworkSource", SharedBySignals)
         report = property_suite(seed=42, cases=1000)
@@ -600,6 +577,43 @@ class TestRandomFormula:
         for _ in range(300):
             f = random_formula(rng)
             assert validate(f) == []
+
+    def test_the_first_formulas_reach_every_construct(self):
+        """Over the first 100 cases of `property_suite(42, ...)`: each node
+        type the network builds from a template, as a leaf (`_CELLS`), as a
+        connective above every operator (`_PAIRS`) and inside an operand
+        (`_OPERANDS`); each comparator; and a multi-signal atom that two
+        operands read. A generator that loses one fails here by name."""
+
+        def constructs(f, inside=False) -> Iterator:
+            if isinstance(f, Atom):
+                yield f.predicate.comparator
+                if not inside:
+                    yield "cell", Atom
+            elif isinstance(f, TEMPORAL_NODES):
+                yield "cell", type(f)
+                inside = True
+            elif not isinstance(f, Not):
+                yield ("operand" if inside else "pair"), type(f)
+            for child in children(f):
+                yield from constructs(child, inside)
+
+        def multi_signal_atoms(f) -> set:
+            return {a.predicate for a in walk(f) if isinstance(a, Atom) and len(a.predicate.signals) > 1}
+
+        formulas = []
+        property_suite(42, 100, lambda f: formulas.append(f) or compile_formula(f))
+        reached = {construct for f in formulas for construct in constructs(f)}
+        for f in formulas:
+            operands = [child for node in walk(f) if isinstance(node, TEMPORAL_NODES) for child in children(node)]
+            readers = Counter(atom for operand in operands for atom in multi_signal_atoms(operand))
+            if any(count > 1 for count in readers.values()):
+                reached.add("a multi-signal atom read by two operands")
+        wanted = {*COMPARATORS, "a multi-signal atom read by two operands"}
+        wanted |= {("cell", key) for key in monitor._CELLS}
+        wanted |= {("pair", key) for key in monitor._PAIRS}
+        wanted |= {("operand", key) for key in monitor._OPERANDS}
+        assert wanted - reached == set()
 
     def test_window_bound_respected(self):
         rng = random.Random(100)
