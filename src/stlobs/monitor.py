@@ -62,9 +62,6 @@ from .formula import (
 )
 from .trilean import FALSE, TRUE, UNKNOWN
 
-Predicate = Callable[[Mapping[str, float]], bool]
-
-
 VerdictRecord = namedtuple("VerdictRecord", ("tick", "verdict"))
 VerdictRecord.__doc__ = "Monitor output for one tick: `tick`, an int, and its `verdict`, a `Trilean`."
 
@@ -82,23 +79,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 _MIN_SUBNORMAL = 2.0**-1074
 
 
-def compile_atom(pred: AtomicPredicate) -> Predicate:
-    """Compile a linear atom to a sample -> bool function that agrees exactly
-    with `pred.evaluate`: the test a network inlines, as a lambda."""
-    constants: list = []
-    test = _atom_test(pred, "a0", _subscript, partial(_bind, constants))
-    return eval(f"lambda s: {test}", {f"c{k}": value for k, value in enumerate(constants)})
-
-
 def _bind(constants: list, value) -> str:
     """Append `value` to `constants`; the name `ck` of its place k."""
     constants.append(value)
     return f"c{len(constants) - 1}"
-
-
-def _subscript(signal: str) -> str:
-    """The source of `signal`'s value in sample `s`."""
-    return f"s[{str.__repr__(signal)}]"
 
 
 def _atom_test(

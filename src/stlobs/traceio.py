@@ -11,15 +11,17 @@ rejected, so nobody mistakes a value column for a time axis.
 one verdict line per record. The command line's `_read_front` is what
 chooses a reader and a trace's signal names.
 
-A CSV check loads neither `json` nor `logging`: `json` loads at the first
-JSONL line, `logging` at the first warning (`_warn_blank`). A value is read
-as a float; an atom reads it as its shortest decimal, in int arithmetic
-(`AtomicPredicate.evaluate`), so no reader loads `decimal` or `fractions`.
+Each reader loads its own parser: `csv` loads with the CSV reader
+(`stream_csv`), `json` at the first JSONL line (`_scan_once`), so a CSV
+check loads no `json` and a JSONL check no `csv`. `logging` loads at the
+first warning (`_warn_blank`). A value is read as a float; an atom reads
+it as its shortest decimal, in int arithmetic (`AtomicPredicate.evaluate`),
+so no reader loads `decimal` or `fractions`.
 """
 
 from __future__ import annotations
 
-import csv
+import codecs
 import io
 import itertools
 import math
@@ -51,7 +53,10 @@ def opened(
     errors "surrogateescape", so a byte that is not utf-8 reads as a lone
     surrogate, and a value holding one is not a number. Stdin decodes with
     its own encoding and error handler, but "surrogateescape" in place of
-    "strict", which would end the read at the first bad byte. With
+    "strict", which would end the read at the first bad byte. A path, and a
+    utf-8 stdin, decode as "utf-8-sig": one byte-order mark at the start of
+    the text is dropped, as a spreadsheet's "CSV UTF-8" export writes one,
+    and a mark anywhere else is read as it is. With
     `before_read`, the stream calls it before each read of the descriptor,
     and so before it can wait for input. What stdin's own buffer already
     holds is not read. Any other source is yielded as it is and its reads
@@ -61,11 +66,13 @@ def opened(
         yield source
         return
     if isinstance(source, (str, os.PathLike)):
-        file, closefd, encoding, errors = source, True, "utf-8", "surrogateescape"
+        file, closefd, encoding, errors = source, True, "utf-8-sig", "surrogateescape"
     else:
         file, closefd, encoding, errors = source.fileno(), False, source.encoding, source.errors
         if errors == "strict":
             errors = "surrogateescape"
+        if codecs.lookup(encoding).name == "utf-8":
+            encoding = "utf-8-sig"
     if before_read is None:
         raw = io.FileIO(file, "r", closefd)
     else:
@@ -181,7 +188,9 @@ def stream_csv(
     """Read the CSV header eagerly, then yield one sample dict per row.
 
     Blank lines before the header are skipped with a warning, as blank rows
-    are."""
+    are. `csv` loads here, so a JSONL check never loads it."""
+    import csv
+
     lines = iter(stream)
     skipped = 0
     for first in lines:

@@ -1,6 +1,6 @@
-"""Exact atoms: the compiled closures, the atoms inlined in a generated
-network, the exact definition and the oracle agree on every sample,
-including samples exactly on an atom's boundary."""
+"""Exact atoms: the atoms inlined in a generated network, the exact
+definition and the oracle agree on every sample, including samples exactly
+on an atom's boundary."""
 
 import math
 import sys
@@ -30,7 +30,7 @@ from stlobs.formula import (
     render,
     signal_atom,
 )
-from stlobs.monitor import compile_atom, compile_formula
+from stlobs.monitor import compile_formula
 from stlobs.oracle import three_valued_eval
 from stlobs.parser import parse
 from stlobs.trace import Trace
@@ -50,15 +50,18 @@ def atom_test(pred: AtomicPredicate, name: str) -> tuple[str, list]:
     """The atom's test over sample `s`, and the values it reads as `c0`,
     `c1`, ..."""
     constants = []
-    text = monitor._atom_test(pred, name, monitor._subscript, partial(monitor._bind, constants))
+
+    def read(signal: str) -> str:
+        return f"s[{signal!r}]"
+
+    text = monitor._atom_test(pred, name, read, partial(monitor._bind, constants))
     return text, constants
 
 
 def closure_agrees(pred: AtomicPredicate, sample: dict) -> None:
     holds = pred.evaluate(sample)
-    assert compile_atom(pred)(sample) is holds, (pred, sample)
-    # The same atom as the operand of a generated network: F[0,1] is T at
-    # tick 0 exactly when the atom holds there, and U otherwise.
+    # The atom as the operand of a generated network: F[0,1] is T at tick 0
+    # exactly when the atom holds there, and U otherwise.
     network = compile_formula(Eventually(Interval(0, 1), Atom(pred)))
     assert network.step(sample).verdict is (TRUE if holds else UNKNOWN), (pred, sample)
 
@@ -90,7 +93,7 @@ class TestBoundaryRegression:
         f = parse(atom, ("x", "y"))
         sample = {"x": 0.1, "y": 0.2}
         assert f.predicate.evaluate(sample) is False
-        assert compile_atom(f.predicate)(sample) is False
+        assert compile_formula(f).step(sample).verdict is FALSE
         assert three_valued_eval(f, Trace(("x", "y"), ((0.1, 0.2),)), 0) is FALSE
 
 
@@ -200,9 +203,9 @@ class TestGeneratedSource:
 
 
 class TestInlinedMultiSignalAtoms:
-    """A multi-signal atom is one expression, the same text in
-    `compile_atom`'s lambda and in a network: the float filter, and the exact
-    test `pred.evaluate` where the filter cannot decide or cannot be built."""
+    """A multi-signal atom is one expression in a network: the float
+    filter, and the exact test `pred.evaluate` where the filter cannot
+    decide or cannot be built."""
 
     @pytest.mark.parametrize(
         "coeffs,constant",

@@ -813,16 +813,71 @@ class TestSameBytesFromFileAndStdin:
         assert results[0][0] in (cli.EXIT_TRUE, cli.EXIT_FALSE, cli.EXIT_UNKNOWN, cli.EXIT_USAGE, cli.EXIT_DATA)
 
 
+class TestByteOrderMark:
+    """One UTF-8 byte-order mark at the start of a trace, as a spreadsheet's
+    "CSV UTF-8" export writes, is dropped: `check` and `oracle` read the
+    trace as without it, from a path and from a UTF-8 stdin, in either
+    format and under every trace format that reads it. A mark anywhere else
+    is read as it is."""
+
+    BOM = b"\xef\xbb\xbf"
+    TRACES = {"csv": b"x,y\n1,2\n-1,2\n", "jsonl": b'{"x": 1, "y": 2}\n{"x": -1, "y": 2}\n'}
+
+    def run_path(self, tmp_path, command: str, data: bytes, *args: str) -> tuple:
+        path = tmp_path / "trace"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "-f", "x < 0", "--trace", str(path), *args])
+        return code, out.getvalue().encode(), err.getvalue().encode()
+
+    def run_stdin(self, command: str, data: bytes, *args: str, **environ: str) -> tuple:
+        proc = spawn_cli(command, "-f", "x < 0", "--trace", "-", *args, **environ)
+        out, err = proc.communicate(data, timeout=60)
+        return proc.returncode, out, err
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    @pytest.mark.parametrize(
+        "fmt,trace_format", [("csv", "auto"), ("csv", "csv"), ("jsonl", "auto"), ("jsonl", "jsonl")]
+    )
+    def test_a_leading_mark_is_dropped(self, tmp_path, command, fmt, trace_format):
+        data = self.TRACES[fmt]
+        args = ("--trace-format", trace_format)
+        expected = self.run_path(tmp_path, command, data, *args)
+        verdicts = b"tick=0 verdict=F pos=0 neg=1\ntick=1 verdict=F pos=0 neg=1\n"
+        assert expected == (cli.EXIT_FALSE, verdicts, b"")
+        assert self.run_path(tmp_path, command, self.BOM + data, *args) == expected
+        assert self.run_stdin(command, self.BOM + data, *args) == expected
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    def test_a_mark_anywhere_else_is_read_as_it_is(self, tmp_path, command):
+        data = self.TRACES["csv"]
+        unknown = (cli.EXIT_USAGE, b"", b"formula error: unknown signal 'x' (column 1)\n")
+        assert self.run_path(tmp_path, command, self.BOM * 2 + data) == unknown
+        code, _, err = self.run_path(tmp_path, command, b"x,y\n" + self.BOM + b"1,2\n")
+        assert (code, err) == (cli.EXIT_DATA, b"trace error: line 2, column 1: not a number: '\\ufeff1'\n")
+        jsonl = self.BOM * 2 + self.TRACES["jsonl"]
+        assert self.run_path(tmp_path, command, jsonl, "--trace-format", "jsonl") == (
+            cli.EXIT_DATA,
+            b"",
+            b"trace error: line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)\n",
+        )
+        # A stdin that does not decode as UTF-8 reads the mark's bytes as
+        # characters of its own encoding.
+        assert self.run_stdin(command, self.BOM + data, PYTHONIOENCODING="latin-1") == unknown
+
+
 class TestImports:
     """`check` loads only what a check runs: the oracle, conformance and
     Lustre modules, `dataclasses` with `inspect`, `Trace`, `typing` and
-    `pathlib` load on first use, `json` at the first JSONL line and
-    `logging` at the first warning. The command line is read without an
-    argument parser, so neither `argparse` nor what it loads (`gettext`,
-    `locale`, `shutil`) loads at all, and help text loads only to be
-    printed. Numbers parse to int ratios and atoms are decided in int
-    arithmetic, so `fractions` (with `decimal` and `numbers`) does not load,
-    not even for a formula with a decimal or a fraction in it."""
+    `pathlib` load on first use, `csv` (with `_csv`) with the CSV reader,
+    `json` at the first JSONL line and `logging` at the first warning. The
+    command line is read without an argument parser, so neither `argparse`
+    nor what it loads (`gettext`, `locale`, `shutil`) loads at all, and help
+    text loads only to be printed. Numbers parse to int ratios and atoms are
+    decided in int arithmetic, so `fractions` (with `decimal` and `numbers`)
+    does not load, not even for a formula with a decimal or a fraction in
+    it."""
 
     DEFERRED = (
         "dataclasses",
@@ -834,16 +889,15 @@ class TestImports:
     )
     ARGUMENT_PARSER = ("argparse", "gettext", "locale", "shutil")
     RATIONALS = ("decimal", "fractions", "numbers")
+    CSV_PARSER = ("csv", "_csv")
     UNUSED_BY_CSV = ("json", "logging", "pathlib", "typing", "stlobs.trace", *DEFERRED, *ARGUMENT_PARSER, *RATIONALS)
 
     def loaded_by(self, statement: str) -> set[str]:
         """Modules that `statement` loads in a fresh interpreter beyond those
-        its standard-library imports load there anyway (the set varies
-        between Python versions). `-S` keeps site hooks from loading any
-        module before the statement runs."""
+        loaded at start-up. `-S` keeps site hooks from loading any module
+        before the statement runs."""
         code = (
             "import sys\n"
-            "import csv\n"
             "before = set(sys.modules)\n"
             f"{statement}\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n"
@@ -867,11 +921,11 @@ class TestImports:
     def test_cli_import_defers_the_other_subcommands(self):
         loaded = self.loaded_by("import stlobs.cli")
         assert "stlobs.monitor" in loaded
-        assert loaded.isdisjoint(self.UNUSED_BY_CSV)
+        assert loaded.isdisjoint({*self.UNUSED_BY_CSV, *self.CSV_PARSER})
 
     def test_csv_check_loads_only_what_it_runs(self, tmp_path):
         loaded = self.loaded_by_check(tmp_path, "trace.csv", "x,y\n1,2\n3,4\n")
-        assert {"stlobs.monitor", "stlobs.traceio"} <= loaded
+        assert {"stlobs.monitor", "stlobs.traceio", *self.CSV_PARSER} <= loaded
         assert loaded.isdisjoint(self.UNUSED_BY_CSV)
 
     def test_jsonl_check_loads_json(self, tmp_path):
@@ -880,6 +934,17 @@ class TestImports:
         assert loaded.isdisjoint(
             {"logging", "pathlib", "typing", "stlobs.trace", *self.DEFERRED, *self.ARGUMENT_PARSER, *self.RATIONALS}
         )
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    @pytest.mark.parametrize("fmt", ["auto", "jsonl"])
+    def test_a_jsonl_trace_loads_no_csv_parser(self, tmp_path, command, fmt):
+        """Sniffed or declared, a JSONL trace is read without `csv`."""
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"x": 1}\n{"x": 2}\n')
+        argv = [command, "-f", "x > 0", "--trace", str(path), "--trace-format", fmt]
+        loaded = self.loaded_by(f"import stlobs.cli; assert stlobs.cli.main({argv!r}) == 0")
+        assert {"json", "stlobs.traceio"} <= loaded
+        assert loaded.isdisjoint(self.CSV_PARSER)
 
     @pytest.mark.parametrize("formula", ["x > 1/2", "x > 0.5", "2*x >= 1.0"])
     def test_a_number_with_a_denominator_loads_no_rationals(self, tmp_path, formula):
@@ -904,7 +969,9 @@ class TestImports:
         text = '{"x": 0.1, "y": 0.3, "z": 0.2}\n{"x": 3.0, "y": -1.0, "z": 6.3}\n'
         loaded = self.loaded_by_check(tmp_path, "trace.jsonl", text, formula, cli.EXIT_UNKNOWN)
         assert "json" in loaded
-        assert loaded.isdisjoint({"logging", *self.DEFERRED, *self.ARGUMENT_PARSER, *self.RATIONALS})
+        assert loaded.isdisjoint(
+            {"logging", *self.DEFERRED, *self.ARGUMENT_PARSER, *self.RATIONALS, *self.CSV_PARSER}
+        )
 
     @pytest.mark.parametrize(
         "name,text", [("trace.csv", "x\n1\n\n2\n"), ("trace.jsonl", '{"x": 1}\n\n{"x": 2}\n')]

@@ -73,8 +73,13 @@ def outcome(parse, argv: list[str]) -> tuple:
     return ("accepted", vars(args))
 
 
+# One reference parser for every example: building one costs more than a
+# parse (`test_the_shared_parser_keeps_no_state`).
+REFERENCE = build_parser()
+
+
 def argparse_outcome(argv: list[str]) -> tuple:
-    return outcome(build_parser().parse_args, argv)
+    return outcome(REFERENCE.parse_args, argv)
 
 
 def names_option(word: str, flags) -> bool:
@@ -231,6 +236,14 @@ TABLE = [
 @pytest.mark.parametrize("argv", TABLE, ids=" ".join)
 def test_table(argv):
     assert_parity(argv)
+
+
+def test_the_shared_parser_keeps_no_state():
+    """Each TABLE line, parsed by the shared reference parser after every
+    line before it, has the outcome a parser of its own gives it."""
+    for argv in TABLE:
+        argv = told_explicitly(argv)
+        assert argparse_outcome(argv) == outcome(build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize(

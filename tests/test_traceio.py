@@ -658,6 +658,20 @@ class TestHookedReads:
         assert expected[1] == "1,2\r"  # "\r" ends a line, as in a file
         assert len(calls) >= 2  # the last read meets the end
 
+    @pytest.mark.parametrize("encoding,dropped", [("utf-8", 1), ("UTF8", 1), ("latin-1", 0)])
+    def test_one_leading_byte_order_mark_is_dropped(self, tmp_path, monkeypatch, encoding, dropped):
+        # From a path and from a UTF-8 stdin; a stdin of another encoding
+        # reads the mark's bytes as its own characters.
+        data = "\ufeff\ufeffx\n1\n\ufeff2\n".encode("utf-8")
+        path = tmp_path / "trace"
+        path.write_bytes(data)
+        with traceio.opened(path) as lines:
+            assert list(lines) == ["\ufeffx\n", "1\n", "\ufeff2\n"]
+        with open(path, encoding=encoding) as stdin:
+            monkeypatch.setattr(sys, "__stdin__", stdin)
+            with traceio.opened(stdin) as lines:
+                assert list(lines) == list(io.StringIO(data.decode(encoding)[dropped:], newline=""))
+
     def test_other_sources_are_not_hooked(self, tmp_path):
         stream = io.StringIO("x\n1\n")
         with traceio.opened(stream, lambda: pytest.fail("hooked")) as lines:
