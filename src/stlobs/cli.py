@@ -12,10 +12,10 @@ argparse; `main` runs the handler of the command it names (`_handler`).
 Exit codes follow the final verdict for check/oracle: 0 true, 1 false,
 2 still unknown. 64 flags a usage or formula error (and a `selfcheck
 --max-b` too large to enumerate), 65 bad trace data, 66 a missing input
-file, 70 an internal failure, 73 an `emit-lustre` output directory that
-cannot be made or written, and 74 an output closed by its reader (say
-`stlobs check ... | head -1`), after which the command stops without a
-message.
+file, 69 a model checker that cannot run or reports no property, 70 an
+internal failure, 73 an `emit-lustre` output directory that cannot be made
+or written, and 74 an output closed by its reader (say `stlobs check ... |
+head -1`), after which the command stops without a message.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 
 from . import traceio
-from .errors import EnumerationCapError, FormulaError, MissingSignalError, StlObsError, TraceError, TraceFormatError
+from .errors import CheckerError, EnumerationCapError, FormulaError, MissingSignalError, StlObsError, TraceError, TraceFormatError
 from .formula import Formula, signals_of
 from .monitor import VerdictRecord, compile_formula
 from .options import EXIT_USAGE, parse_args
@@ -49,6 +49,7 @@ EXIT_FALSE = 1
 EXIT_UNKNOWN = 2
 EXIT_DATA = 65
 EXIT_NOINPUT = 66
+EXIT_UNAVAILABLE = 69
 EXIT_INTERNAL = 70
 EXIT_CANTCREAT = 73
 EXIT_IOERR = 74
@@ -290,6 +291,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
+    except CheckerError as exc:
+        print(f"checker error: {exc}", file=sys.stderr)
+        return EXIT_UNAVAILABLE
     except StlObsError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

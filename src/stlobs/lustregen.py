@@ -424,6 +424,8 @@ def run_kind2(
 
     Returns a skipped (not failed) report when no checker executable can be
     found, so environments without one still exercise everything else.
+    Raises `CheckerError` when the checker cannot start, fails without a
+    result, times out, or reports no property for any unit.
     """
     executable = resolve_checker(checker)
     if executable is None:
@@ -452,8 +454,8 @@ def run_kind2(
                     text=True,
                     timeout=timeout + 30,
                 )
-            except FileNotFoundError as exc:
-                raise CheckerError(f"checker not executable: {executable}") from exc
+            except OSError as exc:  # missing, a directory, not executable
+                raise CheckerError(f"cannot run {executable}: {exc.strerror or exc}") from exc
             except subprocess.TimeoutExpired as exc:
                 raise CheckerError(f"checker timed out on {unit.file_name}") from exc
             results = _parse_checker_output(unit.file_name, completed.stdout)
@@ -464,4 +466,6 @@ def run_kind2(
                     f"(exit {completed.returncode}): {detail[:500]}"
                 )
             report.results.extend(results)
+    if not report.results:  # nothing checked is no verdict, valid or not
+        raise CheckerError(f"{executable} reported no property")
     return report

@@ -979,18 +979,28 @@ class TestImports:
     def test_a_blank_line_loads_logging(self, tmp_path, name, text):
         assert "logging" in self.loaded_by_check(tmp_path, name, text)
 
+    def test_package_import_loads_no_submodule(self):
+        assert not {name for name in self.loaded_by("import stlobs") if name.startswith("stlobs.")}
+
     def test_first_use_of_a_lazy_name_loads_its_module(self):
         loaded = self.loaded_by("import stlobs; stlobs.three_valued_eval")
         assert "stlobs.oracle" in loaded
         assert loaded.isdisjoint({"stlobs.conformance", "stlobs.lustregen"})
 
-    def test_lazy_names_resolve(self):
-        from stlobs import conformance, lustregen, oracle, trace
+    @pytest.mark.parametrize("name", [name for name in stlobs.__all__ if name != "__version__"])
+    def test_lazy_names_resolve(self, name):
+        """Each public name is the object defined under that name in the
+        submodule that the package's table gives it."""
+        module = f"stlobs.{stlobs._MODULE_OF[name]}"
+        value = getattr(stlobs, name)
+        assert value is getattr(sys.modules[module], name)
+        assert value.__module__ == module
 
-        assert stlobs.Trace is trace.Trace
-        assert stlobs.differential_sweep is conformance.differential_sweep
-        assert stlobs.emit_units is lustregen.emit_units
-        assert stlobs.three_valued_eval is oracle.three_valued_eval
+    def test_table_modules_resolve(self):
+        statement = "import stlobs\nfor m in stlobs._NAMES: assert getattr(stlobs, m).__name__ == 'stlobs.' + m"
+        assert {f"stlobs.{module}" for module in stlobs._NAMES} <= self.loaded_by(statement)
+
+    def test_an_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             stlobs.no_such_name
 

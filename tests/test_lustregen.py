@@ -181,6 +181,45 @@ class TestRunKind2:
         assert counter.read_text().count("run") == len(units)
 
 
+class TestCheckerErrors:
+    """A checker that cannot start, or that reports no property for any
+    unit, is one error: exit 69 (sysexits' EX_UNAVAILABLE), not an internal
+    or input error, and no verdict line."""
+
+    def run(self, tmp_path, capsys, checker):
+        argv = ["emit-lustre", "--out-dir", str(tmp_path / "lus"), "--run-checker", "--checker-path", checker]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_UNAVAILABLE
+        assert captured.err.startswith("checker error: ")
+        assert "properties valid" not in captured.out
+        return captured.err
+
+    def test_missing_checker(self, tmp_path, capsys):
+        assert "No such file" in self.run(tmp_path, capsys, str(tmp_path / "nope"))
+
+    def test_directory_as_checker(self, tmp_path, capsys):
+        (tmp_path / "kind2").mkdir()
+        assert "Permission denied" in self.run(tmp_path, capsys, str(tmp_path / "kind2"))
+
+    def test_checker_without_execute_permission(self, tmp_path, capsys):
+        checker = _stub_checker(tmp_path, "echo 'p : valid'\n")
+        os.chmod(checker, 0o644)
+        assert "Permission denied" in self.run(tmp_path, capsys, checker)
+
+    def test_checker_that_reports_nothing(self, tmp_path, capsys):
+        checker = _stub_checker(tmp_path, "exit 0\n")
+        assert "reported no property" in self.run(tmp_path, capsys, checker)
+
+    def test_one_unit_without_a_property_is_fine(self, tmp_path, capsys):
+        # basics.lus has no contract; the other units report theirs.
+        checker = _stub_checker(tmp_path, "case \"$*\" in *basics.lus) ;; *) echo 'p : valid' ;; esac\n")
+        argv = ["emit-lustre", "--out-dir", str(tmp_path / "lus"), "--run-checker", "--checker-path", checker]
+        assert cli.main(argv) == cli.EXIT_TRUE
+        out = capsys.readouterr().out
+        assert out.endswith("\nall properties valid\n") and "basics.lus:" not in out
+
+
 class TestEmitLustreTimeout:
     """`emit-lustre --timeout` takes a finite number of seconds above 0. Any
     other value is a usage error before a unit is written or the checker

@@ -301,13 +301,11 @@ VALUES = [
 UNKNOWN = ["--no-such-option", "--zz=1", "-q", "extra", "--"]
 
 
-@st.composite
-def command_lines(draw):
-    """A command and words for it: its flags, unique and ambiguous prefixes
-    of its long flags, `flag=value` and `-fVALUE` forms, values, unknown
-    options and `--`. Help words are rare; a flag `-h` with a value
-    attached (read differently across Python versions) is not drawn."""
-    command = draw(st.sampled_from(sorted(FLAGS)))
+def words_for(command: str) -> st.SearchStrategy[list[str]]:
+    """Words for `command`: its flags, unique and ambiguous prefixes of its
+    long flags, `flag=value` and `-fVALUE` forms, values, unknown options
+    and `--`. A flag `-h` with a value attached (read differently across
+    Python versions) is not drawn."""
     flags = FLAGS[command]
     longs = [flag for flag in flags if flag.startswith("--") and flag != "--help"]
     prefixes = sorted({flag[:k] for flag in longs for k in range(3, len(flag))})
@@ -321,7 +319,20 @@ def command_lines(draw):
         value,
         st.sampled_from(UNKNOWN),
     )
-    words = draw(st.lists(word, max_size=10))
+    return st.lists(word, max_size=10)
+
+
+# Built once: a strategy built inside each example is validated anew each
+# time, which took most of the test's run.
+COMMANDS = st.sampled_from(sorted(FLAGS))
+WORDS = {command: words_for(command) for command in FLAGS}
+
+
+@st.composite
+def command_lines(draw):
+    """A command and words for it (`words_for`); help words are rare."""
+    command = draw(COMMANDS)
+    words = draw(WORDS[command])
     if not draw(st.integers(0, 14)):
         words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(["-h", "--help", "--he"])))
     return [command, *words]
