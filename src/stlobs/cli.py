@@ -62,8 +62,10 @@ def _load_formula_text(args) -> str:
         return args.formula
     # A byte that is not utf-8 reads as a lone surrogate, as in a trace
     # file, and the parser rejects it as it does the same text given by -f.
+    # One byte-order mark at the start is dropped, as in a trace; not by
+    # "utf-8-sig", which also drops the start of a mark that ends the file.
     with open(args.formula_file, encoding="utf-8", errors="surrogateescape") as file:
-        return file.read()
+        return file.read().removeprefix("\ufeff")
 
 
 def _trace_source(args) -> str | Iterable[str]:
@@ -224,16 +226,15 @@ def _cmd_selfcheck(args) -> int:
 def _cmd_emit_lustre(args) -> int:
     from .lustregen import emit_units, run_kind2, write_units
 
-    units = emit_units(with_proofs=args.with_proofs)
     try:
-        paths = write_units(units, args.out_dir)
+        paths = write_units(emit_units(with_proofs=args.with_proofs), args.out_dir)
     except OSError as exc:
         print(f"cannot write {args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CANTCREAT
     for path in paths:
         print(f"wrote {path}")
     if args.run_checker:
-        report = run_kind2(units, timeout=args.timeout, checker=args.checker_path)
+        report = run_kind2(paths, timeout=args.timeout, checker=args.checker_path)
         print(report.to_text())
         if report.ran and not report.all_valid:
             return EXIT_FALSE

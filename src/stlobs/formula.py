@@ -242,7 +242,9 @@ def _validate(f: Formula, path: str, out: list[Violation], inside_temporal: bool
                     f"temporal operator {operator_name(f)} nested inside another temporal operator",
                 )
             )
-        _validate_interval(f.window, path, out)
+        fault = window_fault(f.window)
+        if fault:
+            out.append(Violation(path, *fault))
         inside_temporal = True
     if isinstance(f, Atom):
         _validate_atom(f.predicate, path, out)
@@ -259,22 +261,19 @@ def _child_names(f: Formula) -> tuple[str, ...]:
     return ()
 
 
-def _validate_interval(window: Interval, path: str, out: list[Violation]) -> None:
+def window_fault(window: Interval) -> tuple[str, str] | None:
+    """The code and message of the first rule `window` breaks, or None: its
+    bounds are integers, neither is negative, and lower < upper. The parser
+    and `validate` both judge a window by it."""
     lo, hi = window.lower, window.upper
     for v in (lo, hi):
         if not isinstance(v, int) or isinstance(v, bool):
-            out.append(Violation(path, "interval-integer", f"interval bound {v!r} is not an integer"))
-            return
-    if lo < 0:
-        out.append(Violation(path, "interval-negative", f"interval lower bound {lo} is negative"))
+            return "interval-integer", f"interval bound {v!r} is not an integer"
+    if lo < 0 or hi < 0:
+        return "interval-negative", f"interval [{lo},{hi}] has a negative bound"
     if lo >= hi:
-        out.append(
-            Violation(
-                path,
-                "interval-order",
-                f"interval [{lo},{hi}] is empty or singleton; lower < upper is required",
-            )
-        )
+        return "interval-order", f"interval [{lo},{hi}] is empty or singleton; lower < upper is required"
+    return None
 
 
 def _validate_atom(pred: AtomicPredicate, path: str, out: list[Violation]) -> None:

@@ -16,32 +16,27 @@ import os
 import re
 import shutil
 import subprocess
-import tempfile
 import textwrap
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from .errors import CheckerError
-from .oracle import OPERATOR_KINDS, POLARITIES
 
 CHECKER_ENV_VAR = "STLOBS_CHECKER"
-
-BASIC_NODE_NAMES = ("min_int", "exist", "forall_a", "timeab", "sample_at")
 
 
 @dataclass(frozen=True)
 class LustreSourceUnit:
-    """One emitted .lus file: its name, full source, and node inventory."""
+    """One emitted .lus file: its name and full source."""
 
     file_name: str
     source: str
-    node_names: tuple[str, ...]
 
-    def __post_init__(self):
-        for name in self.node_names:
-            if not re.search(rf"^node {re.escape(name)}\(", self.source, re.M):
-                raise ValueError(f"{self.file_name}: node {name!r} not in source")
+    @property
+    def node_names(self) -> tuple[str, ...]:
+        """The nodes the source declares, in its order."""
+        return tuple(re.findall(r"^node (\w+)\(", self.source, re.M))
 
 
 _BASICS = textwrap.dedent(
@@ -298,23 +293,22 @@ _PROOF_NODES = {
 _BANNER = "-- generated by stlobs; edit the generator, not this file\n\n"
 
 
-def _unit(file_name: str, parts: Sequence[str], node_names: Sequence[str]) -> LustreSourceUnit:
+def _unit(file_name: str, parts: Sequence[str]) -> LustreSourceUnit:
     source = _BANNER + "\n".join(part.rstrip("\n") + "\n" for part in parts)
-    return LustreSourceUnit(file_name, source, tuple(node_names))
+    return LustreSourceUnit(file_name, source)
 
 
 def emit_basic_nodes() -> LustreSourceUnit:
-    return _unit("basics.lus", [_BASICS], BASIC_NODE_NAMES)
+    return _unit("basics.lus", [_BASICS])
 
 
 def emit_operator_nodes(kind: str) -> LustreSourceUnit:
     """Self-contained unit for one operator: basics plus the true-flag node,
     the false-flag node, and the combined node with its disjointness
     contract."""
-    if kind not in OPERATOR_KINDS:
+    if kind not in _OPERATOR_NODES:
         raise ValueError(f"unknown operator kind {kind!r}")
-    names = BASIC_NODE_NAMES + (f"{kind}_true", f"{kind}_false", f"{kind}_3v")
-    return _unit(f"{kind}.lus", [_BASICS, _OPERATOR_NODES[kind], _combined_node(kind)], names)
+    return _unit(f"{kind}.lus", [_BASICS, _OPERATOR_NODES[kind], _combined_node(kind)])
 
 
 def emit_proof_node(kind: str, polarity: str) -> LustreSourceUnit:
@@ -325,21 +319,16 @@ def emit_proof_node(kind: str, polarity: str) -> LustreSourceUnit:
         proof_name, proof_source = _PROOF_NODES[(kind, polarity)]
     except KeyError:
         raise ValueError(f"no proof node for kind={kind!r} polarity={polarity!r}") from None
-    names = BASIC_NODE_NAMES + (f"{kind}_true", f"{kind}_false", proof_name)
-    return _unit(
-        f"{proof_name}.lus", [_BASICS, _OPERATOR_NODES[kind], proof_source], names
-    )
+    return _unit(f"{proof_name}.lus", [_BASICS, _OPERATOR_NODES[kind], proof_source])
 
 
 def emit_units(with_proofs: bool = False) -> list[LustreSourceUnit]:
+    """The basics, one unit per operator and, `with_proofs`, one proof unit
+    per operator and polarity."""
     units = [emit_basic_nodes()]
-    units.extend(emit_operator_nodes(kind) for kind in OPERATOR_KINDS)
+    units.extend(emit_operator_nodes(kind) for kind in _OPERATOR_NODES)
     if with_proofs:
-        units.extend(
-            emit_proof_node(kind, polarity)
-            for kind in OPERATOR_KINDS
-            for polarity in POLARITIES
-        )
+        units.extend(emit_proof_node(kind, polarity) for kind, polarity in _PROOF_NODES)
     return units
 
 
@@ -415,12 +404,12 @@ def _parse_checker_output(unit_name: str, stdout: str) -> list[PropertyResult]:
 
 
 def run_kind2(
-    units: Sequence[LustreSourceUnit],
+    paths: Sequence[str | Path],
     timeout: float = 60.0,
     checker: str | None = None,
-    work_dir: str | Path | None = None,
 ) -> CheckerReport:
-    """Run the model checker over each unit, one invocation per file.
+    """Run the model checker on each written unit, one invocation per file,
+    as `write_units` returned them.
 
     Returns a skipped (not failed) report when no checker executable can be
     found, so environments without one still exercise everything else.
@@ -434,38 +423,35 @@ def run_kind2(
             skipped_reason=f"no checker executable ({CHECKER_ENV_VAR} unset, kind2 not on PATH)",
         )
     report = CheckerReport(ran=True, checker=executable)
-    with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(work_dir) if work_dir is not None else Path(tmp)
-        paths = write_units(units, directory)
-        for unit, path in zip(units, paths):
-            command = [
-                executable,
-                "-json",
-                "--modular",
-                "true",
-                "--timeout",
-                str(timeout),
-                str(path),
-            ]
-            try:
-                completed = subprocess.run(
-                    command,
-                    capture_output=True,
-                    text=True,
-                    timeout=timeout + 30,
-                )
-            except OSError as exc:  # missing, a directory, not executable
-                raise CheckerError(f"cannot run {executable}: {exc.strerror or exc}") from exc
-            except subprocess.TimeoutExpired as exc:
-                raise CheckerError(f"checker timed out on {unit.file_name}") from exc
-            results = _parse_checker_output(unit.file_name, completed.stdout)
-            if not results and completed.returncode != 0:
-                detail = completed.stderr.strip() or completed.stdout.strip()
-                raise CheckerError(
-                    f"checker failed on {unit.file_name} "
-                    f"(exit {completed.returncode}): {detail[:500]}"
-                )
-            report.results.extend(results)
+    for path in map(Path, paths):
+        command = [
+            executable,
+            "-json",
+            "--modular",
+            "true",
+            "--timeout",
+            str(timeout),
+            str(path),
+        ]
+        try:
+            completed = subprocess.run(
+                command,
+                capture_output=True,
+                text=True,
+                timeout=timeout + 30,
+            )
+        except OSError as exc:  # missing, a directory, not executable
+            raise CheckerError(f"cannot run {executable}: {exc.strerror or exc}") from exc
+        except subprocess.TimeoutExpired as exc:
+            raise CheckerError(f"checker timed out on {path.name}") from exc
+        results = _parse_checker_output(path.name, completed.stdout)
+        if not results and completed.returncode != 0:
+            detail = completed.stderr.strip() or completed.stdout.strip()
+            raise CheckerError(
+                f"checker failed on {path.name} "
+                f"(exit {completed.returncode}): {detail[:500]}"
+            )
+        report.results.extend(results)
     if not report.results:  # nothing checked is no verdict, valid or not
         raise CheckerError(f"{executable} reported no property")
     return report

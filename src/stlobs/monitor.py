@@ -14,9 +14,8 @@ the absence of both, and nothing else is kept per operator. The formulas are not
 nested, so every operator is anchored at tick 0 and reads the tick as its
 clock, against its window's bounds. The function steps each operator on its
 operand, inlined as one expression, combines the pairs with the flag-pair
-algebra of the `_3v` Lustre nodes (`a & b` is (pa and pb, na or nb),
-`a | b` is (pa or pb, na and nb), `a -> b` is (na or pb, pa and nb), `!a`
-swaps the pair) and reads T/F/U off the root pair. An operator is stepped,
+algebra (`a & b` is (pa and pb, na or nb), `a | b` is (pa or pb, na and
+nb), `a -> b` is (na or pb, pa and nb), `!a` swaps the pair) and reads T/F/U off the root pair. An operator is stepped,
 and its operands evaluated, only while neither of its flags is set; once the
 root has decided, the function returns its verdict without stepping any
 operator. Each atom is compiled once to a float test that agrees exactly

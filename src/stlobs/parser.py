@@ -51,6 +51,7 @@ from .formula import (
     Until,
     operator_name,
     walk,
+    window_fault,
 )
 
 _KEYWORDS = {"G", "F", "U", "not", "and", "or"}
@@ -261,16 +262,11 @@ class _Parser:
         self._expect(",", "','")
         upper = self._interval_bound()
         self._expect("]", "']' to close the time interval")
-        if lower < 0 or upper < 0:
-            raise IntervalBoundError(
-                f"interval [{lower},{upper}] has a negative bound", open_tok.column
-            )
-        if lower >= upper:
-            raise IntervalBoundError(
-                f"interval [{lower},{upper}] is empty or singleton; lower < upper is required",
-                open_tok.column,
-            )
-        return Interval(lower, upper)
+        window = Interval(lower, upper)
+        fault = window_fault(window)
+        if fault:
+            raise IntervalBoundError(fault[1], open_tok.column)
+        return window
 
     def _interval_bound(self) -> int:
         negative = self._accept("-") is not None

@@ -20,7 +20,7 @@ from stlobs.conformance import (
     operator_formula,
     property_suite,
 )
-from stlobs.lustregen import emit_units, resolve_checker, run_kind2
+from stlobs.lustregen import emit_units, resolve_checker, run_kind2, write_units
 from stlobs.monitor import compile_formula
 from stlobs.oracle import identity_check
 from stlobs.trilean import (
@@ -205,8 +205,8 @@ def test_criterion_8_codegen_golden_match(capsys):
     resolve_checker(None) is None,
     reason="no model checker executable (set STLOBS_CHECKER or install kind2)",
 )
-def test_criterion_8_optional_checker_validates_contracts(capsys):
-    report = run_kind2(emit_units(with_proofs=True), timeout=120.0)
+def test_criterion_8_optional_checker_validates_contracts(tmp_path, capsys):
+    report = run_kind2(write_units(emit_units(with_proofs=True), tmp_path), timeout=120.0)
     assert report.ran
     invalid = [r for r in report.results if r.status != "valid"]
     assert invalid == [], report.to_text()

@@ -732,6 +732,25 @@ class TestFormulaFile:
         assert results[0] == results[1]
         assert results[0] == (cli.EXIT_USAGE, b"", b"formula error: unexpected character '\\udcff' (column 13)\n")
 
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, csv_path, capsys, command):
+        # As in a trace file; a mark anywhere else is a character the
+        # parser rejects at its column, and the start of a mark is bytes
+        # that are not UTF-8.
+        formula = tmp_path / "f.stl"
+        results = []
+        for data in (b"\xef\xbb\xbfx > 0", b"\xef\xbb\xbf" * 2 + b"x > 0", b"x > 0 \xef\xbb\xbf", b"\xef\xbb"):
+            formula.write_bytes(data)
+            code = cli.main([command, "--formula-file", str(formula), "--trace", csv_path])
+            results.append((code, *capsys.readouterr()))
+        assert cli.main([command, "-f", "x > 0", "--trace", csv_path]) == cli.EXIT_TRUE
+        assert results[0] == (cli.EXIT_TRUE, *capsys.readouterr())
+        assert results[1:] == [
+            (cli.EXIT_USAGE, "", "formula error: unexpected character '\\ufeff' (column 1)\n"),
+            (cli.EXIT_USAGE, "", "formula error: unexpected character '\\ufeff' (column 7)\n"),
+            (cli.EXIT_USAGE, "", "formula error: unexpected character '\\udcef' (column 1)\n"),
+        ]
+
 
 class TestSameBytesFromFileAndStdin:
     """A trace's bytes read the same from a path and from stdin: one newline
@@ -978,6 +997,15 @@ class TestImports:
     )
     def test_a_blank_line_loads_logging(self, tmp_path, name, text):
         assert "logging" in self.loaded_by_check(tmp_path, name, text)
+
+    def test_lustre_emitter_loads_no_oracle(self, tmp_path):
+        """The emitter stands alone: neither importing it nor `emit-lustre`
+        loads the oracle or the trace it evaluates."""
+        argv = ["emit-lustre", "--out-dir", str(tmp_path / "lus"), "--with-proofs"]
+        for statement in ("import stlobs.lustregen", f"import stlobs.cli; assert stlobs.cli.main({argv!r}) == 0"):
+            loaded = self.loaded_by(statement)
+            assert "stlobs.lustregen" in loaded
+            assert loaded.isdisjoint({"stlobs.oracle", "stlobs.trace"}), statement
 
     def test_package_import_loads_no_submodule(self):
         assert not {name for name in self.loaded_by("import stlobs") if name.startswith("stlobs.")}

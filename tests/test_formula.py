@@ -169,6 +169,15 @@ class TestParseErrors:
         with pytest.raises(IntervalBoundError):
             p("G[-1,2] (x>0)")
 
+    @pytest.mark.parametrize("lower, upper", [(2, -1), (-1, -3), (-1, 2), (3, 1), (2, 2)])
+    def test_window_fault_matches_validate(self, lower, upper):
+        # The parser and `validate` judge a window by one rule: the parser's
+        # message is the first (and only) violation `validate` finds.
+        with pytest.raises(IntervalBoundError) as info:
+            p(f"F[{lower},{upper}] (x>0)")
+        [violation] = validate(Eventually(Interval(lower, upper), signal_atom("x", ">")))
+        assert str(info.value) == f"{violation.message} (column 2)"
+
     def test_fractional_bound(self):
         with pytest.raises(IntervalBoundError):
             p("G[0.5,2] (x>0)")
@@ -234,9 +243,11 @@ class TestValidate:
         bad = Eventually(Interval(3, 3), signal_atom("x", ">"))
         assert [v.code for v in validate(bad)] == ["interval-order"]
 
-    def test_interval_negative(self):
-        bad = Eventually(Interval(-1, 3), signal_atom("x", ">"))
-        assert "interval-negative" in [v.code for v in validate(bad)]
+    @pytest.mark.parametrize("lower, upper", [(-1, 3), (2, -1), (-1, -3)])
+    def test_interval_negative(self, lower, upper):
+        # A negative bound is the window's one fault, whatever the order.
+        bad = Eventually(Interval(lower, upper), signal_atom("x", ">"))
+        assert [v.code for v in validate(bad)] == ["interval-negative"]
 
     def test_interval_non_integer(self):
         bad = Eventually(Interval(0.5, 3), signal_atom("x", ">"))

@@ -1,9 +1,11 @@
-"""Lustre emission: golden files, determinism, node inventories, and the
+"""Lustre emission: golden files, determinism, node lists, and the
 optional model-checker harness (exercised here with stub executables)."""
 
+import itertools
 import json
 import os
 import stat
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,7 @@ import pytest
 from stlobs import cli
 from stlobs.errors import CheckerError
 from stlobs.lustregen import (
-    BASIC_NODE_NAMES,
     CHECKER_ENV_VAR,
-    LustreSourceUnit,
     emit_basic_nodes,
     emit_operator_nodes,
     emit_proof_node,
@@ -22,8 +22,10 @@ from stlobs.lustregen import (
     run_kind2,
     write_units,
 )
+from stlobs.oracle import OPERATOR_KINDS, POLARITIES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+BASICS = ("min_int", "exist", "forall_a", "timeab", "sample_at")
 
 
 def test_unit_counts():
@@ -47,20 +49,38 @@ def test_emission_is_deterministic():
 
 def test_every_unit_is_self_contained():
     for unit in emit_units(with_proofs=True):
-        for name in BASIC_NODE_NAMES:
-            assert f"node {name}(" in unit.source, (unit.file_name, name)
+        assert unit.node_names[:5] == BASICS, unit.file_name
 
 
-def test_inventory_matches_source():
-    unit = emit_operator_nodes("until")
-    assert "until_true" in unit.node_names
-    assert "until_false" in unit.node_names
-    assert "until_3v" in unit.node_names
+def test_file_names_follow_the_oracles_kinds_and_polarities():
+    """The emitter's own tables name the oracle's operators and polarities,
+    in its order, so a unit can be checked against the oracle's forms of
+    the same operator."""
+    names = [unit.file_name for unit in emit_units(with_proofs=True)]
+    proofs = {"positive": "true", "negative": "false"}
+    assert names == [
+        "basics.lus",
+        *(f"{kind}.lus" for kind in OPERATOR_KINDS),
+        *(f"proof_{kind}_{proofs[polarity]}.lus" for kind, polarity in itertools.product(OPERATOR_KINDS, POLARITIES)),
+    ]
 
 
-def test_inventory_mismatch_rejected():
-    with pytest.raises(ValueError, match="node 'b' not in source"):
-        LustreSourceUnit("bad.lus", "node a() returns ();", ("a", "b"))
+class TestNodeNames:
+    """A unit's node list is the `node <name>(` lines of its text, in order."""
+
+    def test_basics(self):
+        assert emit_basic_nodes().node_names == BASICS
+
+    @pytest.mark.parametrize("kind", ["eventually", "always", "until"])
+    def test_operator_unit(self, kind):
+        assert emit_operator_nodes(kind).node_names == (*BASICS, f"{kind}_true", f"{kind}_false", f"{kind}_3v")
+
+    @pytest.mark.parametrize("kind", ["eventually", "always", "until"])
+    @pytest.mark.parametrize("polarity, flag", [("positive", "true"), ("negative", "false")])
+    def test_proof_unit(self, kind, polarity, flag):
+        assert emit_proof_node(kind, polarity).node_names == (
+            *BASICS, f"{kind}_true", f"{kind}_false", f"proof_{kind}_{flag}"
+        )
 
 
 def test_disjointness_contract_present():
@@ -114,17 +134,22 @@ def _stub_checker(tmp_path, body):
 
 
 class TestRunKind2:
-    UNITS = emit_units()[:1]
+    """`run_kind2` checks the files it is given; the tests write the basics
+    unit first."""
 
-    def test_skips_when_no_checker(self, monkeypatch):
+    @pytest.fixture
+    def paths(self, tmp_path):
+        return write_units(emit_units()[:1], tmp_path / "lus")
+
+    def test_skips_when_no_checker(self, monkeypatch, paths):
         monkeypatch.delenv(CHECKER_ENV_VAR, raising=False)
         monkeypatch.setenv("PATH", "")
-        report = run_kind2(self.UNITS)
+        report = run_kind2(paths)
         assert not report.ran
         assert report.skipped_reason
         assert "skipped" in report.to_text()
 
-    def test_parses_json_output(self, tmp_path):
+    def test_parses_json_output(self, tmp_path, paths):
         payload = json.dumps(
             [
                 {"objectType": "log", "level": "info"},
@@ -141,33 +166,33 @@ class TestRunKind2:
             ]
         )
         checker = _stub_checker(tmp_path, f"cat <<'EOF'\n{payload}\nEOF\n")
-        report = run_kind2(self.UNITS, checker=checker, work_dir=tmp_path)
+        report = run_kind2(paths, checker=checker)
         assert report.ran
         assert not report.all_valid
         statuses = {r.name: r.status for r in report.results}
         assert statuses == {"ok_prop": "valid", "bad_prop": "falsifiable"}
 
-    def test_parses_plain_text_output(self, tmp_path):
+    def test_parses_plain_text_output(self, tmp_path, paths):
         checker = _stub_checker(
             tmp_path,
             "echo 'some preamble'\n"
             "echo 'base_case : valid'\n"
             "echo 'ind_case : valid'\n",
         )
-        report = run_kind2(self.UNITS, checker=checker, work_dir=tmp_path)
+        report = run_kind2(paths, checker=checker)
         assert report.ran
         assert report.all_valid
         assert {r.name for r in report.results} == {"base_case", "ind_case"}
         assert "valid" in report.to_text()
 
-    def test_checker_crash_raises(self, tmp_path):
+    def test_checker_crash_raises(self, tmp_path, paths):
         checker = _stub_checker(tmp_path, "echo boom >&2\nexit 3\n")
-        with pytest.raises(CheckerError):
-            run_kind2(self.UNITS, checker=checker, work_dir=tmp_path)
+        with pytest.raises(CheckerError, match="checker failed on basics.lus"):
+            run_kind2(paths, checker=checker)
 
-    def test_missing_checker_binary_raises(self, tmp_path):
+    def test_missing_checker_binary_raises(self, tmp_path, paths):
         with pytest.raises(CheckerError):
-            run_kind2(self.UNITS, checker=str(tmp_path / "nope"), work_dir=tmp_path)
+            run_kind2(paths, checker=str(tmp_path / "nope"))
 
     def test_runs_once_per_unit(self, tmp_path):
         counter = tmp_path / "count"
@@ -175,10 +200,37 @@ class TestRunKind2:
             tmp_path,
             f"echo run >> {counter}\necho 'p : valid'\n",
         )
-        units = emit_units()
-        report = run_kind2(units, checker=checker, work_dir=tmp_path)
+        paths = write_units(emit_units(), tmp_path / "lus")
+        report = run_kind2(paths, checker=checker)
         assert report.ran
-        assert counter.read_text().count("run") == len(units)
+        assert counter.read_text().count("run") == len(paths)
+        assert [r.unit for r in report.results] == [path.name for path in paths]
+
+
+class TestRunCheckerOnOutDir:
+    """`emit-lustre --run-checker` checks the files it wrote, once each, in
+    the order it wrote them, and writes no copy anywhere else."""
+
+    @pytest.mark.parametrize("with_proofs", [[], ["--with-proofs"]])
+    def test_checks_the_written_files(self, tmp_path, monkeypatch, capsys, with_proofs):
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        calls, dirs = tmp_path / "calls", tmp_path / "dirs"
+        checker = _stub_checker(
+            tmp_path, f"echo \"$@\" >> {calls}\nfind {temp} -mindepth 1 >> {dirs}\necho 'p : valid'\n"
+        )
+        out_dir = tmp_path / "lus"
+        argv = ["emit-lustre", "--out-dir", str(out_dir), "--run-checker", "--checker-path", checker, *with_proofs]
+        assert cli.main(argv) == cli.EXIT_TRUE
+        names = [unit.file_name for unit in emit_units(with_proofs=bool(with_proofs))]
+        assert calls.read_text().splitlines() == [
+            f"-json --modular true --timeout 60.0 {out_dir / name}" for name in names
+        ]
+        assert dirs.read_text() == ""
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(names)
+        out = capsys.readouterr().out
+        assert out.endswith("".join(f"  {name}: p: valid\n" for name in names) + "all properties valid\n")
 
 
 class TestCheckerErrors:
